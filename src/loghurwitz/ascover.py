@@ -225,7 +225,8 @@ def moduli_dimension(p: int, h: int, e, n: int) -> int:
     # equivalent closed form n + m - 3 + sum (e_i - 1 - floor((e_i-1)/p))
     m = len(e)
     alt = n + m - 3 + sum(ei - 1 - (ei - 1) // p for ei in e)
-    assert alt == dim
+    if alt != dim:
+        raise CoverError(f"moduli dimension {dim} disagrees with its closed form {alt}")
     return dim
 
 

@@ -98,33 +98,43 @@ class PPowerDecomposition:
         return out
 
 
-def ppower_decompose(f: RationalFunction) -> PPowerDecomposition:
-    """Unique decomposition f = sum_{i<p} f_i^p y^i over GF(p^k)(y)."""
-    spec = f.spec
+def _tc_kernel(N: Polynomial, D: Polynomial, shifts=(0,)):
+    """Numerators T_j with tc(y^j N/D dy/dx) = T_j / D, one per j in `shifts`.
+
+    y^j N/D = y^j N D^(p-1) / D^p with D^p a p-th power, so T_j is the
+    coefficientwise p-th root of bucket p-1 of y^j N D^(p-1): the slice
+    of N D^(p-1) in degrees = p-1-j mod p, shifted by floor(j/p).  One
+    product serves every shift; N/D need not be reduced.
+    """
+    spec = N.spec
     p = spec.p
-    a, b = f.num, f.den
-    numer = a * b ** (p - 1)
-    buckets = [[] for _ in range(p)]
-    for e, c in enumerate(numer.coeffs):
-        i = e % p
-        j = e // p
-        bucket = buckets[i]
-        while len(bucket) <= j:
-            bucket.append(0)
-        bucket[j] = spec.pth_root_idx(c)
-    parts = []
-    for bucket in buckets:
-        poly = Polynomial(spec, [spec.element(c) for c in bucket])
-        parts.append(RationalFunction(poly, b))
-    return PPowerDecomposition(parts)
+    big = (N * D ** (p - 1)).coeffs
+    root = spec.pth_root_idx
+    out = []
+    for j in shifts:
+        roots = [root(c) for c in big[p - 1 - j % p :: p]]
+        out.append(Polynomial.from_indices(spec, [0] * (j // p) + roots))
+    return out
+
+
+def ppower_decompose(f: RationalFunction) -> PPowerDecomposition:
+    """Unique decomposition f = sum_{i<p} f_i^p y^i over GF(p^k)(y).
+
+    The part f_i is tc(y^(p-1-i) f).
+    """
+    p = f.spec.p
+    numerators = _tc_kernel(f.num, f.den, range(p - 1, -1, -1))
+    return PPowerDecomposition(RationalFunction(T, f.den) for T in numerators)
 
 
 def cartier(omega: Differential) -> Differential:
-    return Differential(ppower_decompose(omega.f).parts[-1])
+    f = omega.f
+    return Differential(RationalFunction(_tc_kernel(f.num, f.den)[0], f.den))
 
 
 def twisted_cartier(psi: BivariantForm) -> RationalFunction:
-    return ppower_decompose(psi.f).parts[-1]
+    f = psi.f
+    return RationalFunction(_tc_kernel(f.num, f.den)[0], f.den)
 
 
 def is_exact(psi: BivariantForm) -> bool:
@@ -254,24 +264,20 @@ def global_tc_matrix(spec: FieldSpec, marked) -> TcMatrix:
     if source_dim == 0 or target_dim == 0:
         return TcMatrix(spec, [[0] * source_dim for _ in range(target_dim)], source_dim, target_dim)
 
-    y = RationalFunction.variable(spec)
-    f0 = RationalFunction.constant(spec, 1)
-    for q, n in src.items():
-        if not q.is_infinity and n:
-            f0 = f0 * (y - q.value) ** (-n)
-    g0_inv = RationalFunction.constant(spec, 1)
-    for q, n in tgt.items():
-        if not q.is_infinity and n:
-            g0_inv = g0_inv * (y - q.value) ** n
+    def factor(orders, sign):
+        """prod (y - q)^(sign n) over the finite q with sign n > 0."""
+        roots = [q.value for q, n in orders.items() if not q.is_infinity for _ in range(sign * n)]
+        return Polynomial.from_roots(spec, roots)
 
+    # the source basis is y^j N/D, the target basis is y^i G/H
+    N, D = factor(src, -1), factor(src, 1)
+    G, H = factor(tgt, -1), factor(tgt, 1)
+    DG = D * G
     columns = []
-    for j in range(source_dim):
-        tc = twisted_cartier(BivariantForm(y**j * f0))
-        coords = tc * g0_inv
-        if not coords.is_polynomial() or (
-            not coords.is_zero() and coords.num.degree > deg_tgt
-        ):
+    for T in _tc_kernel(N, D, range(source_dim)):
+        coords, rest = (T * H).divmod(DG)
+        if not rest.is_zero() or len(coords.coeffs) > target_dim:
             raise AssertionError("tc image escapes the target space")
-        columns.append([coords.num.coeffs[i] if i < len(coords.num.coeffs) else 0 for i in range(target_dim)])
+        columns.append(coords.coeffs + (0,) * (target_dim - len(coords.coeffs)))
     entries = [[columns[j][i] for j in range(source_dim)] for i in range(target_dim)]
     return TcMatrix(spec, entries, source_dim, target_dim)

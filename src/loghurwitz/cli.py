@@ -101,10 +101,7 @@ def _graph_datum(G: LevelGraph, args) -> HurwitzData:
     if getattr(args, "xi", None):
         xi = _int_list(args.xi)
     if getattr(args, "datum", None):
-        try:
-            p, h, g, N = _int_list(args.datum)
-        except ValueError:
-            raise CliError(EXIT_PARSE, "parse", "--datum must be p,h,g,N")
+        p, h, g, N = _datum(args.datum)
         if lam is None:
             raise CliError(EXIT_PARSE, "parse", "--datum requires --lambda")
     else:
@@ -126,6 +123,13 @@ def _int_list(text):
         return [int(v) for v in str(text).split(",") if v != ""]
     except ValueError as exc:
         raise CliError(EXIT_PARSE, "parse", f"expected comma-separated integers, got {text!r}") from exc
+
+
+def _datum(text):
+    values = _int_list(text)
+    if len(values) != 4:
+        raise CliError(EXIT_PARSE, "parse", "--datum must be p,h,g,N")
+    return values
 
 
 def _parse_places(text, spec):
@@ -261,7 +265,7 @@ def cmd_strata(args):
     if args.strata_cmd == "enumerate":
         if not getattr(args, "datum", None) or not getattr(args, "lam", None):
             raise CliError(EXIT_PARSE, "parse", "enumerate requires --datum p,h,g,N and --lambda")
-        p, h, g, N = _int_list(args.datum)
+        p, h, g, N = _datum(args.datum)
         lam = _int_list(args.lam)
         xi = _int_list(args.xi) if getattr(args, "xi", None) else None
         try:

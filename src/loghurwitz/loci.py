@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from .cartier import BivariantForm, matrix_rank, twisted_cartier
+from .cartier import _tc_kernel, matrix_rank
 from .ffield import FieldSpec
 from .ratfunc import INFINITY, Place, Polynomial, RationalFunction
 
@@ -79,7 +79,7 @@ class MarkingConfig:
         )
 
     def __hash__(self):
-        return hash((id(self.spec), self.points))
+        return hash((self.spec, self.points))
 
     def __repr__(self):
         return f"MarkingConfig({', '.join(str(q) for q in self.points)})"
@@ -144,13 +144,6 @@ def _deformed_form(config: MarkingConfig, pattern: ZeroPolePattern, a_vals):
     return out.a, out.b
 
 
-def _base_form(config: MarkingConfig, pattern: ZeroPolePattern) -> BivariantForm:
-    spec = config.spec
-    zero = spec.element(0)
-    f0, _ = _deformed_form(config, pattern, [zero] * pattern.n)
-    return BivariantForm(f0)
-
-
 # ---------------------------------------------------------------------------
 # membership and tangent spaces
 
@@ -162,36 +155,21 @@ def _check_compatible(config: MarkingConfig, pattern: ZeroPolePattern):
         raise ValueError("configuration field and pattern characteristic differ")
 
 
-def _tc_parts(config: MarkingConfig, pattern: ZeroPolePattern):
-    """(T, D): the twisted Cartier image of the attached form is T / D.
-
-    Writing the product over the finite markings as N / D with N, D
-    monic polynomials, the numerator N * D^(p-1) of f = N D^(p-1) / D^p
-    splits into residue buckets by exponent mod p; the operator keeps
-    the bucket p-1, takes coefficientwise p-th roots, and divides by D.
-    Working with the two polynomials directly skips every gcd reduction.
-    """
+def _form_parts(config: MarkingConfig, pattern: ZeroPolePattern):
+    """(N, D): monic polynomials with N / D the product over the finite markings."""
     spec = config.spec
-    p = spec.p
     num_roots, den_roots = [], []
     for q, mi in zip(config.points, pattern.m):
-        if q.is_infinity:
-            continue
-        if mi > 0:
-            num_roots.extend([q.value] * mi)
-        else:
-            den_roots.extend([q.value] * (-mi))
-    N = Polynomial.from_roots(spec, num_roots)
-    D = Polynomial.from_roots(spec, den_roots)
-    big = (N * D ** (p - 1)).coeffs
-    tc_idxs = [spec.pth_root_idx(big[j]) for j in range(p - 1, len(big), p)]
-    return Polynomial(spec, [spec.element(i) for i in tc_idxs]), D
+        if not q.is_infinity:
+            (num_roots if mi > 0 else den_roots).extend([q.value] * abs(mi))
+    return Polynomial.from_roots(spec, num_roots), Polynomial.from_roots(spec, den_roots)
 
 
 def locus_membership(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -> bool:
     """Whether the configuration lies in the exact or quasi-exact locus."""
     _check_compatible(config, pattern)
-    T, D = _tc_parts(config, pattern)
+    N, D = _form_parts(config, pattern)
+    T = _tc_kernel(N, D)[0]  # tc of the attached form is T / D
     if kind == EXACT:
         return T.is_zero()
     if kind == QUASI_EXACT:
@@ -233,60 +211,47 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     if any(q.is_infinity for q in config.points[:free]):
         raise ValueError("the marking at infinity must be among the three pinned ones")
 
-    # the eps-part of the i-th unit deformation is -m_i * f / (y - p_i),
+    # the eps-part of the i-th unit deformation is -m_i * (N/D) / (y - p_i),
     # so it vanishes exactly when p divides m_i; a nonzero scalar factor
-    # does not change the rank computed below
-    num_roots, den_roots = [], []
-    for q, mi in zip(config.points, pattern.m):
-        if q.is_infinity:
-            continue
-        (num_roots if mi > 0 else den_roots).extend([q.value] * abs(mi))
-    base = RationalFunction(
-        Polynomial.from_roots(spec, num_roots), Polynomial.from_roots(spec, den_roots)
-    )
-    yvar = RationalFunction.variable(spec)
+    # does not change the rank computed below.  Its tc is T_i / (D (y - p_i)).
+    p = pattern.p
+    N, D = _form_parts(config, pattern)
     responses = []
-    ker_alpha = 0
-    for i in range(free):
-        if pattern.m[i] % pattern.p == 0:
-            ker_alpha += 1
-            responses.append(None)
-        else:
-            f1 = base * RationalFunction.constant(spec, pattern.m[i] % pattern.p) / (
-                yvar - config.points[i].value
-            )
-            responses.append(twisted_cartier(BivariantForm(f1)))
+    for q, mi in zip(config.points[:free], pattern.m):
+        if mi % p:
+            den = D * Polynomial.from_roots(spec, [q.value])
+            responses.append((_tc_kernel(N, den)[0], den))
+    ker_alpha = free - len(responses)
 
     # coefficient vectors over the common denominator
     # prod (y - p_i)^{max(0, ceil(m_i / p))}, which clears every pole the
     # twisted operator can produce.
-    y = RationalFunction.variable(spec)
-    clear = RationalFunction.constant(spec, 1)
-    p = pattern.p
+    clear_roots = []
     m_inf = 0
     for q, mi in zip(config.points, pattern.m):
         if q.is_infinity:
             m_inf = mi
-            continue
-        t = -(mi // p)  # pole allowance ceil(-m_i / p) of tc at the marking
-        if t > 0:
-            clear = clear * (y - q.value) ** t
+        else:
+            clear_roots.extend([q.value] * -(mi // p))  # pole allowance ceil(-m_i / p)
+    clear = Polynomial.from_roots(spec, clear_roots)
     inf_allowance = max(0, (3 * p - 3 - m_inf) // p)
-    width = clear.num.degree + 1 + inf_allowance
+    width = clear.degree + 1 + inf_allowance
 
-    def coeff_row(f: RationalFunction):
-        g = f * clear
-        assert g.is_polynomial() and (g.is_zero() or g.num.degree < width)
-        return [g.num.coeffs[j] if j < len(g.num.coeffs) else 0 for j in range(width)]
+    def coeff_row(T, den):
+        g, rest = (T * clear).divmod(den)
+        if not rest.is_zero() or len(g.coeffs) > width:
+            raise AssertionError("tc response escapes the cleared coefficient space")
+        return list(g.coeffs) + [0] * (width - len(g.coeffs))
 
-    rows = [coeff_row(r) for r in responses if r is not None]
+    rows = [coeff_row(T, den) for T, den in responses]
     # absorb the p^{-1}-semilinearity: substituting a_i -> a_i^p makes the
     # map linear without changing the kernel dimension over a finite field
     rank = matrix_rank(spec, rows) if rows else 0
     if kind == EXACT:
         dim = free - rank
     else:
-        aug = rows + [coeff_row(RationalFunction.constant(spec, 1))]
+        one = Polynomial.constant(spec, 1)
+        aug = rows + [coeff_row(one, one)]
         dim = free - (matrix_rank(spec, aug) - 1)
     return {
         "kind": kind,
@@ -303,9 +268,6 @@ def tangent_dimension(config: MarkingConfig, pattern: ZeroPolePattern, kind: str
 
 # ---------------------------------------------------------------------------
 # exhaustive search
-
-
-DEFAULT_PINNED = ("0", "1", "inf")
 
 
 def _default_pinned(spec: FieldSpec):

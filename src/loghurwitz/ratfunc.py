@@ -49,26 +49,43 @@ class NegInf:
 NEG_INF = NegInf()
 
 
+def _coefficient_index(spec: FieldSpec, c) -> int:
+    """Index of a coefficient given as a FieldElement of spec or an integer mod p."""
+    if isinstance(c, FieldElement):
+        if c.spec != spec:
+            raise ValueError("mismatched FieldSpec in coefficients")
+        return c.idx
+    return spec.from_int(c).idx
+
+
 class Polynomial:
     """Polynomial over a FieldSpec; coeffs[i] is the coefficient of y^i."""
 
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        idxs = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.spec != spec:
-                    raise ValueError("mismatched FieldSpec in coefficients")
-                idxs.append(c.idx)
-            else:
-                idxs.append(spec.from_int(c).idx)
+        idxs = [_coefficient_index(spec, c) for c in coeffs]
         while idxs and idxs[-1] == 0:
             idxs.pop()
         self.spec = spec
         self.coeffs = tuple(idxs)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_indices(cls, spec: FieldSpec, idxs) -> "Polynomial":
+        """Polynomial whose coefficients are the element indices `idxs`.
+
+        Unlike the constructor, an int here is an element index, not an
+        integer mod p; indices are trusted to lie in range(spec.q).
+        """
+        idxs = list(idxs)
+        while idxs and idxs[-1] == 0:
+            idxs.pop()
+        poly = object.__new__(cls)
+        poly.spec = spec
+        poly.coeffs = tuple(idxs)
+        return poly
 
     @classmethod
     def constant(cls, spec, c):
@@ -80,11 +97,14 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, spec, roots):
-        out = cls.constant(spec, 1)
-        y = cls.variable(spec)
+        """prod (y - r) over `roots`, each a field element or an integer mod p."""
+        mul, add = spec.mul_idx, spec.add_idx
+        out = [1]
         for r in roots:
-            out = out * (y - cls.constant(spec, r))
-        return out
+            neg_r = spec.neg_idx(_coefficient_index(spec, r))
+            # (sum c_i y^i)(y - r) has the coefficients c_{i-1} - r c_i
+            out = [mul(neg_r, out[0])] + [add(a, mul(neg_r, b)) for a, b in zip(out, out[1:])] + [1]
+        return cls.from_indices(spec, out)
 
     # -- basics ------------------------------------------------------------
 
@@ -109,7 +129,7 @@ class Polynomial:
             return self
         inv = self.spec.inv_idx(self.coeffs[-1])
         mul = self.spec.mul_idx
-        return Polynomial(self.spec, [self.spec.element(mul(c, inv)) for c in self.coeffs])
+        return Polynomial.from_indices(self.spec, [mul(c, inv) for c in self.coeffs])
 
     def __eq__(self, other):
         return (
@@ -146,13 +166,13 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = spec.add_idx(out[i], c)
-        return Polynomial(spec, [spec.element(c) for c in out])
+        return Polynomial.from_indices(spec, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         spec = self.spec
-        return Polynomial(spec, [spec.element(spec.neg_idx(c)) for c in self.coeffs])
+        return Polynomial.from_indices(spec, [spec.neg_idx(c) for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -170,7 +190,7 @@ class Polynomial:
         spec = self.spec
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Polynomial(spec, [])
+            return Polynomial.from_indices(spec, [])
         out = [0] * (len(a) + len(b) - 1)
         mul, add = spec.mul_idx, spec.add_idx
         for i, ca in enumerate(a):
@@ -178,7 +198,7 @@ class Polynomial:
                 for j, cb in enumerate(b):
                     if cb:
                         out[i + j] = add(out[i + j], mul(ca, cb))
-        return Polynomial(spec, [spec.element(c) for c in out])
+        return Polynomial.from_indices(spec, out)
 
     __rmul__ = __mul__
 
@@ -215,8 +235,7 @@ class Polynomial:
             rem.pop()
             while rem and rem[-1] == 0:
                 rem.pop()
-        mk = lambda cs: Polynomial(spec, [spec.element(c) for c in cs])
-        return mk(quot), mk(rem)
+        return Polynomial.from_indices(spec, quot), Polynomial.from_indices(spec, rem)
 
     def __divmod__(self, other):
         return self.divmod(other)
@@ -235,10 +254,8 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         spec = self.spec
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(spec.element(spec.mul_idx(self.coeffs[i], spec.from_int(i).idx)))
-        return Polynomial(spec, out)
+        cs = self.coeffs
+        return Polynomial.from_indices(spec, [spec.mul_idx(cs[i], i % spec.p) for i in range(1, len(cs))])
 
     def __call__(self, point):
         """Evaluate at a field element (Horner)."""
@@ -255,10 +272,10 @@ class Polynomial:
         if isinstance(b, int):
             b = self.spec.from_int(b)
         # Horner in (b + t): acc = acc*(b + t) + c
-        acc = Polynomial(self.spec, [])
+        acc = Polynomial.from_indices(self.spec, [])
         bt = Polynomial(self.spec, [b, 1])
         for c in reversed(self.coeffs):
-            acc = acc * bt + Polynomial.constant(self.spec, self.spec.element(c))
+            acc = acc * bt + Polynomial.from_indices(self.spec, [c])
         return acc
 
     def roots(self):
@@ -661,7 +678,7 @@ def _series_mul(a: Polynomial, b: Polynomial, prec: int, spec) -> Polynomial:
             for j, cb in enumerate(b.coeffs[: prec - i]):
                 if cb:
                     out[i + j] = add(out[i + j], mul(ca, cb))
-    return Polynomial(spec, [spec.element(c) for c in out])
+    return Polynomial.from_indices(spec, out)
 
 
 def _series_inverse(a: Polynomial, prec: int, spec) -> Polynomial:
@@ -679,4 +696,4 @@ def _series_inverse(a: Polynomial, prec: int, spec) -> Polynomial:
             if ai:
                 acc = add(acc, mul(ai, out[n - i]))
         out[n] = neg(mul(acc, inv0.idx))
-    return Polynomial(spec, [spec.element(c) for c in out])
+    return Polynomial.from_indices(spec, out)

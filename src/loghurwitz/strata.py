@@ -332,7 +332,7 @@ class LevelGraph:
                     for m in obj.get("markings", [])
                 ],
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed level graph JSON: {exc}") from exc
 
     @classmethod
@@ -544,11 +544,7 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
         if special < 3 - 2 * v.genus:
             report.add("stability", f"vertex {v.id} (genus {v.genus}) has only {special} special points")
 
-    # regime rules
-    if A.regime == "mixed":
-        # the minimal level is the quasi-exact level log(p); nothing may lie
-        # below it, which holds structurally since levels are contiguous.
-        pass
+    # mixed regime needs no check: levels are contiguous, so nothing lies below log(p)
     return report
 
 
@@ -639,12 +635,12 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
     for v in G.source_vertices:
         if v.id in exact_ids:
             orders = _frobenius_orders(G, v.id)
-            val = len(orders) - 4 + sum(_floordiv(o, p) for _, _, o in orders)
+            val = len(orders) - 4 + sum(o // p for _, _, o in orders)
             mod_ex += val
             contributions.append((f"exact:{v.id}", val))
         elif v.id in quex_ids:
             orders = _frobenius_orders(G, v.id)
-            val = len(orders) - 3 + sum(_floordiv(o, p) for _, _, o in orders)
+            val = len(orders) - 3 + sum(o // p for _, _, o in orders)
             mod_quex += val
             contributions.append((f"quasi-exact:{v.id}", val))
 
@@ -654,7 +650,8 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
     closed = None
     if A.g == 0 and A.regime == "mixed":
         closed = A.N - 3 - e_d_hor - v_c_ex
-        assert total == closed, f"ledger total {total} != closed form {closed}"
+        if total != closed:
+            raise GraphError(f"ledger total {total} != closed form {closed}")
     rank, free = monoid_rank(G, A)
     return StratumLedger(
         contributions=contributions,
@@ -668,10 +665,6 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
         monoid_rank=rank,
         monoid_free=free,
     )
-
-
-def _floordiv(a, b):
-    return a // b
 
 
 def generic_dimension(A: HurwitzData) -> int:
@@ -891,7 +884,8 @@ def enumerate_components(A: HurwitzData, max_vertices: int = 8):
                             key = canonical_form(G)
                             if key not in seen:
                                 rep = validate(G, A)
-                                assert rep.ok, rep.errors
+                                if not rep.ok:
+                                    raise GraphError(f"generated an invalid level graph: {rep.errors}")
                                 seen[key] = G
     return [seen[k] for k in sorted(seen)]
 

@@ -238,3 +238,71 @@ def test_global_tc_matrix_rejects_repeats():
     q = Place.finite(F16.from_int(0))
     with pytest.raises(ValueError):
         global_tc_matrix(F16, [(q, 1), (q, 1)])
+
+
+def _reference_tc_matrix(spec, marked):
+    """(entries, source_dim, target_dim), built column by column through RationalFunction."""
+    p = spec.p
+    src = {q: m for q, m in marked}
+    src[INFINITY] = src.get(INFINITY, 0) + 2 * p - 2
+    tgt = {q: -(-m // p) for q, m in marked}
+    source_dim = max(sum(src.values()) + 1, 0)
+    target_dim = max(sum(tgt.values()) + 1, 0)
+    if source_dim == 0 or target_dim == 0:
+        return [[0] * source_dim for _ in range(target_dim)], source_dim, target_dim
+    y = RationalFunction.variable(spec)
+    f0 = RationalFunction.constant(spec, 1)
+    g0_inv = RationalFunction.constant(spec, 1)
+    for q, n in src.items():
+        if not q.is_infinity:
+            f0 = f0 * (y - q.value) ** (-n)
+    for q, n in tgt.items():
+        if not q.is_infinity:
+            g0_inv = g0_inv * (y - q.value) ** n
+    columns = []
+    for j in range(source_dim):
+        coords = twisted_cartier(BivariantForm(y**j * f0)) * g0_inv
+        assert coords.is_polynomial()
+        cs = coords.num.coeffs
+        assert len(cs) <= target_dim
+        columns.append(list(cs) + [0] * (target_dim - len(cs)))
+    entries = [[columns[j][i] for j in range(source_dim)] for i in range(target_dim)]
+    return entries, source_dim, target_dim
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 1), (7, 1)])
+def test_global_tc_matrix_matches_reference(p, k):
+    spec = field(p, k)
+    rng = random.Random(53 + p)
+    places = [Place.finite(e) for e in spec.elements()] + [INFINITY]
+    values = [v for v in range(-2 * p, 2 * p + 1) if v != 0]
+    samples = [
+        [(INFINITY, -p), (places[0], 2 * p - 2), (places[1], p)],  # pole of order p at infinity
+        [(places[0], -2 * p), (places[1], 2 * p - 1), (places[2], p - 1)],  # m <= -p finite
+    ]
+    for _ in range(10):
+        n = rng.randrange(1, 5)
+        samples.append(list(zip(rng.sample(places, n), (rng.choice(values) for _ in range(n)))))
+    for marked in samples:
+        M = global_tc_matrix(spec, marked)
+        assert (M.entries, M.source_dim, M.target_dim) == _reference_tc_matrix(spec, marked), marked
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_twisted_cartier_matches_sympy_bucket(p):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    spec = field(p, 1)
+    rng = random.Random(59 + p)
+    y = RationalFunction.variable(spec)
+    for _ in range(25):
+        a = [rng.randrange(p) for _ in range(rng.randrange(1, 7))]
+        b = [rng.randrange(p) for _ in range(rng.randrange(1, 5))] + [rng.randrange(1, p)]
+        # sympy coefficient lists are high degree first
+        big = sympy.Poly(a[::-1], t, modulus=p) * sympy.Poly(b[::-1], t, modulus=p) ** (p - 1)
+        coeffs = [int(c) % p for c in reversed(big.all_coeffs())]
+        # over GF(p) the p-th root is the identity
+        bucket = Polynomial(spec, coeffs[p - 1 :: p])
+        f = RationalFunction(Polynomial(spec, a), Polynomial(spec, b))
+        assert twisted_cartier(BivariantForm(f)) == RationalFunction(bucket, Polynomial(spec, b))
+        assert ppower_decompose(f).parts[-1] == twisted_cartier(BivariantForm(f))

@@ -121,6 +121,21 @@ def test_schema_error_code(capsys, monkeypatch, tmp_path):
     assert code == EXIT_SCHEMA and obj["error"] == "schema"
 
 
+def test_short_datum_is_parse_error(capsys):
+    code, obj = run_json(capsys, "strata", "enumerate", "--datum", "2,1", "--lambda", "2,2")
+    assert code == EXIT_PARSE and obj["error"] == "parse"
+
+
+def test_non_integer_graph_field_is_schema_error(capsys, tmp_path):
+    obj = example_graphs()[0].to_json_obj()
+    obj["p"] = "x"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, "strata", "validate", "--file", str(path))
+    assert code == EXIT_SCHEMA
+    assert out.count("\n") == 1 and json.loads(out)["error"] == "schema"
+
+
 def test_domain_error_code(capsys):
     code, obj = run_json(capsys, "ascover", "--field", "2^4", "--expr", "1/y^2 + 1/y")
     assert code == EXIT_DOMAIN and obj["error"] == "domain"

@@ -1,6 +1,6 @@
 import pytest
 
-from loghurwitz.ffield import field
+from loghurwitz.ffield import FieldSpec, field
 from loghurwitz.loci import (
     EXACT,
     QUASI_EXACT,
@@ -45,6 +45,15 @@ def test_config_invariants():
         MarkingConfig(F16, [pt(F16, 0), pt(F16, 0)])
     with pytest.raises(ValueError):
         MarkingConfig(F16, [INFINITY, INFINITY])
+
+
+def test_config_hash_follows_equality():
+    F3 = field(3, 1)
+    pts = [pt(F3, 0), pt(F3, 1), INFINITY]
+    a = MarkingConfig(F3, pts)
+    b = MarkingConfig(FieldSpec(3, 1), pts)
+    assert a == b
+    assert len({a, b}) == 1
 
 
 # -- membership ---------------------------------------------------------------
