@@ -21,6 +21,8 @@ by p - 1 and both are exposed rather than reconciled.
 
 from __future__ import annotations
 
+import itertools
+
 from .ffield import FieldSpec
 from .mobius import Mobius
 from .ratfunc import (
@@ -230,33 +232,44 @@ def moduli_dimension(p: int, h: int, e, n: int) -> int:
     return dim
 
 
+def _special_tags(c: ArtinSchreierCover):
+    """Special place -> tag: its conductor at a branch point, its position at a marked point."""
+    tags = {b: ("branch", e) for b, e in zip(c.branch_points, c.conductors)}
+    tags.update((q, ("marked", i)) for i, q in enumerate(c.marked_unramified))
+    return tags
+
+
 def isomorphic(c1: ArtinSchreierCover, c2: ArtinSchreierCover) -> bool:
     """Whether a Moebius map matching the special configurations carries c1 to c2.
 
-    Special points (branch then marked, in stored order) rigidify the
-    line; fewer than three of them is rejected as unrigidified.
+    The first three special points of c1 (branch then marked, in stored
+    order) rigidify the line; every ordered choice of their images among
+    the special points of c2 that preserves conductors and marked
+    positions is tried.  Fewer than three special points is rejected as
+    unrigidified.
     """
     if c1.spec != c2.spec:
         raise CoverError("covers live over different fields")
     spec = c1.spec
-    s1 = list(c1.branch_points) + list(c1.marked_unramified)
-    s2 = list(c2.branch_points) + list(c2.marked_unramified)
-    if len(s1) < 3 or len(s2) < 3:
+    tags1, tags2 = _special_tags(c1), _special_tags(c2)
+    if len(tags1) < 3 or len(tags2) < 3:
         raise CoverError("unrigidified: fewer than three special points")
-    if len(s1) != len(s2):
+    if sorted(tags1.values()) != sorted(tags2.values()):
         return False
-    try:
-        phi = Mobius.from_triples(spec, tuple(s1[:3]), tuple(s2[:3]))
-    except ValueError:
-        return False
-    if any(phi.apply_place(a) != b for a, b in zip(s1, s2)):
-        return False
-    moved = c1.normal_form().compose(phi.inverse().as_rational())
-    marked2 = tuple(phi.apply_place(q) for q in c1.marked_unramified)
-    for u in range(1, spec.p):
-        candidate = ArtinSchreierCover.from_equation(
-            spec, moved * spec.from_int(u).inverse(), marked2
-        )
-        if candidate == c2:
-            return True
+    src = tuple(tags1)[:3]
+    g1 = c1.normal_form()
+    for dst in itertools.permutations(tags2, 3):
+        if any(tags1[a] != tags2[b] for a, b in zip(src, dst)):
+            continue
+        phi = Mobius.from_triples(spec, src, dst)
+        if any(tags2.get(phi.apply_place(a)) != tag for a, tag in tags1.items()):
+            continue
+        moved = g1.compose(phi.inverse().as_rational())
+        marked2 = tuple(phi.apply_place(q) for q in c1.marked_unramified)
+        for u in range(1, spec.p):
+            candidate = ArtinSchreierCover.from_equation(
+                spec, moved * spec.from_int(u).inverse(), marked2
+            )
+            if candidate == c2:
+                return True
     return False

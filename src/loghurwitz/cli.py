@@ -22,7 +22,7 @@ from .cartier import (
     is_quasi_exact,
     twisted_cartier,
 )
-from .expr import ExprError, parse_element, parse_expression
+from .expr import ExprError, ExprLimitError, parse_element, parse_expression
 from .ffield import FieldSpec, parse_field
 from .mobius import Mobius
 from .ratfunc import INFINITY, Place, RationalFunction
@@ -74,6 +74,8 @@ def _get_bindings(args, spec):
 def _get_expr(args, spec) -> RationalFunction:
     try:
         return parse_expression(args.expr, spec, bindings=_get_bindings(args, spec))
+    except ExprLimitError as exc:
+        raise CliError(EXIT_DOMAIN, "domain", str(exc)) from exc
     except ExprError as exc:
         raise CliError(EXIT_PARSE, "parse", str(exc)) from exc
 

@@ -3,7 +3,9 @@
 Grammar: `+ - * / ^ ( )`, integer literals, one designated variable
 (default "y", "x" for base-curve expressions), the field generator "w",
 and named parameters supplied through a bindings mapping.  `^` takes an
-integer exponent and binds tightest; unary minus is supported.
+integer exponent and binds tightest; unary minus is supported.  A power
+whose degree (exponent times the degree of its base) exceeds
+MAX_POWER_DEGREE is rejected before it is computed.
 """
 
 from __future__ import annotations
@@ -15,9 +17,22 @@ from .ratfunc import RationalFunction
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
+MAX_POWER_DEGREE = 4096  # a dense power of this degree over GF(7) takes about 2 s
+
 
 class ExprError(ValueError):
     """Malformed expression."""
+
+
+class ExprLimitError(ExprError):
+    """Well-formed expression whose evaluation would exceed a work bound."""
+
+
+def _integer(tok):
+    try:
+        return int(tok)
+    except ValueError as exc:  # more digits than int() converts
+        raise ExprError(f"integer literal of {len(tok)} digits is too long") from exc
 
 
 class _Parser:
@@ -92,7 +107,12 @@ class _Parser:
             tok = self.next()
             if tok is None or not tok.isdigit():
                 raise ExprError(f"integer exponent expected, got {tok!r}")
-            n = int(tok)
+            n = _integer(tok)
+            degree = n * max(base.num.degree, base.den.degree)
+            if degree > MAX_POWER_DEGREE:
+                raise ExprLimitError(
+                    f"power of degree {degree} exceeds the limit MAX_POWER_DEGREE = {MAX_POWER_DEGREE}"
+                )
             if neg:
                 if base.is_zero():
                     raise ExprError("negative power of zero")
@@ -109,7 +129,7 @@ class _Parser:
             self.expect(")")
             return inner
         if tok.isdigit():
-            return RationalFunction.constant(self.spec, int(tok))
+            return RationalFunction.constant(self.spec, _integer(tok))
         if tok == self.variable:
             return RationalFunction.variable(self.spec)
         if tok == "w":

@@ -18,6 +18,7 @@ every scalar is a p-th power).
 from __future__ import annotations
 
 import itertools
+import math
 
 from .cartier import _tc_kernel, matrix_rank
 from .ffield import FieldSpec
@@ -25,6 +26,7 @@ from .ratfunc import INFINITY, Place, Polynomial, RationalFunction
 
 EXACT = "exact"
 QUASI_EXACT = "quasi_exact"
+MAX_SEARCH_CONFIGS = 10**7  # free-slot permutations one locus_search may visit
 
 
 class ZeroPolePattern:
@@ -279,12 +281,12 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
 
     The pinned places (default 0, 1, infinity, truncated for very short
     patterns) occupy the final slots, killing the Moebius symmetry; the
-    free slots range lexicographically over the remaining places.
+    free slots range lexicographically over the remaining places.  A
+    search of more than MAX_SEARCH_CONFIGS free-slot permutations raises
+    ValueError before visiting any.
     """
     if spec.p != pattern.p:
         raise ValueError("field characteristic and pattern characteristic differ")
-    if spec.q > 2**16:
-        raise ValueError("field too large for exhaustive search")
     n = pattern.n
     if pinned is None:
         pinned = _default_pinned(spec)
@@ -296,6 +298,11 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
         raise ValueError("more pinned places than markings")
     places = [Place.finite(e) for e in spec.elements()] + [INFINITY]
     candidates = [q for q in places if q not in pinned]
+    visits = math.perm(len(candidates), free)
+    if visits > MAX_SEARCH_CONFIGS:
+        raise ValueError(
+            f"search would visit {visits} configurations, above MAX_SEARCH_CONFIGS = {MAX_SEARCH_CONFIGS}"
+        )
     out = []
     for combo in itertools.permutations(candidates, free):
         points = combo + pinned

@@ -22,6 +22,7 @@ closed form N - 3 - #E_D^hor - #V_C^ex.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from dataclasses import dataclass, field as dfield
@@ -74,7 +75,7 @@ class HurwitzData:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceVertex:
     id: str
     genus: int
@@ -83,7 +84,7 @@ class SourceVertex:
     image: str  # target vertex id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceEdge:
     id: str
     v1: str
@@ -92,20 +93,20 @@ class SourceEdge:
     image: str  # target edge id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TargetVertex:
     id: str
     level: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TargetEdge:
     id: str
     v1: str
     v2: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Marking:
     vertex: str  # source vertex id
     lam: int
@@ -150,6 +151,21 @@ class LevelGraph:
         for m in self.markings:
             if m.vertex not in self._sv:
                 raise GraphError(f"marking on unknown vertex {m.vertex}")
+        # per-vertex incidence, each in source_edges / markings order; tuples,
+        # since enumeration keeps thousands of graphs alive
+        edges_at, out, inc, marks_at = ({vid: [] for vid in self._sv} for _ in range(4))
+        for e in self.source_edges:
+            edges_at[e.v1].append(e)
+            edges_at[e.v2].append(e)  # loops appear twice
+            if not self.is_horizontal(e):
+                down, up = self.edge_down_up(e)
+                out[up.id].append(e)
+                inc[down.id].append(e)
+        for i, m in enumerate(self.markings):
+            marks_at[m.vertex].append(i)  # marking positions
+        self._edges_at, self._out, self._in, self._marks_at = (
+            {vid: tuple(xs) for vid, xs in index.items()} for index in (edges_at, out, inc, marks_at)
+        )
 
     # -- derived structure -------------------------------------------------
 
@@ -172,33 +188,17 @@ class LevelGraph:
         return (a, b) if a.level < b.level else (b, a)
 
     def edges_at(self, vid):
-        out = []
-        for e in self.source_edges:
-            if e.v1 == vid:
-                out.append(e)
-            if e.v2 == vid:
-                out.append(e)  # loops appear twice
-        return out
+        return list(self._edges_at.get(vid, ()))
 
     def out_edges(self, vid):
         """Level-crossing edges whose upper endpoint is vid."""
-        v = self._sv[vid]
-        return [
-            e
-            for e in self.source_edges
-            if not self.is_horizontal(e) and self.edge_down_up(e)[1].id == vid
-        ]
+        return list(self._out[vid])
 
     def in_edges(self, vid):
-        v = self._sv[vid]
-        return [
-            e
-            for e in self.source_edges
-            if not self.is_horizontal(e) and self.edge_down_up(e)[0].id == vid
-        ]
+        return list(self._in[vid])
 
     def markings_at(self, vid):
-        return [m for m in self.markings if m.vertex == vid]
+        return [self.markings[i] for i in self._marks_at.get(vid, ())]
 
     def horizontal_target_edges(self):
         """Target edges that are images of horizontal source edges."""
@@ -384,8 +384,9 @@ def _ramified_points(G: LevelGraph, vid):
     pts = []
     for e in G.out_edges(vid):
         pts.append(("edge", e.id, e.slope))
-    for i, m in enumerate(G.markings):
-        if m.vertex == vid and m.lam == G.p:
+    for i in G._marks_at[vid]:
+        m = G.markings[i]
+        if m.lam == G.p:
             pts.append(("marking", str(i), m.xi))
     return pts
 
@@ -398,9 +399,8 @@ def _frobenius_orders(G: LevelGraph, vid):
         orders.append(("edge-out", e.id, e.slope + (p - 1)))
     for e in G.in_edges(vid):
         orders.append(("edge-in", e.id, -(e.slope - (p - 1))))
-    for i, m in enumerate(G.markings):
-        if m.vertex == vid:
-            orders.append(("marking", str(i), m.xi + (p - 1)))
+    for i in G._marks_at[vid]:
+        orders.append(("marking", str(i), G.markings[i].xi + (p - 1)))
     return orders
 
 
@@ -699,13 +699,12 @@ def canonical_form(G: LevelGraph):
     for v in verts:
         slopes = []
         for e in G.edges_at(v.id):
-            down, up = (None, None)
             if G.is_horizontal(e):
                 slopes.append((0, 0))
             else:
                 down, up = G.edge_down_up(e)
                 slopes.append((1 if up.id == v.id else -1, e.slope))
-        marks = tuple(i for i, m in enumerate(G.markings) if m.vertex == v.id)
+        marks = tuple(G._marks_at[v.id])
         invariants[v.id] = (-v.level, v.genus, v.cover_type, tuple(sorted(slopes)), marks)
 
     classes = {}
@@ -773,18 +772,12 @@ def _labeled_trees(n):
         for s in seq:
             degree[s] += 1
         edges = []
-        ptr = 0
-        leaves = sorted(i for i in range(n) if degree[i] == 1)
-        import heapq
-
-        heap = list(leaves)
-        heapq.heapify(heap)
-        deg = degree[:]
+        heap = [i for i in range(n) if degree[i] == 1]  # ascending, hence a heap
         for s in seq:
             leaf = heapq.heappop(heap)
             edges.append((leaf, s))
-            deg[s] -= 1
-            if deg[s] == 1:
+            degree[s] -= 1
+            if degree[s] == 1:
                 heapq.heappush(heap, s)
         u = heapq.heappop(heap)
         v = heapq.heappop(heap)
@@ -805,16 +798,52 @@ def _odd_compositions(total, parts):
         first += 2
 
 
+def _bipartite_trees(t, n):
+    """Labeled trees on 0..n-1 whose edges all join a top (< t) to a bottom (>= t).
+
+    In Pruefer order, each as (edges, incident) with incident[v] the
+    indices of the edges at v.
+    """
+    out = []
+    for tree in _labeled_trees(n):
+        if any((u < t) == (v < t) for u, v in tree):
+            continue
+        incident = [[] for _ in range(n)]
+        for i, (u, v) in enumerate(tree):
+            incident[u].append(i)
+            incident[v].append(i)
+        out.append((tree, incident))
+    return out
+
+
+def _iso_key(genera, tree, slope, assignment):
+    """Isomorphism class of the two-level candidate built by _build_two_level.
+
+    Complete invariant: every bottom vertex w carries m_w = 2 + sum(slope - 1)
+    >= 2 labeled markings, and markings are never permuted, so every
+    isomorphism fixes each bottom vertex, which is named by its marking
+    block.  In a tree a top vertex is then fixed up to swapping by
+    (genus, sorted (block, slope) over its edges), so the sorted tuple of
+    these top signatures is complete.
+    """
+    t = len(genera)
+    tops = [[g] for g in genera]
+    for ei, (u, v) in enumerate(tree):
+        top, bottom = (u, v) if u < t else (v, u)
+        tops[top].append((assignment[bottom - t], slope[ei]))
+    return tuple(sorted((sig[0], *sorted(sig[1:])) for sig in tops))
+
+
 def _partitions_into_sizes(items, sizes):
     """All ways to split `items` (ordered) into ordered boxes of given sizes."""
     if not sizes:
-        yield []
+        yield ()
         return
     k = sizes[0]
     for chosen in itertools.combinations(items, k):
         remaining = [i for i in items if i not in chosen]
         for rest in _partitions_into_sizes(remaining, sizes[1:]):
-            yield [list(chosen)] + rest
+            yield (chosen,) + rest
 
 
 def enumerate_components(A: HurwitzData, max_vertices: int = 8):
@@ -823,7 +852,9 @@ def enumerate_components(A: HurwitzData, max_vertices: int = 8):
     These are the irreducible components of the special fiber for p = 2,
     g = 0 in the mixed regime with all markings ramified (lambda = 2).
     Markings are labeled; graphs differing only by which markings sit on
-    which bottom component count separately.
+    which bottom component count separately.  Only the first candidate of
+    each isomorphism class is built and validated; the result is sorted by
+    canonical_form.
     """
     if A.p != 2 or A.g != 0:
         raise GraphError("enumeration supports p=2, g=0 only")
@@ -840,26 +871,19 @@ def enumerate_components(A: HurwitzData, max_vertices: int = 8):
     if h < 1:
         return []  # a genus-0 top vertex can never be stable in a two-level graph
 
-    seen = {}
+    reps = {}
+    # a class has one (t, s), so taking s before genera keeps each class's first
+    # candidate; every bottom carries at least two of the b markings, so s <= b // 2
     for t in range(1, h + 1):
-        for genera in _compositions(h, t):
-            for s in range(1, max_vertices - t + 1):
-                n = t + s
-                for tree in _labeled_trees(n):
-                    # vertices 0..t-1 are tops, t..n-1 are bottoms
-                    if any((u < t) == (v < t) for u, v in tree):
-                        continue
-                    deg = [0] * n
-                    incident = [[] for _ in range(n)]
-                    for i, (u, v) in enumerate(tree):
-                        deg[u] += 1
-                        deg[v] += 1
-                        incident[u].append(i)
-                        incident[v].append(i)
-                    if any(deg[v] > genera[v] + 1 for v in range(t)):
+        for s in range(1, min(max_vertices - t, b // 2) + 1):
+            n = t + s
+            trees = _bipartite_trees(t, n)  # vertices 0..t-1 are tops, t..n-1 are bottoms
+            for genera in _compositions(h, t):
+                for tree, incident in trees:
+                    if any(len(incident[v]) > genera[v] + 1 for v in range(t)):
                         continue
                     slope_choices = [
-                        list(_odd_compositions(2 * genera[v] + 2 - deg[v], deg[v]))
+                        list(_odd_compositions(2 * genera[v] + 2 - len(incident[v]), len(incident[v])))
                         for v in range(t)
                     ]
                     if any(not c for c in slope_choices):
@@ -869,25 +893,19 @@ def enumerate_components(A: HurwitzData, max_vertices: int = 8):
                         for v in range(t):
                             for ei, sl in zip(incident[v], slopes_per_top[v]):
                                 slope[ei] = sl
-                        mark_counts = []
-                        ok = True
-                        for wv in range(t, n):
-                            mw = 2 + sum(slope[ei] - 1 for ei in incident[wv])
-                            if mw + deg[wv] < 3:
-                                ok = False
-                                break
-                            mark_counts.append(mw)
-                        if not ok or sum(mark_counts) != b:
+                        mark_counts = [2 + sum(slope[ei] - 1 for ei in incident[w]) for w in range(t, n)]
+                        if sum(mark_counts) != b:
                             continue
-                        for assignment in _partitions_into_sizes(list(range(b)), mark_counts):
+                        for assignment in _partitions_into_sizes(range(b), mark_counts):
+                            key = _iso_key(genera, tree, slope, assignment)
+                            if key in reps:
+                                continue
                             G = _build_two_level(A, t, genera, n, tree, slope, assignment)
-                            key = canonical_form(G)
-                            if key not in seen:
-                                rep = validate(G, A)
-                                if not rep.ok:
-                                    raise GraphError(f"generated an invalid level graph: {rep.errors}")
-                                seen[key] = G
-    return [seen[k] for k in sorted(seen)]
+                            rep = validate(G, A)
+                            if not rep.ok:
+                                raise GraphError(f"generated an invalid level graph: {rep.errors}")
+                            reps[key] = G
+    return sorted(reps.values(), key=canonical_form)
 
 
 def _compositions(total, parts):
@@ -901,21 +919,24 @@ def _compositions(total, parts):
 
 
 def _build_two_level(A, t, genera, n, tree, slope, assignment):
+    vname = [f"v{v}" for v in range(n)]
+    dname = [f"d{v}" for v in range(n)]
     svs = []
     tvs = []
     for v in range(n):
         level = 0 if v < t else -1
         ct = AS if v < t else FROB
         genus = genera[v] if v < t else 0
-        svs.append(SourceVertex(f"v{v}", genus, level, ct, f"d{v}"))
-        tvs.append(TargetVertex(f"d{v}", level))
+        svs.append(SourceVertex(vname[v], genus, level, ct, dname[v]))
+        tvs.append(TargetVertex(dname[v], level))
     ses = []
     tes = []
     for i, (u, v) in enumerate(tree):
-        ses.append(SourceEdge(f"e{i}", f"v{u}", f"v{v}", slope[i], f"f{i}"))
-        tes.append(TargetEdge(f"f{i}", f"d{u}", f"d{v}"))
+        fname = f"f{i}"
+        ses.append(SourceEdge(f"e{i}", vname[u], vname[v], slope[i], fname))
+        tes.append(TargetEdge(fname, dname[u], dname[v]))
     marks = [None] * A.b
     for wi, idxs in enumerate(assignment):
         for mi in idxs:
-            marks[mi] = Marking(f"v{t + wi}", 2, 0, f"q{mi}")
+            marks[mi] = Marking(vname[t + wi], 2, 0, f"q{mi}")
     return LevelGraph(A.p, A.regime, svs, ses, tvs, tes, marks)

@@ -185,6 +185,22 @@ def test_not_isomorphic_different_shape():
     assert not isomorphic(c1, c2)
 
 
+def test_isomorphic_permutes_branch_points():
+    # y -> 1 - y swaps the branch points 0 and 1, whose conductors differ:
+    # (2, 3, 2) at (0, 1, inf) becomes (3, 2, 2)
+    y = x_of(F9)
+    g = 1 / y + 1 / (y - 1) ** 2 + y
+    c1 = ArtinSchreierCover.from_equation(F9, g)
+    c2 = ArtinSchreierCover.from_equation(F9, g.compose(1 - y))
+    assert (c1.conductors, c2.conductors) == ((2, 3, 2), (3, 2, 2))
+    assert isomorphic(c1, c2) and isomorphic(c2, c1)
+    # same conductors at the same points, but no Moebius map and unit matches
+    c3 = ArtinSchreierCover.from_equation(F9, 1 / y + 1 / (y - 1) ** 2 + 2 * y)
+    assert c3.conductors == c1.conductors
+    assert not isomorphic(c1, c3)
+    assert not isomorphic(c3, c2)
+
+
 def test_unrigidified_rejected():
     x = x_of(F16)
     c = ArtinSchreierCover.from_equation(F16, 1 / x)

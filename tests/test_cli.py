@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from loghurwitz.cli import (
     main,
     run_example6,
 )
+from loghurwitz.expr import MAX_POWER_DEGREE
 
 
 def run(capsys, *argv):
@@ -95,6 +97,20 @@ def test_dot_format(capsys, tmp_path):
 def test_parse_error_code(capsys):
     code, obj = run_json(capsys, "tc", "--field", "2^2", "--expr", "y*(y-1")
     assert code == EXIT_PARSE and obj["error"] == "parse"
+
+
+def test_power_degree_bound_is_domain_error(capsys):
+    start = time.monotonic()
+    code, out = run(capsys, "tc", "--field", "2^2", "--expr", "y^99999999999")
+    assert time.monotonic() - start < 1.0
+    assert code == EXIT_DOMAIN and out.count("\n") == 1
+    obj = json.loads(out)
+    assert obj["error"] == "domain" and str(MAX_POWER_DEGREE) in obj["message"]
+
+
+def test_constant_power_has_no_degree_bound(capsys):
+    code, obj = run_json(capsys, "tc", "--field", "2^2", "--expr", "w^99999999999")
+    assert code == EXIT_OK and obj["classification"] == "exact"
 
 
 def test_field_error_code(capsys):

@@ -3,6 +3,7 @@ import pytest
 from loghurwitz.ffield import FieldSpec, field
 from loghurwitz.loci import (
     EXACT,
+    MAX_SEARCH_CONFIGS,
     QUASI_EXACT,
     MarkingConfig,
     ZeroPolePattern,
@@ -219,6 +220,14 @@ def test_search_empty():
     pat = ZeroPolePattern(2, (1, 1))
     assert locus_search(pat, EXACT, F4) == []
     assert locus_search(pat, EXACT, F16) == []
+
+
+def test_search_work_bound():
+    # GF(2^8), seven markings, three pinned: 254*253*252*251 free-slot permutations
+    pat = ZeroPolePattern(2, (1, 1, 1, 1, 1, 1, -4))
+    assert 254 * 253 * 252 * 251 > MAX_SEARCH_CONFIGS
+    with pytest.raises(ValueError, match="MAX_SEARCH_CONFIGS"):
+        locus_search(pat, EXACT, field(2, 8))
 
 
 def test_search_custom_pin():

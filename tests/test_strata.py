@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from loghurwitz import strata
 from loghurwitz.cli import example_graphs
 from loghurwitz.strata import (
     AS,
@@ -245,3 +248,100 @@ def test_enumerate_deterministic():
 
 def test_enumerate_respects_max_vertices():
     assert len(enumerate_components(A4, max_vertices=2)) == 1
+
+
+def test_enumerate_large_vertex_bound_is_cheap():
+    # a bottom vertex carries at least two markings, so b = 4 allows two bottoms
+    # whatever the bound; Pruefer decoding at n = 40 would never finish
+    big = [G.to_json() for G in enumerate_components(A4, max_vertices=40)]
+    assert big == [G.to_json() for G in enumerate_components(A4, max_vertices=6)]
+
+
+# -- enumeration against the build-everything reference -----------------------
+
+
+def reference_candidates(A, max_vertices):
+    """Every raw candidate (t, genera, n, tree, slope, assignment), in generation order."""
+    for t in range(1, A.h + 1):
+        for genera in strata._compositions(A.h, t):
+            for s in range(1, max_vertices - t + 1):
+                n = t + s
+                for tree in strata._labeled_trees(n):
+                    if any((u < t) == (v < t) for u, v in tree):
+                        continue
+                    deg = [0] * n
+                    incident = [[] for _ in range(n)]
+                    for i, (u, v) in enumerate(tree):
+                        deg[u] += 1
+                        deg[v] += 1
+                        incident[u].append(i)
+                        incident[v].append(i)
+                    if any(deg[v] > genera[v] + 1 for v in range(t)):
+                        continue
+                    slope_choices = [
+                        list(strata._odd_compositions(2 * genera[v] + 2 - deg[v], deg[v]))
+                        for v in range(t)
+                    ]
+                    for slopes_per_top in itertools.product(*slope_choices):
+                        slope = [0] * len(tree)
+                        for v in range(t):
+                            for ei, sl in zip(incident[v], slopes_per_top[v]):
+                                slope[ei] = sl
+                        mark_counts = [2 + sum(slope[ei] - 1 for ei in incident[w]) for w in range(t, n)]
+                        if sum(mark_counts) != A.b:
+                            continue
+                        for assignment in strata._partitions_into_sizes(list(range(A.b)), mark_counts):
+                            yield t, genera, n, tree, slope, assignment
+
+
+def reference_enumerate(A, max_vertices):
+    """Build every candidate and keep the first of each canonical_form class."""
+    seen = {}
+    for cand in reference_candidates(A, max_vertices):
+        G = strata._build_two_level(A, *cand)
+        seen.setdefault(canonical_form(G), G)
+    return [seen[k] for k in sorted(seen)]
+
+
+@pytest.mark.parametrize("b", [4, 6])
+@pytest.mark.parametrize("max_vertices", [4, 5, 6])
+def test_enumerate_matches_reference(b, max_vertices):
+    A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
+    got = [G.to_json() for G in enumerate_components(A, max_vertices)]
+    assert got == [G.to_json() for G in reference_enumerate(A, max_vertices)]
+
+
+def test_iso_key_partition_equals_canonical_form():
+    A = HurwitzData(2, 2, 0, 6, (2,) * 6)
+    key_to_canon, canon_to_key = {}, {}
+    count = 0
+    for t, genera, n, tree, slope, assignment in reference_candidates(A, 6):
+        key = strata._iso_key(genera, tree, slope, assignment)
+        canon = canonical_form(strata._build_two_level(A, t, genera, n, tree, slope, assignment))
+        assert key_to_canon.setdefault(key, canon) == canon
+        assert canon_to_key.setdefault(canon, key) == key
+        count += 1
+    assert len(key_to_canon) == 92 < count
+
+
+def test_enumerated_classes_pairwise_non_isomorphic():
+    nx = pytest.importorskip("networkx")
+    A = HurwitzData(2, 2, 0, 6, (2,) * 6)
+
+    def to_nx(G):
+        H = nx.Graph()
+        for v in G.source_vertices:
+            marks = tuple(i for i, m in enumerate(G.markings) if m.vertex == v.id)
+            H.add_node(v.id, attrs=(v.level, v.genus, v.cover_type, marks))
+        for e in G.source_edges:
+            H.add_edge(e.v1, e.v2, slope=e.slope)
+        return H
+
+    graphs = [to_nx(G) for G in enumerate_components(A, 6)]
+    assert len(graphs) == 92
+    for G, H in itertools.combinations(graphs, 2):
+        assert not nx.is_isomorphic(
+            G, H,
+            node_match=lambda a, b: a["attrs"] == b["attrs"],
+            edge_match=lambda a, b: a["slope"] == b["slope"],
+        )
