@@ -6,15 +6,18 @@ basis of a generator w.  The modulus is the lexicographically smallest
 irreducible monic polynomial of degree k over GF(p), coefficients
 compared low-to-high, so element indices are reproducible across runs.
 
-Multiplication, inversion and powering go through discrete log tables
-with respect to a fixed primitive element; addition uses XOR for p = 2
-and a precomputed table otherwise.  Fields of order up to 2^16 are
-supported, which is the intended desk scale.
+All arithmetic, for every p, goes through three tables of size O(q)
+built for the smallest primitive element g: exp (n -> index of g^n),
+log, and the Zech logarithm Z[n] = log(1 + g^n), so that
+a + b = a (1 + b/a) is one lookup (Huber, IEEE Trans. IT 36, 1990).
+Fields of order up to 2^16 are supported, which is the intended desk
+scale; building one takes O(q k) time and O(q) memory.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 MAX_ORDER = 1 << 16
 
@@ -147,7 +150,7 @@ def _smallest_modulus(p, k):
 
 
 class FieldSpec:
-    """The field GF(p^k) with deterministic modulus and cached arithmetic tables."""
+    """The field GF(p^k) with deterministic modulus and exp/log/Zech tables."""
 
     def __init__(self, p: int, k: int):
         if not is_prime(p):
@@ -212,59 +215,74 @@ class FieldSpec:
             if ok:
                 gen = cand
                 break
-        assert gen is not None
-        exp = [1] * (q - 1)
-        log = [0] * q
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = mul_idx(cur, gen)
-        self.generator_index = gen
-        self._exp = exp
-        self._log = log
+        if gen is None:
+            raise RuntimeError(f"GF({p}^{k}) has no primitive element")
 
-        # Addition: XOR in characteristic 2, otherwise a flat table at desk scale.
-        if p == 2:
-            self._add = None
-            self._neg = None
-        else:
-            add = [0] * (q * q)
-            neg = [0] * q
-            digit_cache = [self._digits(i) for i in range(q)]
-            for a in range(q):
-                da = digit_cache[a]
-                neg[a] = self._index([(-c) % p for c in da])
-                row = a * q
-                for b in range(a, q):
-                    db = digit_cache[b]
-                    s = self._index([(x + y) % p for x, y in zip(da, db)])
-                    add[row + b] = s
-                    add[b * q + a] = s
-            self._add = add
-            self._neg = neg
+        # exp[n] = index of gen^n, stepped on digit vectors: multiply by
+        # gen = sum g_j w^j as sum g_j (w^j cur), reducing w^k with the
+        # modulus.  exp is stored twice over so that a sum of two logs
+        # needs no reduction mod q - 1.
+        g = self._digits(gen)
+        while g[-1] == 0:
+            g.pop()
+        red = [(-c) % p for c in mod[:k]]  # w^k = sum red_i w^i
+        weights = [p**i for i in range(k)]
+        q1 = q - 1
+        exp = [0] * q1
+        log = [-1] * q  # log[0] = -1 stands for the zero element
+        cur = [1] + [0] * (k - 1)
+        for n in range(q1):
+            idx = sum(map(operator.mul, cur, weights))
+            exp[n] = idx
+            log[idx] = n
+            acc = [g[0] * c for c in cur]
+            for gj in g[1:]:  # digits grow a little here; reduced mod p below
+                top = cur[-1]
+                cur = [0] + cur[:-1]
+                if top:
+                    cur = [c + top * r for c, r in zip(cur, red)]
+                if gj:
+                    acc = [a + gj * c for a, c in zip(acc, cur)]
+            cur = [a % p for a in acc]
+        # Zech logarithms: zech[n] = log(1 + gen^n), or -1 where 1 + gen^n = 0.
+        # Adding 1 raises digit 0 of the index by one, mod p.
+        zech = [log[e + 1 if e % p != p - 1 else e + 1 - p] for e in exp]
+        self.generator_index = gen
+        self._exp = exp + exp
+        self._log = log
+        self._zech = zech + zech
+        self._log_neg_one = log[p - 1]  # index p - 1 is the element -1
 
     # -- index-level arithmetic -------------------------------------------
+    #
+    # A nonzero element is gen^n with n = _log[index]; a + b = a (1 + b/a)
+    # turns addition into one Zech lookup.  _exp and _zech repeat with
+    # period q - 1 over 2(q - 1) entries, so any sum or difference of two
+    # logs indexes them without reduction (a negative index wraps).
 
     def add_idx(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        return self._add[a * self.q + b]
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z < 0 else self._exp[la + z]
 
     def neg_idx(self, a):
-        if self.p == 2:
-            return a
-        return self._neg[a]
+        if not a:
+            return 0
+        return self._exp[self._log[a] + self._log_neg_one]
 
     def mul_idx(self, a, b):
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv_idx(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow_idx(self, a, n):
         if a == 0:
@@ -294,6 +312,8 @@ class FieldSpec:
         return [FieldElement(self, i) for i in range(self.q)]
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return isinstance(other, FieldSpec) and (self.p, self.k) == (other.p, other.k)
 
     def __hash__(self):
@@ -429,11 +449,3 @@ class FieldElement:
 
     def __repr__(self):
         return f"{self!s} in {self.spec!r}"
-
-
-def frobenius(a: FieldElement) -> FieldElement:
-    return a.frobenius()
-
-
-def pth_root(a: FieldElement) -> FieldElement:
-    return a.pth_root()

@@ -6,13 +6,6 @@ psi = prod (y - p_i)^{m_i} dy/dx (the product over the finite markings;
 the order at a marking at infinity is then automatic).  The exact locus
 is where the twisted Cartier operator kills psi, the quasi-exact locus
 is where it gives a nonzero constant.
-
-Tangent spaces are computed over the dual numbers k[eps]/(eps^2): the
-last three markings stay pinned, the remaining n-3 move to first order,
-and the kernel of a -> tc(first-order term) is measured by linear
-algebra on coefficient vectors after the Frobenius substitution that
-absorbs the p^{-1}-semilinearity (harmless over a finite field, where
-every scalar is a p-th power).
 """
 
 from __future__ import annotations
@@ -22,7 +15,7 @@ import math
 
 from .cartier import _tc_kernel, matrix_rank
 from .ffield import FieldSpec
-from .ratfunc import INFINITY, Place, Polynomial, RationalFunction
+from .ratfunc import INFINITY, Place, Polynomial
 
 EXACT = "exact"
 QUASI_EXACT = "quasi_exact"
@@ -85,65 +78,6 @@ class MarkingConfig:
 
     def __repr__(self):
         return f"MarkingConfig({', '.join(str(q) for q in self.points)})"
-
-
-# ---------------------------------------------------------------------------
-# dual numbers k(y)[eps]/(eps^2)
-
-
-class DualRational:
-    """a + b eps with rational a, b and eps^2 = 0."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: RationalFunction, b: RationalFunction):
-        self.a = a
-        self.b = b
-
-    @classmethod
-    def constant(cls, f: RationalFunction):
-        return cls(f, RationalFunction.constant(f.spec, 0))
-
-    def __add__(self, other):
-        return DualRational(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return DualRational(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other):
-        return DualRational(self.a * other.a, self.a * other.b + self.b * other.a)
-
-    def inverse(self):
-        inv = RationalFunction.constant(self.a.spec, 1) / self.a
-        return DualRational(inv, -self.b * inv * inv)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = DualRational.constant(RationalFunction.constant(self.a.spec, 1))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-
-def _deformed_form(config: MarkingConfig, pattern: ZeroPolePattern, a_vals):
-    """(F0, F1) with prod (y - (p_i + a_i eps))^{m_i} = F0 + eps F1."""
-    spec = config.spec
-    y = DualRational.constant(RationalFunction.variable(spec))
-    out = DualRational.constant(RationalFunction.constant(spec, 1))
-    for q, mi, ai in zip(config.points, pattern.m, a_vals):
-        if q.is_infinity:
-            continue
-        shift = DualRational(
-            RationalFunction.constant(spec, q.value),
-            RationalFunction.constant(spec, ai),
-        )
-        out = out * (y - shift) ** mi
-    return out.a, out.b
 
 
 # ---------------------------------------------------------------------------

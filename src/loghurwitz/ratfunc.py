@@ -58,6 +58,12 @@ def _coefficient_index(spec: FieldSpec, c) -> int:
     return spec.from_int(c).idx
 
 
+def _from_logs(spec, logs):
+    """Polynomial from discrete-log coefficients, -1 standing for zero."""
+    exp = spec._exp
+    return Polynomial.from_indices(spec, [exp[s] if s >= 0 else 0 for s in logs])
+
+
 class Polynomial:
     """Polynomial over a FieldSpec; coeffs[i] is the coefficient of y^i."""
 
@@ -98,13 +104,28 @@ class Polynomial:
     @classmethod
     def from_roots(cls, spec, roots):
         """prod (y - r) over `roots`, each a field element or an integer mod p."""
-        mul, add = spec.mul_idx, spec.add_idx
-        out = [1]
+        log, zech, q1 = spec._log, spec._zech, spec.q - 1
+        out = [0]  # discrete logs, see __mul__; log 1 = 0
         for r in roots:
-            neg_r = spec.neg_idx(_coefficient_index(spec, r))
+            r = _coefficient_index(spec, r)
+            if not r:
+                out.insert(0, -1)
+                continue
+            nr = (log[r] + spec._log_neg_one) % q1  # log(-r)
             # (sum c_i y^i)(y - r) has the coefficients c_{i-1} - r c_i
-            out = [mul(neg_r, out[0])] + [add(a, mul(neg_r, b)) for a, b in zip(out, out[1:])] + [1]
-        return cls.from_indices(spec, out)
+            prev = -1
+            for i, c in enumerate(out):
+                if c < 0:
+                    out[i] = prev
+                else:
+                    t = (c + nr) % q1
+                    if prev >= 0:
+                        z = zech[prev - t]
+                        t = -1 if z < 0 else (t + z) % q1
+                    out[i] = t
+                prev = c
+            out.append(prev)
+        return _from_logs(spec, out)
 
     # -- basics ------------------------------------------------------------
 
@@ -191,14 +212,27 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial.from_indices(spec, [])
-        out = [0] * (len(a) + len(b) - 1)
-        mul, add = spec.mul_idx, spec.add_idx
+        # Log domain: coefficients are discrete logs < 2(q-1), -1 stands for
+        # zero; a multiply-add is one Zech lookup, s + t = s (1 + g^(t-s)).
+        log, zech, q1 = spec._log, spec._zech, spec.q - 1
+        lb = [(j, log[c]) for j, c in enumerate(b) if c]
+        out = [-1] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = add(out[i + j], mul(ca, cb))
-        return Polynomial.from_indices(spec, out)
+                x = log[ca]
+                for j, y in lb:
+                    t = x + y
+                    s = out[i + j]
+                    if s < 0:
+                        out[i + j] = t
+                    else:
+                        z = zech[t - s]
+                        if z < 0:
+                            out[i + j] = -1
+                        else:
+                            s += z
+                            out[i + j] = s - q1 if s >= q1 else s
+        return _from_logs(spec, out)
 
     __rmul__ = __mul__
 
@@ -219,23 +253,35 @@ class Polynomial:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         spec = self.spec
-        rem = list(self.coeffs)
         db = other.degree
-        inv_lead = spec.inv_idx(other.coeffs[-1])
-        quot = [0] * max(len(rem) - db, 0)
-        mul, add, neg = spec.mul_idx, spec.add_idx, spec.neg_idx
-        while len(rem) - 1 >= db and rem:
-            lead = rem[-1]
-            if lead:
-                c = mul(lead, inv_lead)
-                shift = len(rem) - 1 - db
-                quot[shift] = c
-                for i, cb in enumerate(other.coeffs):
-                    rem[shift + i] = add(rem[shift + i], neg(mul(c, cb)))
-            rem.pop()
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial.from_indices(spec, quot), Polynomial.from_indices(spec, rem)
+        if len(self.coeffs) <= db:
+            return Polynomial.from_indices(spec, []), self
+        # long division in the log domain of __mul__: each step subtracts
+        # c y^shift times the divisor, with c = lead(rem) / lead(divisor)
+        log, zech, q1 = spec._log, spec._zech, spec.q - 1
+        rem = [log[c] for c in self.coeffs]
+        lead = log[other.coeffs[-1]]
+        neg = spec._log_neg_one
+        low = [(i, (log[c] + neg) % q1) for i, c in enumerate(other.coeffs[:-1]) if c]  # -b_i
+        quot = [-1] * (len(rem) - db)
+        for shift in range(len(rem) - 1 - db, -1, -1):
+            s = rem[shift + db]
+            if s < 0:
+                continue
+            quot[shift] = x = (s - lead) % q1
+            for i, y in low:
+                t = x + y
+                s = rem[shift + i]
+                if s < 0:
+                    rem[shift + i] = t
+                else:
+                    z = zech[t - s]
+                    if z < 0:
+                        rem[shift + i] = -1
+                    else:
+                        s += z
+                        rem[shift + i] = s - q1 if s >= q1 else s
+        return _from_logs(spec, quot), _from_logs(spec, rem[:db])
 
     def __divmod__(self, other):
         return self.divmod(other)
@@ -662,23 +708,12 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
         num_t = rest.shift(b)
         g_t = g.shift(b)
         inv = _series_inverse(g_t, e, spec)
-        prod = _series_mul(num_t, inv, e, spec)
+        prod = num_t * inv  # only its coefficients below y^e are read
         for j in range(e):
             c = prod.coefficient(j)
             if c.idx != 0:
                 terms.append((b, e - j, c))
     return PartialFractions(poly_part, terms)
-
-
-def _series_mul(a: Polynomial, b: Polynomial, prec: int, spec) -> Polynomial:
-    out = [0] * prec
-    mul, add = spec.mul_idx, spec.add_idx
-    for i, ca in enumerate(a.coeffs[:prec]):
-        if ca:
-            for j, cb in enumerate(b.coeffs[: prec - i]):
-                if cb:
-                    out[i + j] = add(out[i + j], mul(ca, cb))
-    return Polynomial.from_indices(spec, out)
 
 
 def _series_inverse(a: Polynomial, prec: int, spec) -> Polynomial:

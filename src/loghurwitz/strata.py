@@ -25,11 +25,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 from dataclasses import dataclass, field as dfield
 
 AS = "artin_schreier"
 FROB = "frobenius"
 ETALE = "etale"
+MAX_ENUM_CANDIDATES = 5 * 10**6  # raw candidates one enumerate_components may list
 
 
 class GraphError(ValueError):
@@ -854,7 +856,8 @@ def enumerate_components(A: HurwitzData, max_vertices: int = 8):
     Markings are labeled; graphs differing only by which markings sit on
     which bottom component count separately.  Only the first candidate of
     each isomorphism class is built and validated; the result is sorted by
-    canonical_form.
+    canonical_form.  Listing more than MAX_ENUM_CANDIDATES raw candidates
+    raises GraphError.
     """
     if A.p != 2 or A.g != 0:
         raise GraphError("enumeration supports p=2, g=0 only")
@@ -871,7 +874,11 @@ def enumerate_components(A: HurwitzData, max_vertices: int = 8):
     if h < 1:
         return []  # a genus-0 top vertex can never be stable in a two-level graph
 
-    reps = {}
+    # Shapes (genera, tree, slope) come first, each counted with its
+    # multinomial(b; mark_counts) marking assignments, so an oversized
+    # enumeration fails before any candidate is listed.
+    shapes = []
+    listed = 0
     # a class has one (t, s), so taking s before genera keeps each class's first
     # candidate; every bottom carries at least two of the b markings, so s <= b // 2
     for t in range(1, h + 1):
@@ -896,15 +903,23 @@ def enumerate_components(A: HurwitzData, max_vertices: int = 8):
                         mark_counts = [2 + sum(slope[ei] - 1 for ei in incident[w]) for w in range(t, n)]
                         if sum(mark_counts) != b:
                             continue
-                        for assignment in _partitions_into_sizes(range(b), mark_counts):
-                            key = _iso_key(genera, tree, slope, assignment)
-                            if key in reps:
-                                continue
-                            G = _build_two_level(A, t, genera, n, tree, slope, assignment)
-                            rep = validate(G, A)
-                            if not rep.ok:
-                                raise GraphError(f"generated an invalid level graph: {rep.errors}")
-                            reps[key] = G
+                        listed += math.factorial(b) // math.prod(map(math.factorial, mark_counts))
+                        if listed > MAX_ENUM_CANDIDATES:
+                            raise GraphError(
+                                f"enumeration would list more than MAX_ENUM_CANDIDATES = {MAX_ENUM_CANDIDATES} candidates"
+                            )
+                        shapes.append((t, n, genera, tree, slope, mark_counts))
+    reps = {}
+    for t, n, genera, tree, slope, mark_counts in shapes:
+        for assignment in _partitions_into_sizes(range(b), mark_counts):
+            key = _iso_key(genera, tree, slope, assignment)
+            if key in reps:
+                continue
+            G = _build_two_level(A, t, genera, n, tree, slope, assignment)
+            rep = validate(G, A)
+            if not rep.ok:
+                raise GraphError(f"generated an invalid level graph: {rep.errors}")
+            reps[key] = G
     return sorted(reps.values(), key=canonical_form)
 
 

@@ -15,6 +15,7 @@ from loghurwitz.cli import (
     run_example6,
 )
 from loghurwitz.expr import MAX_POWER_DEGREE
+from loghurwitz.strata import MAX_ENUM_CANDIDATES
 
 
 def run(capsys, *argv):
@@ -57,6 +58,13 @@ def test_quasi_exact_with_bindings(capsys):
     )
     assert code == EXIT_OK
     assert obj["quasi_exact"] is True and obj["witness"] == "1"
+
+
+def test_quasi_exact_over_largest_odd_field(capsys):
+    # GF(3^10) is inside MAX_ORDER; tc(w^3 y^2) = w
+    code, obj = run_json(capsys, "quasi-exact", "--field", "3^10", "--expr", "w^3*y^2")
+    assert code == EXIT_OK
+    assert obj == {"quasi_exact": True, "witness": "w", "witness_index": 3}
 
 
 def test_ascover_subcommand(capsys):
@@ -150,6 +158,18 @@ def test_non_integer_graph_field_is_schema_error(capsys, tmp_path):
     code, out = run(capsys, "strata", "validate", "--file", str(path))
     assert code == EXIT_SCHEMA
     assert out.count("\n") == 1 and json.loads(out)["error"] == "schema"
+
+
+def test_enumerate_work_bound(capsys):
+    # b = 12 at the default 8 vertices means about 1.4e10 raw candidates
+    start = time.monotonic()
+    code, out = run(
+        capsys, "strata", "enumerate", "--datum", "2,5,0,12", "--lambda", ",".join(["2"] * 12),
+    )
+    assert time.monotonic() - start < 2.0
+    assert code == EXIT_DOMAIN and out.count("\n") == 1
+    obj = json.loads(out)
+    assert obj["error"] == "domain" and str(MAX_ENUM_CANDIDATES) in obj["message"]
 
 
 def test_domain_error_code(capsys):

@@ -7,7 +7,6 @@ from loghurwitz.loci import (
     QUASI_EXACT,
     MarkingConfig,
     ZeroPolePattern,
-    _deformed_form,
     dimension_formula,
     locus_membership,
     locus_search,
@@ -15,7 +14,7 @@ from loghurwitz.loci import (
     tangent_report,
 )
 from loghurwitz.mobius import Mobius
-from loghurwitz.ratfunc import INFINITY, Place
+from loghurwitz.ratfunc import INFINITY, Place, RationalFunction
 
 F4 = field(2, 2)
 F8 = field(2, 3)
@@ -25,6 +24,64 @@ F9 = field(3, 2)
 
 def pt(spec, v):
     return Place.finite(spec.from_int(v))
+
+
+# -- dual numbers k(y)[eps]/(eps^2), the first-order oracle --------------------
+
+
+class DualRational:
+    """a + b eps with rational a, b and eps^2 = 0."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: RationalFunction, b: RationalFunction):
+        self.a = a
+        self.b = b
+
+    @classmethod
+    def constant(cls, f: RationalFunction):
+        return cls(f, RationalFunction.constant(f.spec, 0))
+
+    def __add__(self, other):
+        return DualRational(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return DualRational(self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other):
+        return DualRational(self.a * other.a, self.a * other.b + self.b * other.a)
+
+    def inverse(self):
+        inv = RationalFunction.constant(self.a.spec, 1) / self.a
+        return DualRational(inv, -self.b * inv * inv)
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        out = DualRational.constant(RationalFunction.constant(self.a.spec, 1))
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+
+def _deformed_form(config: MarkingConfig, pattern: ZeroPolePattern, a_vals):
+    """(F0, F1) with prod (y - (p_i + a_i eps))^{m_i} = F0 + eps F1."""
+    spec = config.spec
+    y = DualRational.constant(RationalFunction.variable(spec))
+    out = DualRational.constant(RationalFunction.constant(spec, 1))
+    for q, mi, ai in zip(config.points, pattern.m, a_vals):
+        if q.is_infinity:
+            continue
+        shift = DualRational(
+            RationalFunction.constant(spec, q.value),
+            RationalFunction.constant(spec, ai),
+        )
+        out = out * (y - shift) ** mi
+    return out.a, out.b
 
 
 # -- pattern and configuration types ------------------------------------------

@@ -77,6 +77,58 @@ def test_from_roots_and_roots():
     assert cofactor.degree == 0
 
 
+# -- log-domain kernels against schoolbook loops on add_idx / mul_idx ----------
+
+
+def _school_mul(F, a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add_idx(out[i + j], F.mul_idx(x, y))
+    return out
+
+
+def _school_divmod(F, a, b):
+    rem, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    inv = F.inv_idx(b[-1])
+    for shift in range(len(quot) - 1, -1, -1):
+        c = quot[shift] = F.mul_idx(rem[shift + len(b) - 1], inv)
+        for i, y in enumerate(b):
+            rem[shift + i] = F.add_idx(rem[shift + i], F.neg_idx(F.mul_idx(c, y)))
+    return quot, rem[: len(b) - 1]
+
+
+def _trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_log_kernels_match_schoolbook(p, k):
+    F = field(p, k)
+    rng = random.Random(31 * p + k)
+
+    def coeffs(n):  # about half the coefficients zero
+        return [rng.randrange(F.q) if rng.random() < 0.5 else 0 for _ in range(n)]
+
+    for _ in range(300):
+        a, b = coeffs(rng.randrange(0, 12)), coeffs(rng.randrange(0, 7))
+        A, B = Polynomial.from_indices(F, a), Polynomial.from_indices(F, b)
+        assert (A * B).coeffs == _trim(_school_mul(F, a, b))
+        if B:
+            quot, rem = A.divmod(B)
+            want_q, want_r = _school_divmod(F, A.coeffs, B.coeffs)
+            assert quot.coeffs == _trim(want_q) and rem.coeffs == _trim(want_r)
+            assert quot * B + rem == A
+        roots = [rng.choice([0, rng.randrange(F.q)]) for _ in range(rng.randrange(0, 8))]
+        want = [1]
+        for r in roots:
+            want = _school_mul(F, want, [F.neg_idx(r), 1])
+        assert Polynomial.from_roots(F, [F.element(r) for r in roots]).coeffs == tuple(want)
+
+
 def test_shift():
     rng = random.Random(13)
     for spec in (F16, F9):

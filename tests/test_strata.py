@@ -311,6 +311,16 @@ def test_enumerate_matches_reference(b, max_vertices):
     assert got == [G.to_json() for G in reference_enumerate(A, max_vertices)]
 
 
+def test_enumeration_bound_counts_every_raw_candidate(monkeypatch):
+    A = HurwitzData(2, 2, 0, 6, (2,) * 6)
+    raw = sum(1 for _ in reference_candidates(A, 6))
+    monkeypatch.setattr(strata, "MAX_ENUM_CANDIDATES", raw - 1)
+    with pytest.raises(GraphError, match=str(raw - 1)):
+        enumerate_components(A, 6)
+    monkeypatch.setattr(strata, "MAX_ENUM_CANDIDATES", raw)
+    assert len(enumerate_components(A, 6)) == 92
+
+
 def test_iso_key_partition_equals_canonical_form():
     A = HurwitzData(2, 2, 0, 6, (2,) * 6)
     key_to_canon, canon_to_key = {}, {}
