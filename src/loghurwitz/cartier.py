@@ -22,6 +22,7 @@ from .ratfunc import (
     Place,
     Polynomial,
     RationalFunction,
+    _coefficient_index,
     partial_fractions,
 )
 
@@ -266,8 +267,11 @@ def global_tc_matrix(spec: FieldSpec, marked) -> TcMatrix:
 
     def factor(orders, sign):
         """prod (y - q)^(sign n) over the finite q with sign n > 0."""
-        roots = [q.value for q, n in orders.items() if not q.is_infinity for _ in range(sign * n)]
-        return Polynomial.from_roots(spec, roots)
+        roots = []
+        for q, n in orders.items():
+            if not q.is_infinity and sign * n > 0:
+                roots += [_coefficient_index(spec, q.value)] * (sign * n)
+        return Polynomial._from_root_indices(spec, roots)
 
     # the source basis is y^j N/D, the target basis is y^i G/H
     N, D = factor(src, -1), factor(src, 1)

@@ -488,8 +488,15 @@ def cmd_example6(args):
 # parser and dispatch
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as CliError, so that they too print one JSON line."""
+
+    def error(self, message):
+        raise CliError(EXIT_PARSE, "parse", message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="loghurwitz",
         description="Cartier operators, Artin-Schreier covers, level graphs and marked loci over GF(p^k)",
     )
@@ -542,9 +549,12 @@ def build_parser():
     return parser
 
 
-def dispatch(args) -> int:
+def main(argv=None) -> int:
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return EXIT_PARSE if exc.code not in (0, None) else 0
     except CliError as exc:
         sys.stdout.write(
             json.dumps(
@@ -553,15 +563,6 @@ def dispatch(args) -> int:
             + "\n"
         )
         return exc.code
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else 0
-    return dispatch(args)
 
 
 if __name__ == "__main__":

@@ -10,12 +10,11 @@ is where it gives a nonzero constant.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .cartier import _tc_kernel, matrix_rank
 from .ffield import FieldSpec
-from .ratfunc import INFINITY, Place, Polynomial
+from .ratfunc import INFINITY, Place, Polynomial, _coefficient_index, _from_logs
 
 EXACT = "exact"
 QUASI_EXACT = "quasi_exact"
@@ -91,31 +90,114 @@ def _check_compatible(config: MarkingConfig, pattern: ZeroPolePattern):
         raise ValueError("configuration field and pattern characteristic differ")
 
 
-def _form_parts(config: MarkingConfig, pattern: ZeroPolePattern):
-    """(N, D): monic polynomials with N / D the product over the finite markings."""
-    spec = config.spec
-    num_roots, den_roots = [], []
-    for q, mi in zip(config.points, pattern.m):
-        if not q.is_infinity:
-            (num_roots if mi > 0 else den_roots).extend([q.value] * abs(mi))
-    return Polynomial.from_roots(spec, num_roots), Polynomial.from_roots(spec, den_roots)
+def _check_kind(kind: str):
+    if kind not in (EXACT, QUASI_EXACT):
+        raise ValueError(f"unknown kind {kind!r}")
+
+
+def _root_indices(spec: FieldSpec, places):
+    """Element index of each place, None at infinity."""
+    return [None if q.is_infinity else _coefficient_index(spec, q.value) for q in places]
+
+
+def _form_parts(spec: FieldSpec, roots, m, weight: int):
+    """(N D^weight, D) for markings at element indices `roots` (None at infinity).
+
+    N and D are the monic products of (y - r)^{|m_i|} over the finite zeros
+    and poles, so N / D is the product over the finite markings.  A zero
+    contributes (y - r)^{m_i} to the first polynomial and a pole
+    (y - r)^{weight |m_i|}; weight p - 1 gives N D^(p-1), whose bucket
+    p - 1 is the twisted Cartier numerator (see cartier._tc_kernel).
+    """
+    first, den = [], []
+    for r, mi in zip(roots, m):
+        if r is not None:
+            first += [r] * (mi if mi > 0 else -weight * mi)
+            if mi < 0:
+                den += [r] * -mi
+    return Polynomial._from_root_indices(spec, first), Polynomial._from_root_indices(spec, den)
+
+
+def _logs(poly: Polynomial):
+    """Discrete logs of the coefficients, -1 standing for zero."""
+    log = poly.spec._log
+    return [log[c] for c in poly.coeffs]
+
+
+_ONE = [0]  # discrete logs of the constant polynomial 1
+
+
+def _coeff_log(a, b, d, zech, q1):
+    """Discrete log of the coefficient of y^d in the product of log lists a and b.
+
+    Products of log lists follow Polynomial.__mul__: -1 stands for zero and
+    a multiply-add is one Zech lookup; the result may exceed q - 1 by one
+    period.
+    """
+    s = -1
+    for t in range(max(0, d - len(a) + 1), min(len(b), d + 1)):
+        x, y = a[d - t], b[t]
+        if x >= 0 and y >= 0:
+            x += y
+            if s < 0:
+                s = x
+            else:
+                z = zech[x - s]
+                if z < 0:
+                    s = -1
+                else:
+                    s += z
+                    if s >= q1:
+                        s -= q1
+    return s
+
+
+def _in_locus(spec: FieldSpec, kind: str, big, big_f, den, den_f) -> bool:
+    """The locus condition, for N D^(p-1) = big * big_f and D = den * den_f.
+
+    All four are discrete-log lists.  tc(N/D dy/dx) = T/D, where T_j is the
+    p-th root of the coefficient B_{p-1+pj} of y^(p-1+pj) in N D^(p-1).
+    Exact: T = 0, i.e. bucket p - 1 of N D^(p-1) vanishes.  Quasi-exact:
+    T = c D with c != 0, i.e. B_{p-1+pj} = 0 above j = deg D, C = B_{p-1+p deg D}
+    is nonzero and B_{p-1+pj} = C D_j^p below it.  The coefficients of
+    bucket p - 1 are computed one at a time from the top down, and the
+    test stops at the first one that fails.
+    """
+    p, q1, zech = spec.p, spec.q - 1, spec._zech
+    top = len(big) + len(big_f) - 2
+    bucket = range(top - (top + 1) % p, -1, -p)  # degrees = p - 1 mod p, top down
+    if kind == EXACT:
+        for d in bucket:
+            if _coeff_log(big, big_f, d, zech, q1) >= 0:
+                return False
+        return True
+    low = p - 1 + p * (len(den) + len(den_f) - 2)  # degree of C
+    if low > top:
+        return False
+    lead = None
+    for d in bucket:
+        b = _coeff_log(big, big_f, d, zech, q1)
+        if d > low:
+            if b >= 0:  # T has a term above deg D
+                return False
+        elif lead is None:
+            if b < 0:  # c = 0
+                return False
+            lead = b
+        else:
+            dj = _coeff_log(den, den_f, (d - p + 1) // p, zech, q1)
+            if (b < 0) != (dj < 0) or (dj >= 0 and (b - lead - p * dj) % q1):
+                return False
+    return True
 
 
 def locus_membership(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -> bool:
     """Whether the configuration lies in the exact or quasi-exact locus."""
     _check_compatible(config, pattern)
-    N, D = _form_parts(config, pattern)
-    T = _tc_kernel(N, D)[0]  # tc of the attached form is T / D
-    if kind == EXACT:
-        return T.is_zero()
-    if kind == QUASI_EXACT:
-        # T / D is a nonzero constant exactly when T is a scalar multiple
-        # of the (monic) denominator D
-        if T.is_zero() or T.degree != D.degree:
-            return False
-        spec, c = config.spec, T.coeffs[-1]
-        return all(spec.mul_idx(d, c) == t for d, t in zip(D.coeffs, T.coeffs))
-    raise ValueError(f"unknown kind {kind!r}")
+    _check_kind(kind)
+    spec = config.spec
+    big, den = _form_parts(spec, _root_indices(spec, config.points), pattern.m, pattern.p - 1)
+    return _in_locus(spec, kind, _logs(big), _ONE, _logs(den), _ONE)
 
 
 def dimension_formula(pattern: ZeroPolePattern, kind: str) -> int:
@@ -151,11 +233,12 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     # so it vanishes exactly when p divides m_i; a nonzero scalar factor
     # does not change the rank computed below.  Its tc is T_i / (D (y - p_i)).
     p = pattern.p
-    N, D = _form_parts(config, pattern)
+    roots = _root_indices(spec, config.points)
+    N, D = _form_parts(spec, roots, pattern.m, 0)
     responses = []
-    for q, mi in zip(config.points[:free], pattern.m):
+    for r, mi in zip(roots[:free], pattern.m):
         if mi % p:
-            den = D * Polynomial.from_roots(spec, [q.value])
+            den = D * Polynomial._from_root_indices(spec, [r])
             responses.append((_tc_kernel(N, den)[0], den))
     ker_alpha = free - len(responses)
 
@@ -164,12 +247,12 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     # twisted operator can produce.
     clear_roots = []
     m_inf = 0
-    for q, mi in zip(config.points, pattern.m):
-        if q.is_infinity:
+    for r, mi in zip(roots, pattern.m):
+        if r is None:
             m_inf = mi
         else:
-            clear_roots.extend([q.value] * -(mi // p))  # pole allowance ceil(-m_i / p)
-    clear = Polynomial.from_roots(spec, clear_roots)
+            clear_roots += [r] * -(mi // p)  # pole allowance ceil(-m_i / p)
+    clear = Polynomial._from_root_indices(spec, clear_roots)
     inf_allowance = max(0, (3 * p - 3 - m_inf) // p)
     width = clear.degree + 1 + inf_allowance
 
@@ -215,13 +298,24 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
 
     The pinned places (default 0, 1, infinity, truncated for very short
     patterns) occupy the final slots, killing the Moebius symmetry; the
-    free slots range lexicographically over the remaining places.  A
-    search of more than MAX_SEARCH_CONFIGS free-slot permutations raises
-    ValueError before visiting any.
+    free slots range over the remaining places in the order of
+    itertools.permutations, as a depth-first search that fills the free
+    slots one at a time, each in candidate order.  Along a branch the
+    search carries the prefix product base * prod (y - a_i)^{e_i}, with
+    e_i = m_i at a zero and (p - 1)|m_i| at a pole, so that the full
+    product is the N D^(p-1) of the tc kernel; base is the product over
+    the pinned points and a free slot at infinity contributes 1.  The
+    factors (y - a)^{e} are cached for the call.  At the last free slot
+    the full product is never formed: the coefficients of its bucket
+    p - 1 are computed one at a time and the first that fails rules the
+    candidate out (_in_locus, shared with locus_membership).  A search of
+    more than MAX_SEARCH_CONFIGS free-slot permutations raises ValueError
+    before visiting any.
     """
     if spec.p != pattern.p:
         raise ValueError("field characteristic and pattern characteristic differ")
-    n = pattern.n
+    _check_kind(kind)
+    n, m, p = pattern.n, pattern.m, pattern.p
     if pinned is None:
         pinned = _default_pinned(spec)
     pinned = tuple(pinned)[: min(3, n)]
@@ -230,20 +324,71 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
     free = n - len(pinned)
     if free < 0:
         raise ValueError("more pinned places than markings")
-    places = [Place.finite(e) for e in spec.elements()] + [INFINITY]
-    candidates = [q for q in places if q not in pinned]
+    pinned_roots = _root_indices(spec, pinned)
+    # element indices in index order, then infinity (None), as Places sort
+    candidates = [r for r in [*range(spec.q), None] if r not in pinned_roots]
     visits = math.perm(len(candidates), free)
     if visits > MAX_SEARCH_CONFIGS:
         raise ValueError(
             f"search would visit {visits} configurations, above MAX_SEARCH_CONFIGS = {MAX_SEARCH_CONFIGS}"
         )
+    base, base_den = _form_parts(spec, pinned_roots, m[free:], p - 1)
+    if free == 0:
+        found = _in_locus(spec, kind, _logs(base), _ONE, _logs(base_den), _ONE)
+        return [MarkingConfig(spec, pinned)] if found else []
+    if not visits:
+        return []
+
+    log, q1 = spec._log, spec.q - 1
+    templates, cache = {}, {}
+
+    def factor(r, mi):
+        """Logs of (y - r)^{e_i} and of (y - r)^{|m_i|} at a pole, cached for the call.
+
+        For r != 0 both are r^n f(y / r), f the same power of y - 1, so the
+        coefficient of y^t is that of f times r^(n - t).
+        """
+        key = (r, mi)
+        if key not in cache:
+            if not r:  # infinity (None) contributes 1, and 0 powers of y
+                cache[key] = [_logs(f) for f in _form_parts(spec, [r], [mi], p - 1)]
+            else:
+                if mi not in templates:
+                    templates[mi] = [_logs(f) for f in _form_parts(spec, [1], [mi], p - 1)]
+                lr = log[r]
+                cache[key] = [
+                    [c if c < 0 else (c + (len(f) - 1 - t) * lr) % q1 for t, c in enumerate(f)]
+                    for f in templates[mi]
+                ]
+        return cache[key]
+
     out = []
-    for combo in itertools.permutations(candidates, free):
-        points = combo + pinned
-        try:
-            config = MarkingConfig(spec, points)
-        except ValueError:
+    quasi = kind == QUASI_EXACT
+    # depth-first over the prefixes (chosen roots, prefix product, prefix D);
+    # children are pushed in reverse so that they pop in candidate order
+    stack = [((), base, base_den)]
+    while stack:
+        chosen, big, den = stack.pop()
+        mi = m[len(chosen)]
+        if len(chosen) == free - 1:
+            big, den = _logs(big), _logs(den)
+            for r in candidates:
+                if r not in chosen:
+                    fl, gl = factor(r, mi)
+                    if _in_locus(spec, kind, big, fl, den, gl):
+                        points = [INFINITY if a is None else Place.finite(spec.element(a)) for a in chosen + (r,)]
+                        out.append(MarkingConfig(spec, tuple(points) + pinned))
             continue
-        if locus_membership(config, pattern, kind):
-            out.append(config)
+        children = []
+        for r in candidates:
+            if r in chosen:
+                continue
+            big_r, den_r = big, den  # infinity contributes 1
+            if r is not None:
+                fl, gl = factor(r, mi)
+                big_r = big * _from_logs(spec, fl)
+                if quasi and mi < 0:  # only the quasi-exact test reads D
+                    den_r = den * _from_logs(spec, gl)
+            children.append((chosen + (r,), big_r, den_r))
+        stack += reversed(children)
     return out

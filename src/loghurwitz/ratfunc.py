@@ -104,10 +104,14 @@ class Polynomial:
     @classmethod
     def from_roots(cls, spec, roots):
         """prod (y - r) over `roots`, each a field element or an integer mod p."""
+        return cls._from_root_indices(spec, [_coefficient_index(spec, r) for r in roots])
+
+    @classmethod
+    def _from_root_indices(cls, spec, roots):
+        """prod (y - r) over `roots`, each an element index trusted to lie in range(spec.q)."""
         log, zech, q1 = spec._log, spec._zech, spec.q - 1
         out = [0]  # discrete logs, see __mul__; log 1 = 0
         for r in roots:
-            r = _coefficient_index(spec, r)
             if not r:
                 out.insert(0, -1)
                 continue
@@ -307,11 +311,35 @@ class Polynomial:
         """Evaluate at a field element (Horner)."""
         if isinstance(point, int):
             point = self.spec.from_int(point)
+        return self.spec.element(self._value_idx(point.idx))
+
+    def _value_idx(self, x: int) -> int:
+        """Index of the value at the element of index x: Horner on discrete logs."""
+        cs = self.coeffs
+        if not x or not cs:
+            return cs[0] if cs else 0
         spec = self.spec
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = spec.add_idx(spec.mul_idx(acc, point.idx), c)
-        return spec.element(acc)
+        log, zech, q1 = spec._log, spec._zech, spec.q - 1
+        lx = log[x]
+        acc = -1  # log of the running value, -1 for zero
+        for c in reversed(cs):
+            if acc >= 0:  # acc * x
+                acc += lx
+                if acc >= q1:
+                    acc -= q1
+            c = log[c]
+            if c >= 0:  # + c, one Zech lookup
+                if acc < 0:
+                    acc = c
+                else:
+                    z = zech[c - acc]
+                    if z < 0:
+                        acc = -1
+                    else:
+                        acc += z
+                        if acc >= q1:
+                            acc -= q1
+        return spec._exp[acc] if acc >= 0 else 0
 
     def shift(self, b) -> "Polynomial":
         """Return the polynomial q with q(t) = self(b + t)."""
@@ -339,8 +367,8 @@ class Polynomial:
         for i in range(spec.q):
             if rem.degree == 0:
                 break
-            a = spec.element(i)
-            if rem(a).idx == 0:
+            if not rem._value_idx(i):
+                a = spec.element(i)
                 mult = 0
                 lin = y - Polynomial.constant(spec, a)
                 while True:

@@ -1,0 +1,98 @@
+"""The CLI exit-code contract on argv drawn from a small grammar (hypothesis).
+
+Help (-h) and --format text or dot print plain text by design, so the
+grammar leaves them out; every other argv must exit 0, 2, 3, 4 or 5 and
+print exactly one JSON line.
+"""
+
+import contextlib
+import io
+import json
+import os
+from unittest import mock
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from loghurwitz.cli import (  # noqa: E402
+    EXIT_DOMAIN,
+    EXIT_FIELD,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_SCHEMA,
+    example_graphs,
+    main,
+)
+
+
+FIELDS = ["2", "2^2", "2^3", "2^4", "3", "3^2", "3^3", "5", "5^2", "7", "11", "13", "17", "19", "23"]
+BAD_FIELDS = ["4", "6", "2^0", "1^1", "x", "", "3^", "65537"]
+EXPRS = ["y", "y^2", "1/y", "y*(y-1)", "y*(y-1)*(y-w)/(y-w^2)^2", "(y-1)^3/(y+1)", "1/(y^2+y+1)",
+         "x^2", "w*y^3+1", "y*(", "", "y^99999999999", "1/0", "y/", "z", "2^-1"]
+PLACES = ["0", "1", "w", "w^2", "w+1", "2", "inf", "oo", "x", "", "1/0"]
+JUNK = ["--bogus", "x", "-", "--", "--field", "--format", "json", "1,2", "inf", "--kind", "-3"]
+
+
+def _int_lists(max_len=4):
+    ints = st.lists(st.integers(-3, 6), min_size=0, max_size=max_len).map(lambda v: ",".join(map(str, v)))
+    return st.one_of(ints, st.sampled_from(["1,,2", "a,b", " ", "2,x", "99999999999"]))
+
+
+def _place_lists():
+    return st.lists(st.sampled_from(PLACES), min_size=1, max_size=5).map(",".join)
+
+
+@st.composite
+def cli_argv(draw):
+    """argv from a small grammar: a subcommand, then optional flags in any order, then junk."""
+    command = draw(st.sampled_from(["tc", "cartier", "exact", "quasi-exact", "ascover", "strata", "loci",
+                                    "example6", "frobnicate"]))
+    argv = [command]
+    flags = []
+    if command == "strata":
+        argv.append(draw(st.sampled_from(["validate", "dim", "monoid", "enumerate", "bogus"])))
+        flags += [["--file", draw(st.sampled_from(["GOOD", "BAD", "MISSING", "-"]))],
+                  ["--datum", draw(_int_lists())], ["--lambda", draw(_int_lists())],
+                  ["--xi", draw(_int_lists())], ["--max-vertices", draw(st.sampled_from(["-1", "0", "2", "4", "x"]))],
+                  ["--regime", draw(st.sampled_from(["mixed", "equicharacteristic", "other"]))]]
+    elif command == "loci":
+        argv.append(draw(st.sampled_from(["search", "tangent", "formula", "bogus"])))
+        flags += [["--pattern", draw(_int_lists(5))],
+                  ["--kind", draw(st.sampled_from(["exact", "quasi-exact", "quasi_exact", "other"]))],
+                  ["--pin", draw(_place_lists())], ["--config", draw(_place_lists())]]
+    else:
+        flags += [["--expr", draw(st.sampled_from(EXPRS))],
+                  ["--bind", draw(st.sampled_from(["l=w^2", "m=w", "l", "=", "l=y"]))]]
+    flags.append(["--field", draw(st.sampled_from(FIELDS + BAD_FIELDS))])
+    flags.append(["--format", "json"])
+    flags = draw(st.permutations(flags))
+    for flag in flags[: draw(st.integers(0, len(flags)))]:
+        argv += flag
+    argv += draw(st.lists(st.sampled_from(JUNK), max_size=2))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def graph_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("graphs")
+    (root / "good.json").write_text(example_graphs()[0].to_json())
+    (root / "bad.json").write_text('{"p": "x", "source": [')
+    return {"GOOD": str(root / "good.json"), "BAD": str(root / "bad.json"), "MISSING": str(root / "none.json")}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=cli_argv(), stdin=st.sampled_from(["", "{}", "not json", example_graphs()[1].to_json()]))
+def test_cli_contract_on_generated_argv(graph_files, argv, stdin):
+    argv = [graph_files.get(a, a) for a in argv]
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {}, clear=True), mock.patch("sys.stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_FIELD, EXIT_SCHEMA, EXIT_DOMAIN), argv
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, (argv, out.getvalue()[:200])
+    assert isinstance(json.loads(lines[0]), dict), argv

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from loghurwitz.cartier import _tc_kernel
 from loghurwitz.ffield import FieldSpec, field
 from loghurwitz.loci import (
     EXACT,
@@ -14,7 +17,7 @@ from loghurwitz.loci import (
     tangent_report,
 )
 from loghurwitz.mobius import Mobius
-from loghurwitz.ratfunc import INFINITY, Place, RationalFunction
+from loghurwitz.ratfunc import INFINITY, Place, Polynomial, RationalFunction
 
 F4 = field(2, 2)
 F8 = field(2, 3)
@@ -277,6 +280,8 @@ def test_search_empty():
     pat = ZeroPolePattern(2, (1, 1))
     assert locus_search(pat, EXACT, F4) == []
     assert locus_search(pat, EXACT, F16) == []
+    # 15 free slots and 14 candidates: no configuration, and no partial one is explored
+    assert locus_search(ZeroPolePattern(2, (1,) * 16 + (-7, -7)), QUASI_EXACT, F16) == []
 
 
 def test_search_work_bound():
@@ -302,6 +307,70 @@ def test_search_deterministic():
     a = [c.points for c in locus_search(pat, QUASI_EXACT, F16)]
     b = [c.points for c in locus_search(pat, QUASI_EXACT, F16)]
     assert a == b
+
+
+# -- the search against the permutation loop it replaced -----------------------
+
+
+def _reference_membership(config, pattern, kind):
+    """Membership as the permutation search tested it: T = tc numerator of N / D from the kernel."""
+    spec = config.spec
+    num_roots, den_roots = [], []
+    for q, mi in zip(config.points, pattern.m):
+        if not q.is_infinity:
+            (num_roots if mi > 0 else den_roots).extend([q.value] * abs(mi))
+    N, D = Polynomial.from_roots(spec, num_roots), Polynomial.from_roots(spec, den_roots)
+    T = _tc_kernel(N, D)[0]
+    if kind == EXACT:
+        return T.is_zero()
+    if T.is_zero() or T.degree != D.degree:
+        return False
+    c = T.coeffs[-1]
+    return all(spec.mul_idx(d, c) == t for d, t in zip(D.coeffs, T.coeffs))
+
+
+def _reference_search(pattern, kind, spec, pinned):
+    """Every permutation of the free places, in itertools order, each tested on its own."""
+    pinned = tuple(pinned)[: min(3, pattern.n)]
+    places = [Place.finite(e) for e in spec.elements()] + [INFINITY]
+    candidates = [q for q in places if q not in pinned]
+    visited, found = [], []
+    for combo in itertools.permutations(candidates, pattern.n - len(pinned)):
+        config = MarkingConfig(spec, combo + pinned)
+        visited.append(config)
+        if _reference_membership(config, pattern, kind):
+            found.append(config)
+    return visited, found
+
+
+def _patterns(p, n_max):
+    values = [v for v in range(-2 * p, 2 * p + 1) if v != 0]
+    for n in range(1, n_max + 1):
+        for m in itertools.combinations_with_replacement(values, n):
+            if sum(m) == 2 * p - 2:
+                for perm in sorted(set(itertools.permutations(m)))[:2]:  # two orders of each
+                    yield ZeroPolePattern(p, perm)
+
+
+@pytest.mark.parametrize("spec", [F4, F8, field(3, 1), F9], ids=["2^2", "2^3", "3", "3^2"])
+@pytest.mark.parametrize("pins", ["default", "finite"])
+def test_search_matches_permutation_reference(spec, pins):
+    # the finite pin leaves infinity among the free candidates; n = 3 has no
+    # free slot and n <= 2 truncates the pin
+    pinned = (pt(spec, 0), pt(spec, 1), INFINITY)
+    if pins == "finite":
+        pinned = (Place.finite(spec.element(spec.q - 1)), pt(spec, 0), pt(spec, 1))
+    searched = hits = 0
+    for pattern in _patterns(spec.p, 5):
+        for kind in (EXACT, QUASI_EXACT):
+            visited, want = _reference_search(pattern, kind, spec, pinned)
+            got = locus_search(pattern, kind, spec, None if pins == "default" else pinned)
+            assert [c.points for c in got] == [c.points for c in want], (pattern, kind)
+            for config in visited:
+                assert locus_membership(config, pattern, kind) == (config in want), (config, pattern, kind)
+            searched += len(visited)
+            hits += len(want)
+    assert searched > 100 and hits > 10
 
 
 def test_formula_rank_agreement_p3():

@@ -129,6 +129,31 @@ def test_log_kernels_match_schoolbook(p, k):
         assert Polynomial.from_roots(F, [F.element(r) for r in roots]).coeffs == tuple(want)
 
 
+def _school_value(F, coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = F.add_idx(F.mul_idx(acc, x), c)
+    return acc
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_log_horner_matches_schoolbook(p, k):
+    F = field(p, k)
+    rng = random.Random(17 * p + k)
+    for _ in range(200):
+        coeffs = [rng.randrange(F.q) if rng.random() < 0.5 else 0 for _ in range(rng.randrange(0, 9))]
+        P = Polynomial.from_indices(F, coeffs)
+        points = {0, 1, F.q - 1, *(rng.randrange(F.q) for _ in range(6))}
+        for x in points:
+            assert P(F.element(x)).idx == _school_value(F, P.coeffs, x)
+        if P:  # roots() rejects the zero polynomial
+            found, cofactor = P.roots()
+            want = [x for x in range(F.q) if not _school_value(F, P.coeffs, x)]
+            assert [a.idx for a, _ in found] == want
+            assert cofactor * Polynomial.from_roots(F, [a for a, mult in found for _ in range(mult)]) == P
+    assert Polynomial.from_indices(F, [3 % F.q, 0, 1])(0).idx == 3 % F.q
+
+
 def test_shift():
     rng = random.Random(13)
     for spec in (F16, F9):
