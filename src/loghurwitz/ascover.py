@@ -162,9 +162,6 @@ class ArtinSchreierCover:
             out = out + term
         return out
 
-    def part_at(self, b: Place) -> Polynomial:
-        return self.parts[self.branch_points.index(b)]
-
     def __eq__(self, other):
         return (
             isinstance(other, ArtinSchreierCover)

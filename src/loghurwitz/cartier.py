@@ -238,10 +238,6 @@ class TcMatrix:
     def surjective(self):
         return self.rank == self.target_dim
 
-    @property
-    def degenerate(self):
-        return self.source_dim == 0
-
 
 def global_tc_matrix(spec: FieldSpec, marked) -> TcMatrix:
     """Matrix of tc on global sections for marked points with multiplicities.

@@ -488,11 +488,18 @@ def cmd_example6(args):
 # parser and dispatch
 
 
+class _HelpRequested(Exception):
+    """-h or --help, carrying the usage text."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """Raises usage errors as CliError, so that they too print one JSON line."""
+    """Raises usage errors as CliError and -h/--help as _HelpRequested, so that both print one JSON line."""
 
     def error(self, message):
         raise CliError(EXIT_PARSE, "parse", message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def build_parser():
@@ -553,16 +560,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # --help
-        return EXIT_PARSE if exc.code not in (0, None) else 0
+    except _HelpRequested as exc:
+        payload, code = {"help": str(exc)}, EXIT_OK
     except CliError as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": exc.kind, "message": str(exc)}, sort_keys=True, separators=(",", ":")
-            )
-            + "\n"
-        )
-        return exc.code
+        payload, code = {"error": exc.kind, "message": str(exc)}, exc.code
+    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 import json
 import math
 from dataclasses import dataclass, field as dfield
@@ -32,6 +33,7 @@ AS = "artin_schreier"
 FROB = "frobenius"
 ETALE = "etale"
 MAX_ENUM_CANDIDATES = 5 * 10**6  # raw candidates one enumerate_components may list
+MAX_CANON_ORDERINGS = 10**5  # vertex orderings one canonical_form may try
 
 
 class GraphError(ValueError):
@@ -171,9 +173,6 @@ class LevelGraph:
 
     # -- derived structure -------------------------------------------------
 
-    def source_vertex(self, vid) -> SourceVertex:
-        return self._sv[vid]
-
     def levels(self):
         return sorted({v.level for v in self.source_vertices}, reverse=True)
 
@@ -204,19 +203,11 @@ class LevelGraph:
 
     def horizontal_target_edges(self):
         """Target edges that are images of horizontal source edges."""
-        out = set()
-        for e in self.source_edges:
-            if self.is_horizontal(e):
-                out.add(e.image)
-        return out
+        return {e.image for e in self.source_edges if self.is_horizontal(e)}
 
     def etale_target_vertices(self):
         """Target vertices covered by degree-1 sheets."""
-        out = set()
-        for v in self.source_vertices:
-            if v.cover_type == ETALE:
-                out.add(v.image)
-        return out
+        return {v.image for v in self.source_vertices if v.cover_type == ETALE}
 
     def exact_vertices(self):
         """Source components carrying exact forms.
@@ -383,27 +374,16 @@ class ValidationReport:
 
 def _ramified_points(G: LevelGraph, vid):
     """(kind, slope-or-xi) for the ramified points of an AS vertex."""
-    pts = []
-    for e in G.out_edges(vid):
-        pts.append(("edge", e.id, e.slope))
-    for i in G._marks_at[vid]:
-        m = G.markings[i]
-        if m.lam == G.p:
-            pts.append(("marking", str(i), m.xi))
-    return pts
+    pts = [("edge", e.id, e.slope) for e in G.out_edges(vid)]
+    return pts + [("marking", str(i), G.markings[i].xi) for i in G._marks_at[vid] if G.markings[i].lam == G.p]
 
 
 def _frobenius_orders(G: LevelGraph, vid):
     """Plain orders of the component form at the special points of a Frobenius vertex."""
     p = G.p
-    orders = []
-    for e in G.out_edges(vid):
-        orders.append(("edge-out", e.id, e.slope + (p - 1)))
-    for e in G.in_edges(vid):
-        orders.append(("edge-in", e.id, -(e.slope - (p - 1))))
-    for i in G._marks_at[vid]:
-        orders.append(("marking", str(i), G.markings[i].xi + (p - 1)))
-    return orders
+    orders = [("edge-out", e.id, e.slope + (p - 1)) for e in G.out_edges(vid)]
+    orders += [("edge-in", e.id, -(e.slope - (p - 1))) for e in G.in_edges(vid)]
+    return orders + [("marking", str(i), G.markings[i].xi + (p - 1)) for i in G._marks_at[vid]]
 
 
 def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
@@ -437,18 +417,17 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
             report.add("cover-type", f"separable vertex {v.id} below the top level")
 
     # connectivity
-    _, comps = G.source_betti()
+    b1, comps = G.source_betti()
     if comps != 1:
         report.add("connectivity", f"source graph has {comps} components")
-    _, tcomps = G.target_betti()
+    g, tcomps = G.target_betti()  # target components have genus 0, so g is b1
     if tcomps != 1:
         report.add("connectivity", f"target graph has {tcomps} components")
 
     # genus bookkeeping
-    h = G.total_source_genus()
+    h = sum(v.genus for v in G.source_vertices) + b1
     if h != A.h:
         report.add("genus", f"source arithmetic genus {h} differs from datum h={A.h}")
-    g = G.total_target_genus()
     if g != A.g:
         report.add("genus", f"target arithmetic genus {g} differs from datum g={A.g}")
 
@@ -568,36 +547,20 @@ class StratumLedger:
     monoid_free: bool
 
 
-def _etale_special_points(G: LevelGraph, vid):
-    """Count etale special points on the target component under an AS vertex."""
-    v = G.source_vertex(vid)
-    tv = v.image
+def _etale_special_points(G: LevelGraph):
+    """Etale special points per target vertex: horizontal half-edges and unramified markings."""
     hor = G.horizontal_target_edges()
-    count = 0
-    for te in G.target_edges:
-        if te.id in hor:
-            if te.v1 == tv:
-                count += 1
-            if te.v2 == tv:
-                count += 1
-    for label, idxs in G.marking_groups().items():
-        ms = [G.markings[i] for i in idxs]
-        if all(m.lam == 1 for m in ms) and G._sv[ms[0].vertex].image == tv:
-            count += 1
-    return count
+    ends = [end for te in G.target_edges if te.id in hor for end in (te.v1, te.v2)]
+    for idxs in G.marking_groups().values():
+        if all(G.markings[i].lam == 1 for i in idxs):
+            ends.append(G._sv[G.markings[idxs[0]].vertex].image)
+    return Counter(ends)
 
 
 def _target_half_edges(G: LevelGraph, tv_id):
-    count = 0
-    for te in G.target_edges:
-        if te.v1 == tv_id:
-            count += 1
-        if te.v2 == tv_id:
-            count += 1
-    for label, idxs in G.marking_groups().items():
-        if G._sv[G.markings[idxs[0]].vertex].image == tv_id:
-            count += 1
-    return count
+    ends = [end for te in G.target_edges for end in (te.v1, te.v2)]
+    ends += [G._sv[G.markings[idxs[0]].vertex].image for idxs in G.marking_groups().values()]
+    return ends.count(tv_id)
 
 
 def monoid_rank(G: LevelGraph, A: HurwitzData):
@@ -615,13 +578,13 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
     p = A.p
     contributions = []
     mod_as = mod_ex = mod_quex = 0
-
+    etale_points = _etale_special_points(G)
     for v in G.source_vertices:
         if v.cover_type == AS:
             ram = _ramified_points(G, v.id)
             val = (
                 2 * v.genus // (p - 1)
-                + _etale_special_points(G, v.id)
+                + etale_points[v.image]
                 - 1
                 - sum(s // (p * (p - 1)) for _, _, s in ram)
             )
@@ -656,16 +619,8 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
             raise GraphError(f"ledger total {total} != closed form {closed}")
     rank, free = monoid_rank(G, A)
     return StratumLedger(
-        contributions=contributions,
-        mod_as=mod_as,
-        mod_ex=mod_ex,
-        mod_quex=mod_quex,
-        total=total,
-        closed_form=closed,
-        e_d_hor=e_d_hor,
-        v_c_ex=v_c_ex,
-        monoid_rank=rank,
-        monoid_free=free,
+        contributions=contributions, mod_as=mod_as, mod_ex=mod_ex, mod_quex=mod_quex, total=total,
+        closed_form=closed, e_d_hor=e_d_hor, v_c_ex=v_c_ex, monoid_rank=rank, monoid_free=free,
     )
 
 
@@ -694,67 +649,87 @@ def canonical_form(G: LevelGraph):
     Vertices may only be permuted within classes sharing (level, genus,
     cover_type, incident slope multiset, marking positions); markings are
     never permuted, so graphs differing only in which labeled marking
-    sits where stay distinct.
+    sits where stay distinct.  Twins, vertices whose swap leaves the
+    encoding unchanged under every relabeling, keep one order among
+    themselves, which leaves the minimum as it is.  Trying more than
+    MAX_CANON_ORDERINGS orderings raises GraphError.
     """
-    verts = list(G.source_vertices)
     invariants = {}
-    for v in verts:
+    for v in G.source_vertices:
         slopes = []
-        for e in G.edges_at(v.id):
+        for e in G._edges_at[v.id]:
             if G.is_horizontal(e):
                 slopes.append((0, 0))
             else:
-                down, up = G.edge_down_up(e)
-                slopes.append((1 if up.id == v.id else -1, e.slope))
-        marks = tuple(G._marks_at[v.id])
-        invariants[v.id] = (-v.level, v.genus, v.cover_type, tuple(sorted(slopes)), marks)
-
+                slopes.append((1 if G.edge_down_up(e)[1].id == v.id else -1, e.slope))
+        invariants[v.id] = (-v.level, v.genus, v.cover_type, tuple(sorted(slopes)), G._marks_at[v.id])
     classes = {}
-    for v in verts:
+    for v in G.source_vertices:
         classes.setdefault(invariants[v.id], []).append(v.id)
-    ordered_classes = sorted(classes.items())
-
-    best = None
-    class_lists = [ids for _, ids in ordered_classes]
-    perms_per_class = [list(itertools.permutations(ids)) for ids in class_lists]
-    for combo in itertools.product(*perms_per_class):
-        sigma = {}
-        idx = 0
-        for perm in combo:
-            for vid in perm:
-                sigma[vid] = idx
-                idx += 1
-        enc = _encode(G, sigma)
-        if best is None or enc < best:
-            best = enc
+    class_lists = [ids for _, ids in sorted(classes.items())]
+    sigma = {vid: i for i, vid in enumerate(itertools.chain.from_iterable(class_lists))}
+    base = _encode(G, sigma)
+    per_class, orderings = [], 1  # (twin classes, splits of the class's positions among them)
+    for ids in class_lists:
+        if len(ids) == 1:
+            continue
+        twins = []
+        for vid in ids:
+            for tw in twins:
+                a = tw[0]
+                if _neighbours(G, a, {a: vid, vid: a}) == _neighbours(G, vid, {}) and (
+                    _encode(G, {**sigma, a: sigma[vid], vid: sigma[a]}) == base
+                ):
+                    tw.append(vid)
+                    break
+            else:
+                twins.append([vid])
+        sizes = [len(tw) for tw in twins]
+        orderings *= math.factorial(len(ids)) // math.prod(map(math.factorial, sizes))
+        start = sigma[ids[0]]
+        per_class.append((twins, _partitions_into_sizes(range(start, start + len(ids)), sizes)))
+    if orderings > MAX_CANON_ORDERINGS:
+        raise GraphError(f"canonical_form would try more than MAX_CANON_ORDERINGS = {MAX_CANON_ORDERINGS} orderings")
+    if orderings == 1:
+        return base
+    best = base
+    for combo in itertools.product(*(splits for _, splits in per_class)):
+        order = dict(sigma)
+        for (twins, _), split in zip(per_class, combo):
+            for tw, box in zip(twins, split):
+                order.update(zip(tw, box))
+        if order != sigma:  # the base ordering is encoded already
+            best = min(best, _encode(G, order))
     return best
 
 
+def _neighbours(G: LevelGraph, vid, swap):
+    """Sorted (other end, slope) over the edges at vid, other ends renamed by swap.
+
+    Twins have equal neighbours once swapped, a cheap first test.
+    """
+    return sorted((swap.get(w, w), e.slope) for e in G._edges_at[vid] for w in [e.v2 if e.v1 == vid else e.v1])
+
+
 def _encode(G: LevelGraph, sigma):
-    verts = tuple(
-        (sigma[v.id], -v.level, v.genus, v.cover_type)
-        for v in sorted(G.source_vertices, key=lambda v: sigma[v.id])
-    )
-    edge_reps = {}
+    verts = tuple(sorted((sigma[v.id], -v.level, v.genus, v.cover_type) for v in G.source_vertices))
+    edge_reps = []
     for e in G.source_edges:
         a, b = sigma[e.v1], sigma[e.v2]
-        edge_reps[e.id] = (min(a, b), max(a, b), e.slope)
-    edges = tuple(sorted(edge_reps.values()))
-    # target identifications: group source vertices / edges by image
-    vgroups = {}
+        edge_reps.append((a, b, e.slope) if a < b else (b, a, e.slope))
+    # target identifications: group source vertices / edges / markings by image
+    vgroups, egroups, mgroups = {}, {}, {}
     for v in G.source_vertices:
         vgroups.setdefault(v.image, []).append(sigma[v.id])
-    vgrouping = tuple(sorted(tuple(sorted(g)) for g in vgroups.values()))
-    egroups = {}
-    for e in G.source_edges:
-        egroups.setdefault(e.image, []).append(edge_reps[e.id])
-    egrouping = tuple(sorted(tuple(sorted(g)) for g in egroups.values()))
-    marks = tuple((sigma[m.vertex], m.lam, m.xi) for m in G.markings)
-    mgroups = {}
+    for e, rep in zip(G.source_edges, edge_reps):
+        egroups.setdefault(e.image, []).append(rep)
     for i, m in enumerate(G.markings):
         mgroups.setdefault(m.image, []).append(i)
-    mgrouping = tuple(sorted(tuple(g) for g in mgroups.values()))
-    return (verts, edges, vgrouping, egrouping, marks, mgrouping)
+    vgrouping, egrouping, mgrouping = (
+        tuple(sorted(tuple(sorted(g)) for g in groups.values())) for groups in (vgroups, egroups, mgroups)
+    )
+    marks = tuple((sigma[m.vertex], m.lam, m.xi) for m in G.markings)
+    return (verts, tuple(sorted(edge_reps)), vgrouping, egrouping, marks, mgrouping)
 
 
 # ---------------------------------------------------------------------------
@@ -818,22 +793,37 @@ def _bipartite_trees(t, n):
     return out
 
 
-def _iso_key(genera, tree, slope, assignment):
-    """Isomorphism class of the two-level candidate built by _build_two_level.
+def _shape_symmetry(t, n, genera, tree, slope):
+    """(key, bottom permutations) of a decorated bipartite tree.
 
-    Complete invariant: every bottom vertex w carries m_w = 2 + sum(slope - 1)
-    >= 2 labeled markings, and markings are never permuted, so every
-    isomorphism fixes each bottom vertex, which is named by its marking
-    block.  In a tree a top vertex is then fixed up to swapping by
-    (genus, sorted (block, slope) over its edges), so the sorted tuple of
-    these top signatures is complete.
+    A relabelling permutes the tops and the bottoms, and encodes the shape
+    as sorted (top, genus) pairs and sorted (top, bottom, slope) edges.
+    The key, least over all relabellings, names the shape's class.  The
+    automorphisms are the relabellings that fix the encoding; the set
+    holds the non-identity permutations they make of the bottoms, bottom
+    w going to perm[w].
     """
-    t = len(genera)
-    tops = [[g] for g in genera]
-    for ei, (u, v) in enumerate(tree):
-        top, bottom = (u, v) if u < t else (v, u)
-        tops[top].append((assignment[bottom - t], slope[ei]))
-    return tuple(sorted((sig[0], *sorted(sig[1:])) for sig in tops))
+    ends = [(u, v - t) if u < t else (v, u - t) for u, v in tree]
+
+    def encode(top, bottom):
+        edges = sorted((top[u], bottom[w], sl) for (u, w), sl in zip(ends, slope))
+        return tuple(sorted(zip(top, genera))), tuple(edges)
+
+    own = encode(range(t), range(n - t))
+    key, perms = own, set()
+    for top, bottom in itertools.product(itertools.permutations(range(t)), itertools.permutations(range(n - t))):
+        enc = encode(top, bottom)
+        key = min(key, enc)
+        if enc == own:
+            perms.add(bottom)
+    return key, perms - {tuple(range(n - t))}
+
+
+def _orbit_least(b, mark_counts, perms):
+    """The marking assignments, in _partitions_into_sizes order, least among their images under perms."""
+    for assignment in _partitions_into_sizes(range(b), mark_counts):
+        if all(assignment <= tuple(assignment[w] for w in perm) for perm in perms):
+            yield assignment
 
 
 def _partitions_into_sizes(items, sizes):
@@ -854,10 +844,11 @@ def enumerate_components(A: HurwitzData, max_vertices: int = 8):
     These are the irreducible components of the special fiber for p = 2,
     g = 0 in the mixed regime with all markings ramified (lambda = 2).
     Markings are labeled; graphs differing only by which markings sit on
-    which bottom component count separately.  Only the first candidate of
-    each isomorphism class is built and validated; the result is sorted by
-    canonical_form.  Listing more than MAX_ENUM_CANDIDATES raw candidates
-    raises GraphError.
+    which bottom component count separately.  Each class is generated
+    once, as its first candidate in shape-then-assignment order; it is
+    built and validated, and the result is sorted by canonical_form.
+    More than MAX_ENUM_CANDIDATES raw candidates, counted over the shapes
+    before any graph is built, raise GraphError.
     """
     if A.p != 2 or A.g != 0:
         raise GraphError("enumeration supports p=2, g=0 only")
@@ -909,18 +900,23 @@ def enumerate_components(A: HurwitzData, max_vertices: int = 8):
                                 f"enumeration would list more than MAX_ENUM_CANDIDATES = {MAX_ENUM_CANDIDATES} candidates"
                             )
                         shapes.append((t, n, genera, tree, slope, mark_counts))
-    reps = {}
+    # Orderly generation (Read 1978): isomorphic shapes hold the same classes,
+    # so the first shape of each shape class holds every class's first
+    # candidate, which is the assignment least among its images under the
+    # shape's automorphisms.
+    seen, graphs = set(), []
     for t, n, genera, tree, slope, mark_counts in shapes:
-        for assignment in _partitions_into_sizes(range(b), mark_counts):
-            key = _iso_key(genera, tree, slope, assignment)
-            if key in reps:
-                continue
+        key, perms = _shape_symmetry(t, n, genera, tree, slope)
+        if key in seen:
+            continue
+        seen.add(key)
+        for assignment in _orbit_least(b, mark_counts, perms):
             G = _build_two_level(A, t, genera, n, tree, slope, assignment)
             rep = validate(G, A)
             if not rep.ok:
                 raise GraphError(f"generated an invalid level graph: {rep.errors}")
-            reps[key] = G
-    return sorted(reps.values(), key=canonical_form)
+            graphs.append(G)
+    return sorted(graphs, key=canonical_form)
 
 
 def _compositions(total, parts):

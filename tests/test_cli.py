@@ -181,6 +181,15 @@ def test_unknown_subcommand_exit(capsys):
     assert main(["frobnicate"]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["tc", "-h"], ["strata", "enumerate", "--help"],
+                                  ["loci", "search", "--format", "text", "-h"]])
+def test_help_is_one_json_line(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["help"].startswith("usage: loghurwitz")
+
+
 # -- strata round trips -------------------------------------------------------
 
 

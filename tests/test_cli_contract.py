@@ -1,8 +1,8 @@
 """The CLI exit-code contract on argv drawn from a small grammar (hypothesis).
 
-Help (-h) and --format text or dot print plain text by design, so the
-grammar leaves them out; every other argv must exit 0, 2, 3, 4 or 5 and
-print exactly one JSON line.
+--format text or dot print plain text by design, so the grammar leaves
+them out; every other argv, -h and --help included, must exit 0, 2, 3, 4
+or 5 and print exactly one JSON line.
 """
 
 import contextlib
@@ -34,7 +34,7 @@ BAD_FIELDS = ["4", "6", "2^0", "1^1", "x", "", "3^", "65537"]
 EXPRS = ["y", "y^2", "1/y", "y*(y-1)", "y*(y-1)*(y-w)/(y-w^2)^2", "(y-1)^3/(y+1)", "1/(y^2+y+1)",
          "x^2", "w*y^3+1", "y*(", "", "y^99999999999", "1/0", "y/", "z", "2^-1"]
 PLACES = ["0", "1", "w", "w^2", "w+1", "2", "inf", "oo", "x", "", "1/0"]
-JUNK = ["--bogus", "x", "-", "--", "--field", "--format", "json", "1,2", "inf", "--kind", "-3"]
+JUNK = ["--bogus", "x", "-", "--", "--field", "--format", "json", "1,2", "inf", "--kind", "-3", "-h", "--help"]
 
 
 def _int_lists(max_len=4):

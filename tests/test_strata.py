@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 
@@ -321,12 +323,74 @@ def test_enumeration_bound_counts_every_raw_candidate(monkeypatch):
     assert len(enumerate_components(A, 6)) == 92
 
 
+def _iso_key(genera, tree, slope, assignment):
+    """Isomorphism class of the two-level candidate built by _build_two_level.
+
+    Complete invariant: every bottom vertex w carries m_w = 2 + sum(slope - 1)
+    >= 2 labeled markings, and markings are never permuted, so every
+    isomorphism fixes each bottom vertex, which is named by its marking
+    block.  In a tree a top vertex is then fixed up to swapping by
+    (genus, sorted (block, slope) over its edges), so the sorted tuple of
+    these top signatures is complete.
+    """
+    t = len(genera)
+    tops = [[g] for g in genera]
+    for ei, (u, v) in enumerate(tree):
+        top, bottom = (u, v) if u < t else (v, u)
+        tops[top].append((assignment[bottom - t], slope[ei]))
+    return tuple(sorted((sig[0], *sorted(sig[1:])) for sig in tops))
+
+
+def reference_keyed_enumerate(A, max_vertices):
+    """The keyed loop: the first raw candidate of each _iso_key class, sorted by canonical_form.
+
+    reference_candidates takes genera before s, where enumerate_components
+    takes s first; a class has one (t, s), so each class's first candidate
+    is the same in both orders.
+    """
+    reps = {}
+    for cand in reference_candidates(A, max_vertices):
+        t, genera, n, tree, slope, assignment = cand
+        key = _iso_key(genera, tree, slope, assignment)
+        if key not in reps:
+            reps[key] = strata._build_two_level(A, *cand)
+    return sorted(reps.values(), key=canonical_form)
+
+
+@pytest.mark.parametrize(
+    "b, max_vertices", [(b, mv) for b in (4, 6) for mv in range(2, 8)] + [(8, 6)]
+)
+def test_enumerate_matches_keyed_reference(b, max_vertices):
+    A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
+    got = [G.to_json() for G in enumerate_components(A, max_vertices)]
+    assert got == [G.to_json() for G in reference_keyed_enumerate(A, max_vertices)]
+
+
+def test_shape_symmetry_and_orbit_least():
+    # a genus-2 top joined to three bottoms by slope 1: every bottom permutation is an automorphism
+    tree, slope = [(0, 1), (0, 2), (0, 3)], [1, 1, 1]
+    key, perms = strata._shape_symmetry(1, 4, (2,), tree, slope)
+    assert perms == set(itertools.permutations(range(3))) - {(0, 1, 2)}
+    assert strata._shape_symmetry(1, 4, (2,), [(3, 0), (0, 1), (2, 0)], slope)[0] == key
+    kept = list(strata._orbit_least(6, [2, 2, 2], perms))
+    first = {}
+    for assignment in strata._partitions_into_sizes(range(6), [2, 2, 2]):
+        first.setdefault(_iso_key((2,), tree, slope, assignment), assignment)
+    assert kept == list(first.values()) and len(kept) == 15  # the set partitions of 6 into pairs
+    # two genus-1 tops on one bottom, and a genus-1 top on two bottoms
+    assert strata._shape_symmetry(2, 3, (1, 1), [(0, 2), (1, 2)], [3, 3])[1] == set()
+    key2, perms2 = strata._shape_symmetry(1, 3, (1,), [(0, 1), (2, 0)], [1, 1])
+    assert perms2 == {(1, 0)} and key2 != key
+    assert list(strata._orbit_least(4, [2, 2], perms2)) == [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    assert len(list(strata._orbit_least(4, [2, 2], set()))) == 6
+
+
 def test_iso_key_partition_equals_canonical_form():
     A = HurwitzData(2, 2, 0, 6, (2,) * 6)
     key_to_canon, canon_to_key = {}, {}
     count = 0
     for t, genera, n, tree, slope, assignment in reference_candidates(A, 6):
-        key = strata._iso_key(genera, tree, slope, assignment)
+        key = _iso_key(genera, tree, slope, assignment)
         canon = canonical_form(strata._build_two_level(A, t, genera, n, tree, slope, assignment))
         assert key_to_canon.setdefault(key, canon) == canon
         assert canon_to_key.setdefault(canon, key) == key
@@ -355,3 +419,142 @@ def test_enumerated_classes_pairwise_non_isomorphic():
             node_match=lambda a, b: a["attrs"] == b["attrs"],
             edge_match=lambda a, b: a["slope"] == b["slope"],
         )
+
+
+# -- canonical_form against the brute-force minimum -----------------------------
+
+
+def reference_encode(G, sigma):
+    """The encoding canonical_form minimises, written out plainly."""
+    verts = tuple(
+        (sigma[v.id], -v.level, v.genus, v.cover_type)
+        for v in sorted(G.source_vertices, key=lambda v: sigma[v.id])
+    )
+    edge_reps = {}
+    for e in G.source_edges:
+        a, b = sigma[e.v1], sigma[e.v2]
+        edge_reps[e.id] = (min(a, b), max(a, b), e.slope)
+    edges = tuple(sorted(edge_reps.values()))
+    vgroups = {}
+    for v in G.source_vertices:
+        vgroups.setdefault(v.image, []).append(sigma[v.id])
+    vgrouping = tuple(sorted(tuple(sorted(g)) for g in vgroups.values()))
+    egroups = {}
+    for e in G.source_edges:
+        egroups.setdefault(e.image, []).append(edge_reps[e.id])
+    egrouping = tuple(sorted(tuple(sorted(g)) for g in egroups.values()))
+    marks = tuple((sigma[m.vertex], m.lam, m.xi) for m in G.markings)
+    mgroups = {}
+    for i, m in enumerate(G.markings):
+        mgroups.setdefault(m.image, []).append(i)
+    mgrouping = tuple(sorted(tuple(g) for g in mgroups.values()))
+    return (verts, edges, vgrouping, egrouping, marks, mgrouping)
+
+
+def brute_force_canonical_form(G):
+    """The minimum of reference_encode over every permutation within every invariant class."""
+    invariants = {}
+    for v in G.source_vertices:
+        slopes = []
+        for e in G.edges_at(v.id):
+            if G.is_horizontal(e):
+                slopes.append((0, 0))
+            else:
+                down, up = G.edge_down_up(e)
+                slopes.append((1 if up.id == v.id else -1, e.slope))
+        invariants[v.id] = (-v.level, v.genus, v.cover_type, tuple(sorted(slopes)), tuple(G._marks_at[v.id]))
+    classes = {}
+    for v in G.source_vertices:
+        classes.setdefault(invariants[v.id], []).append(v.id)
+    perms = [list(itertools.permutations(ids)) for _, ids in sorted(classes.items())]
+    return min(
+        reference_encode(G, {vid: i for i, vid in enumerate(itertools.chain.from_iterable(combo))})
+        for combo in itertools.product(*perms)
+    )
+
+
+def relabel(G, rng):
+    """G with its vertices, edges and target objects renamed and listed in a random order."""
+    def names(objs, prefix):
+        ids = [o.id for o in objs]
+        return dict(zip(ids, rng.sample([f"{prefix}{i}" for i in range(len(ids))], len(ids))))
+
+    def shuffled(objs):
+        objs = list(objs)
+        return rng.sample(objs, len(objs))
+
+    sv, se, tv, te = (names(objs, pre) for objs, pre in (
+        (G.source_vertices, "x"), (G.source_edges, "y"), (G.target_vertices, "s"), (G.target_edges, "r")))
+    return LevelGraph(
+        G.p, G.regime,
+        shuffled(SourceVertex(sv[v.id], v.genus, v.level, v.cover_type, tv[v.image]) for v in G.source_vertices),
+        shuffled(SourceEdge(se[e.id], sv[e.v2], sv[e.v1], e.slope, te[e.image]) for e in G.source_edges),
+        shuffled(TargetVertex(tv[v.id], v.level) for v in G.target_vertices),
+        shuffled(TargetEdge(te[e.id], tv[e.v1], tv[e.v2]) for e in G.target_edges),
+        [Marking(sv[m.vertex], m.lam, m.xi, m.image) for m in G.markings],
+    )
+
+
+@pytest.mark.parametrize("b", [4, 6, 8])
+def test_canonical_form_equals_brute_force(b):
+    A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
+    rng = random.Random(b)
+    graphs = list(example_graphs()) + list(enumerate_components(A, 6))
+    for G in graphs:
+        for H in [G] + [relabel(G, rng) for _ in range(3)]:
+            assert canonical_form(H) == brute_force_canonical_form(H)
+
+
+def random_graph(rng):
+    """A small, usually invalid graph: loops, parallel edges, shared images and markings."""
+    n, ntv, nte = rng.randint(1, 6), rng.randint(1, 3), rng.randint(1, 3)
+    svs = [SourceVertex(f"v{i}", rng.choice([0, 0, 1]), rng.choice([0, 0, -1]), rng.choice([AS, AS, FROB]),
+                        f"d{rng.randrange(ntv)}") for i in range(n)]
+    ses = [SourceEdge(f"e{i}", f"v{rng.randrange(n)}", f"v{rng.randrange(n)}", rng.choice([1, 1, 3]),
+                      f"f{rng.randrange(nte)}") for i in range(rng.randint(0, 7))]
+    marks = [Marking(f"v{rng.randrange(n)}", 2, 0, f"q{rng.randrange(2)}") for _ in range(rng.randint(0, 2))]
+    return LevelGraph(2, "mixed", svs, ses, [TargetVertex(f"d{i}", 0) for i in range(ntv)],
+                      [TargetEdge(f"f{i}", "d0", "d0") for i in range(nte)], marks)
+
+
+def test_canonical_form_equals_brute_force_on_random_graphs():
+    rng = random.Random(7)
+    for _ in range(400):
+        G = random_graph(rng)
+        assert canonical_form(G) == brute_force_canonical_form(G), G.to_json()
+
+
+def test_equal_neighbours_are_not_twins_across_images():
+    # three bare top vertices; a and c share a target vertex, so a and b are not twins
+    G = LevelGraph(2, "mixed", [SourceVertex(v, 0, 0, AS, img) for v, img in (("a", "d0"), ("b", "d1"), ("c", "d0"))],
+                   [], [TargetVertex("d0", 0), TargetVertex("d1", 0)], [], [])
+    assert canonical_form(G) == brute_force_canonical_form(G)
+
+
+def star(t, genus=1, slope=3):
+    """t equal tops, each joined to one bottom that carries every marking."""
+    b = 2 + t * (slope - 1)
+    A = HurwitzData(2, t * genus, 0, b, (2,) * b)
+    tree = [(i, t) for i in range(t)]
+    return strata._build_two_level(A, t, (genus,) * t, t + 1, tree, [slope] * t, (tuple(range(b)),))
+
+
+def test_canonical_form_fixes_twin_order():
+    G = star(9)
+    start = time.perf_counter()
+    key = canonical_form(G)
+    assert time.perf_counter() - start < 0.1  # 9! = 362,880 orderings without the twin rule
+    assert key == canonical_form(relabel(G, random.Random(0)))
+    assert canonical_form(star(5)) == brute_force_canonical_form(star(5))
+
+
+def test_canonical_form_ordering_bound(monkeypatch):
+    # three equal tops on three bottoms with distinct markings: no twins, 3! orderings
+    A = HurwitzData(2, 3, 0, 12, (2,) * 12)
+    G = strata._build_two_level(A, 3, (1, 1, 1), 6, [(0, 3), (1, 4), (2, 5)], [3, 3, 3],
+                                ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)))
+    monkeypatch.setattr(strata, "MAX_CANON_ORDERINGS", 5)
+    with pytest.raises(GraphError, match="MAX_CANON_ORDERINGS = 5"):
+        canonical_form(G)
+    monkeypatch.setattr(strata, "MAX_CANON_ORDERINGS", 6)
+    assert canonical_form(G) == brute_force_canonical_form(G)
