@@ -9,6 +9,7 @@ with sorted keys so identical inputs yield byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -248,21 +249,6 @@ def cmd_ascover(args):
     return EXIT_OK
 
 
-def _ledger_payload(L: strata.StratumLedger):
-    return {
-        "contributions": [[label, val] for label, val in L.contributions],
-        "mod_as": L.mod_as,
-        "mod_ex": L.mod_ex,
-        "mod_quex": L.mod_quex,
-        "total": L.total,
-        "closed_form": L.closed_form,
-        "e_d_hor": L.e_d_hor,
-        "v_c_ex": L.v_c_ex,
-        "monoid_rank": L.monoid_rank,
-        "monoid_free": L.monoid_free,
-    }
-
-
 def cmd_strata(args):
     if args.strata_cmd == "enumerate":
         if not getattr(args, "datum", None) or not getattr(args, "lam", None):
@@ -293,7 +279,7 @@ def cmd_strata(args):
             L = strata.stratum_dimension(G, A)
         except GraphError as exc:
             raise CliError(EXIT_DOMAIN, "domain", str(exc)) from exc
-        emit(args, _ledger_payload(L), dot=G.to_dot())
+        emit(args, L._asdict(), dot=G.to_dot())
         return EXIT_OK
     if args.strata_cmd == "monoid":
         rank, free = strata.monoid_rank(G, A)
@@ -493,7 +479,15 @@ class _HelpRequested(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Raises usage errors as CliError and -h/--help as _HelpRequested, so that both print one JSON line."""
+    """Raises usage errors as CliError and -h/--help as _HelpRequested, so that both print one JSON line.
+
+    Help is wrapped at the width argparse takes when stdout is not a
+    terminal (80 columns less 2), so its bytes do not depend on $COLUMNS.
+    """
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("formatter_class", functools.partial(argparse.HelpFormatter, width=78))
+        super().__init__(*args, **kwargs)
 
     def error(self, message):
         raise CliError(EXIT_PARSE, "parse", message)

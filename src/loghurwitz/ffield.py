@@ -420,13 +420,9 @@ class FieldElement:
         return self.idx != 0
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.spec.from_int(other)
-        return (
-            isinstance(other, FieldElement)
-            and self.spec == other.spec
-            and self.idx == other.idx
-        )
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        return self.spec == other.spec and self.idx == other.idx
 
     def __hash__(self):
         return hash((self.spec.p, self.spec.k, self.idx))

@@ -157,11 +157,9 @@ class Polynomial:
         return Polynomial.from_indices(self.spec, [mul(c, inv) for c in self.coeffs])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.spec == other.spec
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.spec == other.spec and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.spec, self.coeffs))
@@ -252,8 +250,15 @@ class Polynomial:
             n >>= 1
         return result
 
+    def _operand(self, other):
+        """other as a Polynomial over this field; TypeError for a type that does not coerce."""
+        coerced = self._coerce(other)
+        if coerced is NotImplemented:
+            raise TypeError(f"unsupported operand type for Polynomial: {type(other).__name__!r}")
+        return coerced
+
     def divmod(self, other: "Polynomial"):
-        other = self._coerce(other)
+        other = self._operand(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         spec = self.spec
@@ -288,18 +293,18 @@ class Polynomial:
         return _from_logs(spec, quot), _from_logs(spec, rem[:db])
 
     def __divmod__(self, other):
-        return self.divmod(other)
+        return NotImplemented if self._coerce(other) is NotImplemented else self.divmod(other)
 
     def __mod__(self, other):
-        return self.divmod(other)[1]
+        return NotImplemented if self._coerce(other) is NotImplemented else self.divmod(other)[1]
 
     def __floordiv__(self, other):
-        return self.divmod(other)[0]
+        return NotImplemented if self._coerce(other) is NotImplemented else self.divmod(other)[0]
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, self._coerce(other)
+        a, b = self, self._operand(other)
         while not b.is_zero():
-            a, b = b, a % b
+            a, b = b, a.divmod(b)[1]
         return a.monic() if not a.is_zero() else a
 
     def derivative(self) -> "Polynomial":
@@ -535,13 +540,9 @@ class RationalFunction:
         return self.den.degree == 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, FieldElement, Polynomial)):
-            other = RationalFunction(Polynomial.constant(self.spec, other) if not isinstance(other, Polynomial) else other)
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 import json
 import math
-from dataclasses import dataclass, field as dfield
 
 AS = "artin_schreier"
 FROB = "frobenius"
@@ -40,26 +39,19 @@ class GraphError(ValueError):
     """Malformed level graph data."""
 
 
-@dataclass(frozen=True)
-class HurwitzData:
+class HurwitzData(namedtuple("HurwitzData", "p h g N Lam Xi regime")):
     """Discrete datum A = (h, g, N, Lambda) with regime and twists Xi."""
 
-    p: int
-    h: int
-    g: int
-    N: int
-    Lam: tuple
-    Xi: tuple = None
-    regime: str = "mixed"
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "Lam", tuple(self.Lam))
-        xi = tuple(self.Xi) if self.Xi is not None else tuple(0 for _ in self.Lam)
-        object.__setattr__(self, "Xi", xi)
-        if self.regime not in ("mixed", "equicharacteristic"):
-            raise GraphError(f"unknown regime {self.regime!r}")
-        if len(self.Lam) != len(self.Xi):
+    def __new__(cls, p, h, g, N, Lam, Xi=None, regime="mixed"):
+        Lam = tuple(Lam)
+        Xi = tuple(Xi) if Xi is not None else tuple(0 for _ in Lam)
+        if regime not in ("mixed", "equicharacteristic"):
+            raise GraphError(f"unknown regime {regime!r}")
+        if len(Lam) != len(Xi):
             raise GraphError("Lambda and Xi lengths differ")
+        return super().__new__(cls, p, h, g, N, Lam, Xi, regime)
 
     @property
     def b(self):
@@ -79,43 +71,14 @@ class HurwitzData:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class SourceVertex:
-    id: str
-    genus: int
-    level: int
-    cover_type: str
-    image: str  # target vertex id
-
-
-@dataclass(frozen=True, slots=True)
-class SourceEdge:
-    id: str
-    v1: str
-    v2: str
-    slope: int
-    image: str  # target edge id
-
-
-@dataclass(frozen=True, slots=True)
-class TargetVertex:
-    id: str
-    level: int
-
-
-@dataclass(frozen=True, slots=True)
-class TargetEdge:
-    id: str
-    v1: str
-    v2: str
-
-
-@dataclass(frozen=True, slots=True)
-class Marking:
-    vertex: str  # source vertex id
-    lam: int
-    xi: int
-    image: str  # target marking label
+# `image` names the record's image in the target graph (a target vertex id,
+# a target edge id, a target marking label); a marking's `vertex` is the id
+# of the source vertex carrying it.
+SourceVertex = namedtuple("SourceVertex", "id genus level cover_type image")
+SourceEdge = namedtuple("SourceEdge", "id v1 v2 slope image")
+TargetVertex = namedtuple("TargetVertex", "id level")
+TargetEdge = namedtuple("TargetEdge", "id v1 v2")
+Marking = namedtuple("Marking", "vertex lam xi image")
 
 
 class LevelGraph:
@@ -131,13 +94,12 @@ class LevelGraph:
         self.markings = tuple(markings)
         self._sv = {v.id: v for v in self.source_vertices}
         self._tv = {v.id: v for v in self.target_vertices}
-        self._se = {e.id: e for e in self.source_edges}
         self._te = {e.id: e for e in self.target_edges}
         if len(self._sv) != len(self.source_vertices):
             raise GraphError("duplicate source vertex id")
         if len(self._tv) != len(self.target_vertices):
             raise GraphError("duplicate target vertex id")
-        if len(self._se) != len(self.source_edges):
+        if len({e.id for e in self.source_edges}) != len(self.source_edges):
             raise GraphError("duplicate source edge id")
         if len(self._te) != len(self.target_edges):
             raise GraphError("duplicate target edge id")
@@ -277,20 +239,14 @@ class LevelGraph:
             "p": self.p,
             "regime": self.regime,
             "source": {
-                "vertices": [
-                    {"id": v.id, "genus": v.genus, "level": v.level,
-                     "cover_type": v.cover_type, "image": v.image}
-                    for v in self.source_vertices
-                ],
-                "edges": [
-                    {"id": e.id, "v1": e.v1, "v2": e.v2, "slope": e.slope, "image": e.image}
-                    for e in self.source_edges
-                ],
+                "vertices": [v._asdict() for v in self.source_vertices],
+                "edges": [e._asdict() for e in self.source_edges],
             },
             "target": {
-                "vertices": [{"id": v.id, "level": v.level} for v in self.target_vertices],
-                "edges": [{"id": e.id, "v1": e.v1, "v2": e.v2} for e in self.target_edges],
+                "vertices": [v._asdict() for v in self.target_vertices],
+                "edges": [e._asdict() for e in self.target_edges],
             },
+            # the field lam is written as the key "lambda"
             "markings": [
                 {"vertex": m.vertex, "lambda": m.lam, "xi": m.xi, "image": m.image}
                 for m in self.markings
@@ -362,10 +318,12 @@ class LevelGraph:
 # validation
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    errors: list = dfield(default_factory=list)
+    """Outcome of validate: ok until a rule adds an error."""
+
+    def __init__(self):
+        self.ok = True
+        self.errors = []
 
     def add(self, rule, detail):
         self.ok = False
@@ -387,7 +345,7 @@ def _frobenius_orders(G: LevelGraph, vid):
 
 
 def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
-    report = ValidationReport(ok=True)
+    report = ValidationReport()
     p = A.p
     if G.p != A.p:
         report.add("datum", f"graph p={G.p} differs from datum p={A.p}")
@@ -533,18 +491,12 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
 # dimension ledger and monoid rank
 
 
-@dataclass
-class StratumLedger:
-    contributions: list  # (label, value) per component
-    mod_as: int
-    mod_ex: int
-    mod_quex: int
-    total: int
-    closed_form: int  # N-3-#E_D^hor-#V_C^ex when g=0, else None
-    e_d_hor: int
-    v_c_ex: int
-    monoid_rank: int
-    monoid_free: bool
+# contributions lists (label, value) per component; closed_form is
+# N-3-#E_D^hor-#V_C^ex when g=0, else None
+StratumLedger = namedtuple(
+    "StratumLedger",
+    "contributions mod_as mod_ex mod_quex total closed_form e_d_hor v_c_ex monoid_rank monoid_free",
+)
 
 
 def _etale_special_points(G: LevelGraph):

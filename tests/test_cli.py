@@ -190,6 +190,16 @@ def test_help_is_one_json_line(capsys, argv):
     assert json.loads(out)["help"].startswith("usage: loghurwitz")
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["tc", "-h"], ["strata", "enumerate", "--help"]])
+def test_help_bytes_do_not_depend_on_columns(capsys, monkeypatch, argv):
+    outs = []
+    for columns in ("50", "80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        outs.append(run(capsys, *argv))
+    assert outs[0] == outs[1] == outs[2]
+    assert max(map(len, json.loads(outs[0][1])["help"].splitlines())) <= 78
+
+
 # -- strata round trips -------------------------------------------------------
 
 

@@ -67,6 +67,15 @@ def test_poly_divmod_and_gcd():
                 assert g.leading() == spec.one  # monic
 
 
+def test_poly_division_rejects_foreign_operands():
+    p = Polynomial.variable(F9)
+    for divide in (lambda: p % "x", lambda: p // "x", lambda: divmod(p, "x"), lambda: p.divmod("x"),
+                   lambda: p.gcd("x"), lambda: p.divmod(RationalFunction(p))):
+        with pytest.raises(TypeError):
+            divide()
+    assert divmod(p * p + 1, 2) == ((p * p + 1) * 2, Polynomial.constant(F9, 0))  # scalars still coerce
+
+
 def test_from_roots_and_roots():
     a, b = F16.element(3), F16.element(7)
     p = Polynomial.from_roots(F16, [a, a, b])
