@@ -279,7 +279,7 @@ def cmd_strata(args):
             L = strata.stratum_dimension(G, A)
         except GraphError as exc:
             raise CliError(EXIT_DOMAIN, "domain", str(exc)) from exc
-        emit(args, L._asdict(), dot=G.to_dot())
+        emit(args, vars(L), dot=G.to_dot())
         return EXIT_OK
     if args.strata_cmd == "monoid":
         rank, free = strata.monoid_rank(G, A)

@@ -293,13 +293,16 @@ class Polynomial:
         return _from_logs(spec, quot), _from_logs(spec, rem[:db])
 
     def __divmod__(self, other):
-        return NotImplemented if self._coerce(other) is NotImplemented else self.divmod(other)
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self.divmod(other)
 
     def __mod__(self, other):
-        return NotImplemented if self._coerce(other) is NotImplemented else self.divmod(other)[1]
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self.divmod(other)[1]
 
     def __floordiv__(self, other):
-        return NotImplemented if self._coerce(other) is NotImplemented else self.divmod(other)[0]
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self.divmod(other)[0]
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         a, b = self, self._operand(other)

@@ -27,6 +27,7 @@ import itertools
 from collections import Counter, namedtuple
 import json
 import math
+from types import SimpleNamespace
 
 AS = "artin_schreier"
 FROB = "frobenius"
@@ -43,6 +44,8 @@ class HurwitzData(namedtuple("HurwitzData", "p h g N Lam Xi regime")):
     """Discrete datum A = (h, g, N, Lambda) with regime and twists Xi."""
 
     __slots__ = ()
+    # _replace builds through _make, so both run the checks in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, p, h, g, N, Lam, Xi=None, regime="mixed"):
         Lam = tuple(Lam)
@@ -365,14 +368,15 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
         if G._tv[v.image].level != v.level:
             report.add("levels", f"vertex {v.id} and its image are on different levels")
 
-    # cover types
-    for v in G.source_vertices:
-        if v.cover_type not in (AS, FROB, ETALE):
-            report.add("cover-type", f"unknown cover type {v.cover_type} at {v.id}")
-        elif v.level == 0 and v.cover_type == FROB:
-            report.add("cover-type", f"frobenius vertex {v.id} at the top level")
-        elif v.level < 0 and v.cover_type != FROB:
-            report.add("cover-type", f"separable vertex {v.id} below the top level")
+    # cover types; loops that read three or more fields of a record unpack
+    # it, as a named-tuple field read costs about twice a slots-class one
+    for vid, _, level, cover_type, _ in G.source_vertices:
+        if cover_type not in (AS, FROB, ETALE):
+            report.add("cover-type", f"unknown cover type {cover_type} at {vid}")
+        elif level == 0 and cover_type == FROB:
+            report.add("cover-type", f"frobenius vertex {vid} at the top level")
+        elif level < 0 and cover_type != FROB:
+            report.add("cover-type", f"separable vertex {vid} below the top level")
 
     # connectivity
     b1, comps = G.source_betti()
@@ -406,28 +410,29 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
             report.add("markings", f"target marking {label} spread over several target vertices")
 
     # edges: slopes, images, horizontality
-    for e in G.source_edges:
-        if e.slope < 0:
-            report.add("slope", f"edge {e.id} has negative slope")
-        te = G._te[e.image]
-        imgs = {G._sv[e.v1].image, G._sv[e.v2].image}
-        if imgs != {te.v1, te.v2}:
-            report.add("edge-image", f"edge {e.id} endpoints do not map onto its image edge")
-        if G.is_horizontal(e):
-            if e.slope != 0:
-                report.add("slope", f"horizontal edge {e.id} has nonzero slope {e.slope}")
-            if G._sv[e.v1].level != 0:
-                report.add("slope", f"horizontal edge {e.id} below the top level")
+    for eid, v1, v2, slope, image in G.source_edges:
+        if slope < 0:
+            report.add("slope", f"edge {eid} has negative slope")
+        _, t1, t2 = G._te[image]
+        _, _, level1, type1, image1 = G._sv[v1]
+        _, _, level2, type2, image2 = G._sv[v2]
+        if {image1, image2} != {t1, t2}:
+            report.add("edge-image", f"edge {eid} endpoints do not map onto its image edge")
+        if level1 == level2:  # horizontal
+            if slope != 0:
+                report.add("slope", f"horizontal edge {eid} has nonzero slope {slope}")
+            if level1 != 0:
+                report.add("slope", f"horizontal edge {eid} below the top level")
         else:
-            if e.slope == 0:
-                report.add("slope", f"level-crossing edge {e.id} has slope 0")
-            down, up = G.edge_down_up(e)
-            if down.cover_type == FROB and e.slope % p == 0:
-                report.add("slope", f"edge {e.id}: slope {e.slope} is 0 mod p at a Frobenius vertex")
-            if up.cover_type == FROB and e.slope % p == 0:
-                report.add("slope", f"edge {e.id}: slope {e.slope} is 0 mod p at a Frobenius vertex")
-            if up.cover_type == AS and e.slope % (p - 1) != 0:
-                report.add("slope", f"edge {e.id}: top-level outgoing slope {e.slope} not divisible by p-1")
+            if slope == 0:
+                report.add("slope", f"level-crossing edge {eid} has slope 0")
+            down_type, up_type = (type1, type2) if level1 < level2 else (type2, type1)
+            if down_type == FROB and slope % p == 0:
+                report.add("slope", f"edge {eid}: slope {slope} is 0 mod p at a Frobenius vertex")
+            if up_type == FROB and slope % p == 0:
+                report.add("slope", f"edge {eid}: slope {slope} is 0 mod p at a Frobenius vertex")
+            if up_type == AS and slope % (p - 1) != 0:
+                report.add("slope", f"edge {eid}: top-level outgoing slope {slope} not divisible by p-1")
 
     # per-AS-vertex conductor balance
     for v in G.source_vertices:
@@ -478,10 +483,11 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
                     report.add("etale", f"etale sheet {v.id} has a level-crossing edge {e.id}")
 
     # stability of the source curve
-    for v in G.source_vertices:
-        special = len(G.edges_at(v.id)) + len(G.markings_at(v.id))
-        if special < 3 - 2 * v.genus:
-            report.add("stability", f"vertex {v.id} (genus {v.genus}) has only {special} special points")
+    edges_at, marks_at = G._edges_at, G._marks_at
+    for vid, genus, _, _, _ in G.source_vertices:
+        special = len(edges_at[vid]) + len(marks_at[vid])
+        if special < 3 - 2 * genus:
+            report.add("stability", f"vertex {vid} (genus {genus}) has only {special} special points")
 
     # mixed regime needs no check: levels are contiguous, so nothing lies below log(p)
     return report
@@ -493,10 +499,17 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
 
 # contributions lists (label, value) per component; closed_form is
 # N-3-#E_D^hor-#V_C^ex when g=0, else None
-StratumLedger = namedtuple(
+_LedgerFields = namedtuple(
     "StratumLedger",
     "contributions mod_as mod_ex mod_quex total closed_form e_d_hor v_c_ex monoid_rank monoid_free",
 )
+
+
+class StratumLedger(SimpleNamespace):
+    """The fields of _LedgerFields, by position or keyword. A computed result, not a key: mutable, unhashable."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(**_LedgerFields(*args, **kwargs)._asdict())
 
 
 def _etale_special_points(G: LevelGraph):
@@ -607,17 +620,17 @@ def canonical_form(G: LevelGraph):
     MAX_CANON_ORDERINGS orderings raises GraphError.
     """
     invariants = {}
-    for v in G.source_vertices:
+    for vid, genus, level, cover_type, _ in G.source_vertices:
         slopes = []
-        for e in G._edges_at[v.id]:
+        for e in G._edges_at[vid]:
             if G.is_horizontal(e):
                 slopes.append((0, 0))
             else:
-                slopes.append((1 if G.edge_down_up(e)[1].id == v.id else -1, e.slope))
-        invariants[v.id] = (-v.level, v.genus, v.cover_type, tuple(sorted(slopes)), G._marks_at[v.id])
+                slopes.append((1 if G.edge_down_up(e)[1].id == vid else -1, e.slope))
+        invariants[vid] = (-level, genus, cover_type, tuple(sorted(slopes)), G._marks_at[vid])
     classes = {}
-    for v in G.source_vertices:
-        classes.setdefault(invariants[v.id], []).append(v.id)
+    for vid, inv in invariants.items():  # in source_vertices order
+        classes.setdefault(inv, []).append(vid)
     class_lists = [ids for _, ids in sorted(classes.items())]
     sigma = {vid: i for i, vid in enumerate(itertools.chain.from_iterable(class_lists))}
     base = _encode(G, sigma)
@@ -664,23 +677,23 @@ def _neighbours(G: LevelGraph, vid, swap):
 
 
 def _encode(G: LevelGraph, sigma):
-    verts = tuple(sorted((sigma[v.id], -v.level, v.genus, v.cover_type) for v in G.source_vertices))
-    edge_reps = []
-    for e in G.source_edges:
-        a, b = sigma[e.v1], sigma[e.v2]
-        edge_reps.append((a, b, e.slope) if a < b else (b, a, e.slope))
+    verts = tuple(sorted((sigma[vid], -level, genus, ctype) for vid, genus, level, ctype, _ in G.source_vertices))
     # target identifications: group source vertices / edges / markings by image
     vgroups, egroups, mgroups = {}, {}, {}
-    for v in G.source_vertices:
-        vgroups.setdefault(v.image, []).append(sigma[v.id])
-    for e, rep in zip(G.source_edges, edge_reps):
-        egroups.setdefault(e.image, []).append(rep)
+    edge_reps = []
+    for _, v1, v2, slope, image in G.source_edges:
+        a, b = sigma[v1], sigma[v2]
+        rep = (a, b, slope) if a < b else (b, a, slope)
+        edge_reps.append(rep)
+        egroups.setdefault(image, []).append(rep)
+    for vid, _, _, _, image in G.source_vertices:
+        vgroups.setdefault(image, []).append(sigma[vid])
     for i, m in enumerate(G.markings):
         mgroups.setdefault(m.image, []).append(i)
     vgrouping, egrouping, mgrouping = (
         tuple(sorted(tuple(sorted(g)) for g in groups.values())) for groups in (vgroups, egroups, mgroups)
     )
-    marks = tuple((sigma[m.vertex], m.lam, m.xi) for m in G.markings)
+    marks = tuple((sigma[vertex], lam, xi) for vertex, lam, xi, _ in G.markings)
     return (verts, tuple(sorted(edge_reps)), vgrouping, egrouping, marks, mgrouping)
 
 

@@ -1,4 +1,4 @@
-"""The strata records: named-tuple contracts, golden CLI bytes, and a CLI import without dataclasses."""
+"""The strata records: named-tuple and ledger contracts, golden CLI bytes, and a CLI import without dataclasses."""
 
 import json
 import os
@@ -74,13 +74,39 @@ def test_hurwitz_data_normalises_and_checks():
         HurwitzData(2, 1, 0, 4, (2, 2), regime="nonsense")
     with pytest.raises(GraphError):
         HurwitzData(2, 1, 0, 4, (2, 2), (0,))
+    with pytest.raises(GraphError):
+        A._replace(regime="bogus")
+    with pytest.raises(GraphError):
+        A._replace(Xi=(0,))
+    assert A._replace(Lam=[2, 2, 2, 2]).Lam == (2, 2, 2, 2)
+
+
+LEDGER_FIELDS = ["contributions", "mod_as", "mod_ex", "mod_quex", "total", "closed_form", "e_d_hor", "v_c_ex",
+                 "monoid_rank", "monoid_free"]
 
 
 def test_ledger_fields_are_the_dim_json_keys(capsys, tmp_path):
+    G = example_graphs()[1]
     path = tmp_path / "graph.json"
-    path.write_text(example_graphs()[1].to_json())
+    path.write_text(G.to_json())
     assert main(["strata", "dim", "--file", str(path)]) == 0
-    assert sorted(json.loads(capsys.readouterr().out)) == sorted(StratumLedger._fields)
+    assert sorted(json.loads(capsys.readouterr().out)) == sorted(LEDGER_FIELDS)
+    assert list(vars(strata.stratum_dimension(G, HurwitzData(2, 1, 0, 4, (2,) * 4)))) == LEDGER_FIELDS
+
+
+def test_ledger_contract():
+    values = [[("AS:v0", 1)], 1, 0, 0, 1, 1, 0, 0, 1, True]
+    L = StratumLedger(*values)
+    assert L == StratumLedger(**dict(zip(LEDGER_FIELDS, values))) and list(vars(L).values()) == values
+    assert repr(L) == "StratumLedger(" + ", ".join(f"{k}={v!r}" for k, v in zip(LEDGER_FIELDS, values)) + ")"
+    L.total += 1  # a computed result that callers may adjust, like the dataclass it replaced
+    assert L.total == 2 and L != StratumLedger(*values)
+    with pytest.raises(TypeError):
+        hash(L)
+    with pytest.raises(TypeError):
+        StratumLedger(*values[:-1])
+    with pytest.raises(TypeError):
+        StratumLedger(*values, totl=1)
 
 
 def test_validation_report_starts_ok():
