@@ -25,7 +25,6 @@ from .cartier import (
 )
 from .expr import ExprError, ExprLimitError, parse_element, parse_expression
 from .ffield import FieldSpec, parse_field
-from .mobius import Mobius
 from .ratfunc import INFINITY, Place, RationalFunction
 from .strata import GraphError, HurwitzData, LevelGraph
 

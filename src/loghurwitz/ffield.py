@@ -22,15 +22,35 @@ import operator
 MAX_ORDER = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _prime_factors(n: int):
+    out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
+
+
+def _digits(idx, p, k):
+    """The k base-p digits of idx, low to high: the coefficients of element idx."""
+    out = []
+    for _ in range(k):
+        out.append(idx % p)
+        idx //= p
+    return out
+
+
+# GF(p)[x] on coefficient lists, low to high, enough to bootstrap a field:
+# `mod` is monic, and remainders carry no trailing zeros.
 
 
 def _gfp_mul(a, b, p, mod):
@@ -71,82 +91,19 @@ def _gfp_powmod(base, exp, p, mod):
     return result
 
 
-def _gfp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a = _gfp_polyrem(a, b, p)
-        a, b = b, a
-    return a
-
-
-def _gfp_polyrem(a, b, p):
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and a:
-        lead = a[-1]
-        if lead:
-            c = (lead * inv_lead) % p
-            shift = len(a) - len(b)
-            for i in range(len(b)):
-                a[shift + i] = (a[shift + i] - c * b[i]) % p
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _gfp_sub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c % p
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _is_irreducible(mod, p, k):
-    """Rabin irreducibility test for the monic coefficient list `mod`."""
-    x = _gfp_rem([0, 1], p, mod)
-    xq = _gfp_powmod([0, 1], p**k, p, mod)
-    if _gfp_sub(xq, x, p):
-        return False
-    for r in _prime_factors(k):
-        xd = _gfp_powmod([0, 1], p ** (k // r), p, mod)
-        diff = _gfp_sub(xd, x, p)
-        g = _gfp_gcd(mod, diff, p) if diff else list(mod)
-        if len(g) != 1:
-            return False
-    return True
-
-
 def _smallest_modulus(p, k):
-    """Lex smallest (low-to-high coefficients) irreducible monic degree-k polynomial."""
+    """Lex smallest (low-to-high coefficients) irreducible monic degree-k polynomial.
+
+    A monic polynomial of degree k is irreducible when no monic polynomial
+    of degree 1..k//2 divides it; at q <= MAX_ORDER that is at most 510
+    trial divisors, at GF(2^16).
+    """
+    divisors = [_digits(i, p, d) + [1] for d in range(1, k // 2 + 1) for i in range(p**d)]
     for idx in range(p**k):
-        coeffs = []
-        n = idx
-        for _ in range(k):
-            coeffs.append(n % p)
-            n //= p
-        mod = coeffs + [1]
-        if _is_irreducible(mod, p, k):
+        mod = _digits(idx, p, k) + [1]
+        if all(_gfp_rem(mod, p, d) for d in divisors):
             return mod
-    raise AssertionError("no irreducible polynomial found")
+    raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
 class FieldSpec:
@@ -169,60 +126,24 @@ class FieldSpec:
         self.one = FieldElement(self, 1)
 
     def _digits(self, idx):
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            out.append(idx % p)
-            idx //= p
-        return out
-
-    def _index(self, coeffs):
-        idx = 0
-        for c in reversed(coeffs):
-            idx = idx * self.p + (c % self.p)
-        return idx
+        return _digits(idx, self.p, self.k)
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
         mod = list(self.modulus)
-
-        def mul_idx(a, b):
-            ca = self._digits(a)
-            cb = self._digits(b)
-            while ca and ca[-1] == 0:
-                ca.pop()
-            while cb and cb[-1] == 0:
-                cb.pop()
-            return self._index(_gfp_mul(ca, cb, p, mod) + [0] * k)
-
-        # Discrete log tables with respect to the smallest primitive element.
+        # The smallest primitive element: g^((q-1)/r) != 1 for each prime r | q - 1.
         factors = _prime_factors(q - 1)
-        gen = None
-        for cand in range(2 if q > 2 else 1, q):
-            ok = True
-            for r in factors:
-                acc = 1
-                e = (q - 1) // r
-                base = cand
-                while e:
-                    if e & 1:
-                        acc = mul_idx(acc, base)
-                    base = mul_idx(base, base)
-                    e >>= 1
-                if acc == 1:
-                    ok = False
-                    break
-            if ok:
-                gen = cand
+        for gen in range(2 if q > 2 else 1, q):
+            g = _digits(gen, p, k)
+            if all(_gfp_powmod(g, (q - 1) // r, p, mod) != [1] for r in factors):
                 break
-        if gen is None:
+        else:
             raise RuntimeError(f"GF({p}^{k}) has no primitive element")
 
         # exp[n] = index of gen^n, stepped on digit vectors: multiply by
         # gen = sum g_j w^j as sum g_j (w^j cur), reducing w^k with the
         # modulus.  exp is stored twice over so that a sum of two logs
         # needs no reduction mod q - 1.
-        g = self._digits(gen)
         while g[-1] == 0:
             g.pop()
         red = [(-c) % p for c in mod[:k]]  # w^k = sum red_i w^i

@@ -120,7 +120,8 @@ class LevelGraph:
         for m in self.markings:
             if m.vertex not in self._sv:
                 raise GraphError(f"marking on unknown vertex {m.vertex}")
-        # per-vertex incidence, each in source_edges / markings order; tuples,
+        # per-vertex incidence (_out/_in: level-crossing edges whose upper/lower
+        # endpoint is the vertex), each in source_edges / markings order; tuples,
         # since enumeration keeps thousands of graphs alive
         edges_at, out, inc, marks_at = ({vid: [] for vid in self._sv} for _ in range(4))
         for e in self.source_edges:
@@ -156,16 +157,6 @@ class LevelGraph:
     def edges_at(self, vid):
         return list(self._edges_at.get(vid, ()))
 
-    def out_edges(self, vid):
-        """Level-crossing edges whose upper endpoint is vid."""
-        return list(self._out[vid])
-
-    def in_edges(self, vid):
-        return list(self._in[vid])
-
-    def markings_at(self, vid):
-        return [self.markings[i] for i in self._marks_at.get(vid, ())]
-
     def horizontal_target_edges(self):
         """Target edges that are images of horizontal source edges."""
         return {e.image for e in self.source_edges if self.is_horizontal(e)}
@@ -187,14 +178,6 @@ class LevelGraph:
             if v.level < 0 and (self.regime == "equicharacteristic" or v.level > lmin):
                 out.append(v)
         return out
-
-    def quasi_exact_vertices(self):
-        if self.regime == "equicharacteristic":
-            return []
-        lmin = self.min_level
-        if lmin == 0:
-            return []
-        return [v for v in self.source_vertices if v.level == lmin]
 
     def source_betti(self):
         comps = self._components(self.source_vertices, self.source_edges)
@@ -335,16 +318,16 @@ class ValidationReport:
 
 def _ramified_points(G: LevelGraph, vid):
     """(kind, slope-or-xi) for the ramified points of an AS vertex."""
-    pts = [("edge", e.id, e.slope) for e in G.out_edges(vid)]
+    pts = [("edge", e.id, e.slope) for e in G._out[vid]]
     return pts + [("marking", str(i), G.markings[i].xi) for i in G._marks_at[vid] if G.markings[i].lam == G.p]
 
 
 def _frobenius_orders(G: LevelGraph, vid):
     """Plain orders of the component form at the special points of a Frobenius vertex."""
     p = G.p
-    orders = [("edge-out", e.id, e.slope + (p - 1)) for e in G.out_edges(vid)]
-    orders += [("edge-in", e.id, -(e.slope - (p - 1))) for e in G.in_edges(vid)]
-    return orders + [("marking", str(i), G.markings[i].xi + (p - 1)) for i in G._marks_at[vid]]
+    orders = [e.slope + (p - 1) for e in G._out[vid]]
+    orders += [(p - 1) - e.slope for e in G._in[vid]]
+    return orders + [G.markings[i].xi + (p - 1) for i in G._marks_at[vid]]
 
 
 def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
@@ -464,7 +447,7 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
     for v in G.source_vertices:
         if v.cover_type != FROB:
             continue
-        total = sum(o for _, _, o in _frobenius_orders(G, v.id))
+        total = sum(_frobenius_orders(G, v.id))
         expected = (2 * v.genus - 2) * (1 - p)
         if total != expected:
             report.add(
@@ -512,28 +495,14 @@ class StratumLedger(SimpleNamespace):
         super().__init__(**_LedgerFields(*args, **kwargs)._asdict())
 
 
-def _etale_special_points(G: LevelGraph):
-    """Etale special points per target vertex: horizontal half-edges and unramified markings."""
-    hor = G.horizontal_target_edges()
-    ends = [end for te in G.target_edges if te.id in hor for end in (te.v1, te.v2)]
-    for idxs in G.marking_groups().values():
-        if all(G.markings[i].lam == 1 for i in idxs):
-            ends.append(G._sv[G.markings[idxs[0]].vertex].image)
-    return Counter(ends)
-
-
-def _target_half_edges(G: LevelGraph, tv_id):
-    ends = [end for te in G.target_edges for end in (te.v1, te.v2)]
-    ends += [G._sv[G.markings[idxs[0]].vertex].image for idxs in G.marking_groups().values()]
-    return ends.count(tv_id)
+def _monoid(A: HurwitzData, e_d_hor, v_c_ex):
+    """Rank of the minimal base monoid and whether it is free, from #E_D^hor and #V_C^ex."""
+    return e_d_hor + v_c_ex + (A.regime == "mixed"), A.p == 2
 
 
 def monoid_rank(G: LevelGraph, A: HurwitzData):
     """Rank of the minimal base monoid and whether it is free."""
-    rank = len(G.horizontal_target_edges()) + len(G.exact_vertices())
-    if A.regime == "mixed":
-        rank += 1
-    return rank, A.p == 2
+    return _monoid(A, len(G.horizontal_target_edges()), len(G.exact_vertices()))
 
 
 def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
@@ -541,48 +510,56 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
     if not report.ok:
         raise GraphError(f"invalid level graph: {report.errors}")
     p = A.p
+    hor = G.horizontal_target_edges()
+    # per target vertex: its half-edges (target edge ends and target markings)
+    # and, among them, its etale special points (ends of horizontal target
+    # edges and unramified target markings); a loop counts twice
+    half_edges, etale_points = Counter(), Counter()
+    for te in G.target_edges:
+        for end in (te.v1, te.v2):
+            half_edges[end] += 1
+            etale_points[end] += te.id in hor
+    for idxs in G.marking_groups().values():
+        end = G._sv[G.markings[idxs[0]].vertex].image
+        half_edges[end] += 1
+        etale_points[end] += all(G.markings[i].lam == 1 for i in idxs)
+
     contributions = []
-    mod_as = mod_ex = mod_quex = 0
-    etale_points = _etale_special_points(G)
+    mod_as = mod_ex = mod_quex = v_c_ex = 0
     for v in G.source_vertices:
         if v.cover_type == AS:
-            ram = _ramified_points(G, v.id)
-            val = (
-                2 * v.genus // (p - 1)
-                + etale_points[v.image]
-                - 1
-                - sum(s // (p * (p - 1)) for _, _, s in ram)
-            )
+            ram = sum(s // (p * (p - 1)) for _, _, s in _ramified_points(G, v.id))
+            val = 2 * v.genus // (p - 1) + etale_points[v.image] - 1 - ram
             mod_as += val
             contributions.append((f"AS:{v.id}", val))
     for tv_id in sorted(G.etale_target_vertices()):
-        val = _target_half_edges(G, tv_id) - 3
+        val = half_edges[tv_id] - 3
         mod_as += val
         contributions.append((f"etale-target:{tv_id}", val))
 
-    exact_ids = {v.id for v in G.exact_vertices()}
-    quex_ids = {v.id for v in G.quasi_exact_vertices()}
+    # below the top level: quasi-exact on the bottom level in the mixed
+    # regime, exact everywhere else (see LevelGraph.exact_vertices)
+    lmin = G.min_level
     for v in G.source_vertices:
-        if v.id in exact_ids:
+        if v.level < 0:
             orders = _frobenius_orders(G, v.id)
-            val = len(orders) - 4 + sum(o // p for _, _, o in orders)
-            mod_ex += val
-            contributions.append((f"exact:{v.id}", val))
-        elif v.id in quex_ids:
-            orders = _frobenius_orders(G, v.id)
-            val = len(orders) - 3 + sum(o // p for _, _, o in orders)
-            mod_quex += val
-            contributions.append((f"quasi-exact:{v.id}", val))
+            val = len(orders) + sum(o // p for o in orders)
+            if G.regime == "mixed" and v.level == lmin:
+                mod_quex += val - 3
+                contributions.append((f"quasi-exact:{v.id}", val - 3))
+            else:
+                mod_ex += val - 4
+                v_c_ex += 1
+                contributions.append((f"exact:{v.id}", val - 4))
 
     total = mod_as + mod_ex + mod_quex
-    e_d_hor = len(G.horizontal_target_edges())
-    v_c_ex = len(exact_ids)
+    e_d_hor = len(hor)
     closed = None
     if A.g == 0 and A.regime == "mixed":
         closed = A.N - 3 - e_d_hor - v_c_ex
         if total != closed:
             raise GraphError(f"ledger total {total} != closed form {closed}")
-    rank, free = monoid_rank(G, A)
+    rank, free = _monoid(A, e_d_hor, v_c_ex)
     return StratumLedger(
         contributions=contributions, mod_as=mod_as, mod_ex=mod_ex, mod_quex=mod_quex, total=total,
         closed_form=closed, e_d_hor=e_d_hor, v_c_ex=v_c_ex, monoid_rank=rank, monoid_free=free,

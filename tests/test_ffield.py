@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -6,7 +7,7 @@ import time
 
 import pytest
 
-from loghurwitz.ffield import FieldSpec, field, is_prime, parse_field
+from loghurwitz.ffield import MAX_ORDER, FieldSpec, _smallest_modulus, field, is_prime, parse_field
 
 
 def test_prime_validation():
@@ -230,6 +231,31 @@ def test_prime_field_matches_sympy(p):
 )
 def test_generator_index_pinned(p, k, gen):
     assert field(p, k).generator_index == gen
+
+
+def test_modulus_is_the_first_candidate_sympy_finds_irreducible():
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    fields = [(p, k) for p in range(2, 256) if is_prime(p) for k in range(1, 17) if p**k <= MAX_ORDER]
+    assert len(fields) == 147
+    for p, k in fields:
+        # candidates x^k + c_{k-1} x^{k-1} + ... + c_0 with (c_0, ..., c_{k-1})
+        # the base-p digits of 0, 1, 2, ...; sympy takes coefficients high to low
+        for idx in range(p**k):
+            cand = [(idx // p**i) % p for i in range(k)] + [1]
+            if gf_irreducible_p(cand[::-1], p, ZZ):
+                break
+        assert _smallest_modulus(p, k) == cand, (p, k)
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_generator_is_the_least_primitive_index(p, k):
+    # g^n has order (q-1)/gcd(n, q-1): primitive exactly when gcd(n, q-1) = 1
+    F = field(p, k)
+    gen, q1 = F.generator_index, F.q - 1
+    assert math.gcd(F._log[gen], q1) == 1
+    assert all(math.gcd(F._log[c], q1) > 1 for c in range(1, gen))
 
 
 def test_field_layer_is_linear_in_q():
