@@ -28,6 +28,7 @@ from .mobius import Mobius
 from .ratfunc import (
     INFINITY,
     Divisor,
+    PartialFractions,
     Place,
     Polynomial,
     RationalFunction,
@@ -105,62 +106,44 @@ class ArtinSchreierCover:
 
         Partial fractions split the right-hand side by pole; terms whose
         exponent is divisible by p are replaced by their p-th root at the
-        reduced exponent (an Artin-Schreier substitution), iterating to a
-        fixed point; additive constants are dropped.
+        reduced exponent (an Artin-Schreier substitution), from the highest
+        exponent down; additive constants are dropped.
         """
         p = spec.p
         pf = partial_fractions(rhs)
         per_point = {}
         for b, j, a in pf.terms:
             per_point.setdefault(Place.finite(b), {})[j] = a
-        poly_terms = {}
-        for j in range(1, len(pf.poly.coeffs)):
-            c = pf.poly.coefficient(j)
-            if c.idx != 0:
-                poly_terms[j] = c
+        poly_terms = {j: spec.element(c) for j, c in enumerate(pf.poly.coeffs) if j and c}
         if poly_terms:
             per_point[INFINITY] = poly_terms
 
         branch_parts = {}
         for b, terms in per_point.items():
-            terms = dict(terms)
-            while True:
-                reducible = [j for j, a in terms.items() if j % p == 0 and a.idx != 0]
-                if not reducible:
-                    break
-                for j in reducible:
-                    a = terms.pop(j)
+            # one descending pass: the p-th root of the term at j lands at j/p < j
+            for j in range(max(terms), 0, -1):
+                if j % p == 0 and j in terms:
                     r = j // p
-                    prev = terms.get(r)
-                    new = a.pth_root() if prev is None else prev + a.pth_root()
+                    new = terms.get(r, spec.zero) + terms.pop(j).pth_root()
                     if new.idx == 0:
                         terms.pop(r, None)
                     else:
                         terms[r] = new
-            terms = {j: a for j, a in terms.items() if a.idx != 0}
-            if not terms:
-                continue
-            size = max(terms) + 1
-            coeffs = [spec.element(0)] * size
-            for j, a in terms.items():
-                coeffs[j] = a
-            branch_parts[b] = Polynomial(spec, coeffs)
+            if terms:
+                branch_parts[b] = Polynomial(spec, [terms.get(j, spec.zero) for j in range(max(terms) + 1)])
         return cls(spec, branch_parts, marked_unramified)
 
     # -- normal form -------------------------------------------------------
 
     def normal_form(self) -> RationalFunction:
         """The reduced right-hand side g(x) as a rational function."""
-        spec = self.spec
-        x = RationalFunction.variable(spec)
-        out = RationalFunction.constant(spec, 0)
+        poly, terms = Polynomial.from_indices(self.spec, []), []
         for b, h in zip(self.branch_points, self.parts):
-            u = x if b.is_infinity else 1 / (x - b.value)
-            term = RationalFunction.constant(spec, 0)
-            for j in range(len(h.coeffs) - 1, 0, -1):
-                term = (term + h.coefficient(j)) * u
-            out = out + term
-        return out
+            if b.is_infinity:
+                poly = h
+            else:
+                terms += [(b.value, j, h.coefficient(j)) for j in range(1, len(h.coeffs)) if h.coeffs[j]]
+        return PartialFractions(poly, terms).recombine()
 
     def __eq__(self, other):
         return (

@@ -19,7 +19,7 @@ from .ffield import FieldSpec
 from .ratfunc import (
     INFINITY,
     Divisor,
-    Place,
+    PartialFractions,
     Polynomial,
     RationalFunction,
     _coefficient_index,
@@ -165,21 +165,16 @@ def integrate(f: RationalFunction) -> RationalFunction:
     spec = f.spec
     p = spec.p
     pf = partial_fractions(f)
-    y = RationalFunction.variable(spec)
-    out = RationalFunction.constant(spec, 0)
+    coeffs = [spec.zero]
     for i, c in enumerate(pf.poly.coeffs):
-        if c == 0:
-            continue
-        if (i + 1) % p == 0:
+        if c and (i + 1) % p == 0:
             raise ValueError(f"term of degree {i} has no rational antiderivative")
-        coef = spec.element(c) / spec.from_int(i + 1)
-        out = out + RationalFunction.constant(spec, coef) * y ** (i + 1)
+        coeffs.append(spec.element(c) / spec.from_int(i + 1) if c else spec.zero)
     for b, j, a in pf.terms:
         if j % p == 1:
             raise ValueError(f"term of pole order {j} at {b} has no rational antiderivative")
-        coef = a / spec.from_int(1 - j)
-        out = out + RationalFunction.constant(spec, coef) * (y - b) ** (1 - j)
-    return out
+    terms = [(b, j - 1, a / spec.from_int(1 - j)) for b, j, a in pf.terms]
+    return PartialFractions(Polynomial(spec, coeffs), terms).recombine()
 
 
 def matrix_rank(spec: FieldSpec, rows) -> int:

@@ -506,7 +506,7 @@ def build_parser():
         p.add_argument("--field", help="field designator p^k (default from $" + FIELD_ENV + ")")
         p.add_argument("--format", choices=["json", "text", "dot"], default="json")
         if expr:
-            p.add_argument("--expr", required=True, help="rational expression in y (or x)")
+            p.add_argument("--expr", required=True, help="rational expression in y")
             p.add_argument("--bind", action="append", help="name=value element binding", default=[])
 
     for name, fn in [

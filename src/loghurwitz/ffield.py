@@ -110,6 +110,11 @@ class FieldSpec:
     """The field GF(p^k) with deterministic modulus and exp/log/Zech tables."""
 
     def __init__(self, p: int, k: int):
+        # rejected before is_prime(p) and p**k, whose cost grows with p and k
+        if p > MAX_ORDER:
+            raise ValueError(f"p = {p} exceeds supported maximum field order {MAX_ORDER}")
+        if p >= 2 and k >= MAX_ORDER.bit_length():
+            raise ValueError(f"field order {p}^{k} exceeds supported maximum {MAX_ORDER}")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if k < 1:

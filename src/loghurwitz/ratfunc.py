@@ -349,16 +349,18 @@ class Polynomial:
                             acc -= q1
         return spec._exp[acc] if acc >= 0 else 0
 
-    def shift(self, b) -> "Polynomial":
-        """Return the polynomial q with q(t) = self(b + t)."""
-        if isinstance(b, int):
-            b = self.spec.from_int(b)
-        # Horner in (b + t): acc = acc*(b + t) + c
-        acc = Polynomial.from_indices(self.spec, [])
-        bt = Polynomial(self.spec, [b, 1])
-        for c in reversed(self.coeffs):
-            acc = acc * bt + Polynomial.from_indices(self.spec, [c])
-        return acc
+    def _divide_out(self, x: int):
+        """(m, cofactor) with self = (y - a)^m cofactor and cofactor(a) != 0, for the a of index x.
+
+        self must be nonzero.
+        """
+        lin = Polynomial._from_root_indices(self.spec, [x])
+        m, poly = 0, self
+        while True:
+            quo, rem = poly.divmod(lin)
+            if rem:
+                return m, poly
+            m, poly = m + 1, quo
 
     def roots(self):
         """All roots in the field with multiplicities, by exhaustive scan.
@@ -371,22 +373,12 @@ class Polynomial:
             raise ValueError("roots of the zero polynomial")
         rem = self
         found = []
-        y = Polynomial.variable(spec)
         for i in range(spec.q):
             if rem.degree == 0:
                 break
             if not rem._value_idx(i):
-                a = spec.element(i)
-                mult = 0
-                lin = y - Polynomial.constant(spec, a)
-                while True:
-                    q, r = rem.divmod(lin)
-                    if r.is_zero():
-                        rem = q
-                        mult += 1
-                    else:
-                        break
-                found.append((a, mult))
+                m, rem = rem._divide_out(i)
+                found.append((spec.element(i), m))
         return found, rem
 
     def __str__(self):
@@ -505,10 +497,10 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
+        if g.degree > 0:
             num = num // g
             den = den // g
-        if not den.is_zero() and den.coeffs and den.coeffs[-1] != 1:
+        if den.coeffs[-1] != 1:
             lead = den.leading()
             inv = lead.inverse()
             num = num * inv
@@ -648,24 +640,8 @@ class RationalFunction:
             raise ValueError("the zero function has no order")
         if q.is_infinity:
             return self.den.degree - self.num.degree
-        a = q.value
-        lin = Polynomial(self.spec, [-a, 1])
-
-        def mult(poly):
-            m = 0
-            while True:
-                quo, rem = poly.divmod(lin)
-                if rem.is_zero():
-                    poly = quo
-                    m += 1
-                else:
-                    return m
-
-        if self.num(a).idx != 0:
-            if self.den(a).idx != 0:
-                return 0
-            return -mult(self.den)
-        return mult(self.num)
+        x = _coefficient_index(self.spec, q.value)
+        return self.num._divide_out(x)[0] or -self.den._divide_out(x)[0]
 
     def divisor(self) -> Divisor:
         """Full divisor over the field, including the place at infinity.
@@ -713,54 +689,47 @@ class PartialFractions:
         self.terms = sorted(terms, key=lambda t: (t[0].idx, t[1]))
 
     def recombine(self) -> RationalFunction:
+        """poly plus, per pole b of order e, (sum_j a_j (y-b)^(e-j)) / (y-b)^e."""
         spec = self.poly.spec
-        out = RationalFunction(self.poly)
-        y = RationalFunction.variable(spec)
+        poles = {}
         for b, j, a in self.terms:
-            out = out + RationalFunction.constant(spec, a) / (y - b) ** j
+            poles.setdefault(b.idx, {})[j] = a
+        out = RationalFunction(self.poly)
+        for b, parts in poles.items():
+            lin = Polynomial._from_root_indices(spec, [b])
+            e = max(parts)
+            num = Polynomial.from_indices(spec, [])
+            for j in range(1, e + 1):  # Horner in (y - b)
+                num = num * lin + parts.get(j, spec.zero)
+            out = out + RationalFunction(num, lin**e)
         return out
 
 
 def partial_fractions(f: RationalFunction) -> PartialFractions:
-    """Partial fraction decomposition; requires the denominator to split."""
+    """Partial fraction decomposition; requires the denominator to split.
+
+    Each pole b of order e is peeled from the top: with den = (y-b)^e g,
+    a_e = rest(b)/g(b), and rest - a_e g is divisible by y - b, leaving
+    the same problem at order e - 1.  Writing rest = (y-b) r_q + rest(b)
+    and g = (y-b) g_q + g(b), the quotient is r_q - a_e g_q.
+    """
     spec = f.spec
     poly_part, rest = f.num.divmod(f.den)
-    if rest.is_zero() or f.den.degree == 0:
+    if rest.is_zero():
         return PartialFractions(poly_part, [])
     found, cofactor = f.den.roots()
     if cofactor.degree > 0:
         raise ValueError(f"denominator factor does not split over {spec!r}: {cofactor}")
     terms = []
-    y = Polynomial.variable(spec)
     for b, e in found:
-        lin = y - Polynomial.constant(spec, b)
-        g = f.den // (lin**e)
-        # Taylor expansion of rest/g at y = b up to order e-1, in char-free form:
-        # substitute y = b + t and invert the unit g(b+t) as a power series.
-        num_t = rest.shift(b)
-        g_t = g.shift(b)
-        inv = _series_inverse(g_t, e, spec)
-        prod = num_t * inv  # only its coefficients below y^e are read
-        for j in range(e):
-            c = prod.coefficient(j)
-            if c.idx != 0:
-                terms.append((b, e - j, c))
+        lin = Polynomial._from_root_indices(spec, [b.idx])
+        g_q, g_b = f.den._divide_out(b.idx)[1].divmod(lin)
+        inv = g_b.leading().inverse()
+        r = rest
+        for j in range(e, 0, -1):
+            r, r_b = r.divmod(lin)
+            if r_b:
+                a = r_b.leading() * inv
+                terms.append((b, j, a))
+                r = r - g_q * a
     return PartialFractions(poly_part, terms)
-
-
-def _series_inverse(a: Polynomial, prec: int, spec) -> Polynomial:
-    """Power series inverse of a unit (a(0) != 0) to the given precision."""
-    c0 = a.coefficient(0)
-    if c0.idx == 0:
-        raise ZeroDivisionError("series inverse of a non-unit")
-    inv0 = c0.inverse()
-    out = [inv0.idx] + [0] * (prec - 1)
-    mul, add, neg = spec.mul_idx, spec.add_idx, spec.neg_idx
-    for n in range(1, prec):
-        acc = 0
-        for i in range(1, n + 1):
-            ai = a.coeffs[i] if i < len(a.coeffs) else 0
-            if ai:
-                acc = add(acc, mul(ai, out[n - i]))
-        out[n] = neg(mul(acc, inv0.idx))
-    return Polynomial.from_indices(spec, out)

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from loghurwitz.ascover import (
     isomorphic,
     moduli_dimension,
 )
+from loghurwitz.cli import main
 from loghurwitz.ffield import field
 from loghurwitz.ratfunc import INFINITY, Place, Polynomial, RationalFunction
 
@@ -49,6 +52,24 @@ def test_p_power_reduction():
     c2 = ArtinSchreierCover.from_equation(F16, 1 / x**2)
     assert c2.conductors == (2,)
     assert c2.normal_form() == 1 / x
+
+
+# `ascover` CLI bytes and exit codes, recorded while partial fractions still
+# re-centred each pole and inverted a power series, and the p-th-root
+# reduction still looped to a fixed point: nested p-powers (y^9 + y^2 over
+# GF(3) reduces through y^3, which has no term of its own), p-powers at
+# finite points and at infinity, a cancelling part at infinity, a total
+# cancellation, and the ascover calls of the benchmark's cli-cold call sets
+ASCOVER_GOLDEN = json.loads((Path(__file__).parent / "data" / "ascover_golden.json").read_text())
+
+
+def test_cli_bytes_match_golden(capsys):
+    mismatched = []
+    for case in ASCOVER_GOLDEN:
+        code = main(case["argv"])
+        if [code, capsys.readouterr().out] != [case["code"], case["out"]]:
+            mismatched.append(case["argv"])
+    assert not mismatched
 
 
 def test_total_cancellation_rejected():

@@ -19,6 +19,14 @@ def test_prime_validation():
         field(2, 17)  # order 2^17 exceeds the table limit
     with pytest.raises(ValueError):
         field(2, 0)
+    # the order bound comes before primality and before p**k is built
+    for p in (10**14 + 31, 2 * (10**14 + 31)):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exceeds supported maximum field order {MAX_ORDER}"):
+            field(p, 1)
+        assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(ValueError, match=f"exceeds supported maximum {MAX_ORDER}"):
+        field(2, 10**5)
 
 
 def test_gf4_modulus():

@@ -169,7 +169,7 @@ def test_shift():
         for _ in range(30):
             p = rand_poly(spec, rng, 5)
             b = spec.element(rng.randrange(spec.q))
-            q = p.shift(b)
+            q = reference_shift(p, b)
             for t in [spec.element(rng.randrange(spec.q)) for _ in range(5)]:
                 assert q(t) == p(b + t)
 
@@ -271,6 +271,98 @@ def test_partial_fractions_round_trip():
                 continue  # denominator does not split
             assert pf.recombine() == f
             done += 1
+
+
+# -- partial fractions against the re-centring reference and sympy --------------
+
+
+def reference_shift(poly, b):
+    """The polynomial q with q(t) = poly(b + t), by Horner in (b + t)."""
+    acc = Polynomial.from_indices(poly.spec, [])
+    bt = Polynomial(poly.spec, [b, 1])
+    for c in reversed(poly.coeffs):
+        acc = acc * bt + Polynomial.from_indices(poly.spec, [c])
+    return acc
+
+
+def reference_series_inverse(a, prec):
+    """Power series inverse of a unit a (a(0) != 0) to the given precision."""
+    inv0 = a.coefficient(0).inverse()
+    out = [inv0]
+    for n in range(1, prec):
+        acc = sum((a.coefficient(i) * out[n - i] for i in range(1, n + 1)), a.spec.zero)
+        out.append(-acc * inv0)
+    return Polynomial(a.spec, out)
+
+
+def reference_partial_fractions(f):
+    """(poly part, sorted terms) of f: at each pole b of order e, the first e
+    Taylor coefficients of rest/g at b, with y = b + t and g = den/(y-b)^e
+    inverted as a power series in t."""
+    spec = f.spec
+    poly_part, rest = f.num.divmod(f.den)
+    y = Polynomial.variable(spec)
+    terms = []
+    for b in spec.elements():
+        e, g = 0, f.den
+        while (g % (y - b)).is_zero():
+            e, g = e + 1, g // (y - b)
+        if e:
+            prod = reference_shift(rest, b) * reference_series_inverse(reference_shift(g, b), e)
+            terms += [(b, e - j, prod.coefficient(j)) for j in range(e) if prod.coefficient(j)]
+    return poly_part, sorted(terms, key=lambda t: (t[0].idx, t[1]))
+
+
+def rand_split_den(spec, rng, first_mult):
+    """A nonzero constant times prod (y - b)^e over up to three distinct roots, the first of order first_mult."""
+    den = Polynomial.constant(spec, spec.element(rng.randrange(1, spec.q)))
+    roots = rng.sample(range(spec.q), rng.randint(1, min(3, spec.q)))
+    for i, r in enumerate(roots):
+        den = den * Polynomial.from_roots(spec, [spec.element(r)] * (first_mult if i == 0 else rng.randint(1, 6)))
+    return den
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+def test_partial_fractions_match_reference(p, k):
+    F = field(p, k)
+    rng = random.Random(41 * p + k)
+    for i in range(48):
+        f = RationalFunction(rand_poly(F, rng, 12), rand_split_den(F, rng, 1 + i % 6))
+        pf = partial_fractions(f)
+        poly, terms = reference_partial_fractions(f)
+        assert [(b.idx, j, a.idx) for b, j, a in pf.terms] == [(b.idx, j, a.idx) for b, j, a in terms]
+        assert pf.poly == poly
+        assert pf.recombine() == f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_partial_fractions_and_orders_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    F = field(p)
+    t = sympy.Symbol("t")
+
+    def sp(poly):  # over GF(p) the element index is the residue
+        return sympy.Poly(list(reversed(poly.coeffs)) or [0], t, modulus=p)
+
+    def multiplicity(P, b):
+        return sum(m for fac, m in P.factor_list()[1] if fac.degree() == 1 and fac.eval(b) % p == 0)
+
+    rng = random.Random(43 * p)
+    places = [Place.finite(F.element(b)) for b in range(p)] + [INFINITY]
+    for i in range(30):
+        f = RationalFunction(rand_poly(F, rng, 10), rand_split_den(F, rng, 1 + i % 6))
+        pf = partial_fractions(f)
+        N, D = sp(f.num), sp(f.den)
+        total = sp(pf.poly) * D
+        for b, j, a in pf.terms:
+            total += D.exquo(sp(Polynomial.from_roots(F, [b] * j))) * a.idx
+        assert total == N
+        g = rand_rational(F, rng, 6)  # any denominator: order_at needs no splitting
+        for h in (f, g):
+            if h:
+                want = [multiplicity(sp(h.num), b) - multiplicity(sp(h.den), b) for b in range(p)]
+                want.append(h.den.degree - h.num.degree)
+                assert [h.order_at(q) for q in places] == want
 
 
 def test_partial_fractions_terms_sorted():
