@@ -214,8 +214,9 @@ class TcMatrix:
     Source: H^0 of the relative dualizing sheaf twisted by sum m_i p_i;
     basis y^j * prod (y-q)^{-m_q} for 0 <= j <= deg(source divisor).
     Target: H^0 of O(sum ceil(m_i/p) p_i); analogous monomial basis.
-    The map is p^{-1}-semilinear; entries are stored raw and the rank is
-    computed after entrywise Frobenius linearization.
+    The map is p^{-1}-semilinear; entries are stored raw.  Frobenius is a
+    field automorphism, so the rank of the raw entries is the rank of the
+    linearised map.
     """
 
     __slots__ = ("spec", "entries", "source_dim", "target_dim", "rank", "semilinear_exponent")
@@ -225,8 +226,7 @@ class TcMatrix:
         self.entries = entries  # target_dim rows x source_dim cols of indices
         self.source_dim = source_dim
         self.target_dim = target_dim
-        linearized = [[spec.frobenius_idx(c) for c in row] for row in entries]
-        self.rank = matrix_rank(spec, linearized)
+        self.rank = matrix_rank(spec, entries)
         self.semilinear_exponent = -1  # tc(c psi) = c^(1/p) tc(psi)
 
     @property

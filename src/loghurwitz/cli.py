@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 expression/argument parse error, 3 field
 designator error, 4 graph schema error, 5 domain error (an operation
-rejected mathematically valid-looking input).  JSON output is emitted
-with sorted keys so identical inputs yield byte-identical bytes.
+rejected mathematically valid-looking input).  `main` maps library
+errors to codes in one place.  JSON output is emitted with sorted keys
+so identical inputs yield byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -64,46 +65,39 @@ def _get_bindings(args, spec):
         if "=" not in item:
             raise CliError(EXIT_PARSE, "parse", f"binding {item!r} is not name=value")
         name, _, value = item.partition("=")
-        try:
-            bindings[name.strip()] = parse_element(value, spec)
-        except ExprError as exc:
-            raise CliError(EXIT_PARSE, "parse", str(exc)) from exc
+        bindings[name.strip()] = parse_element(value, spec)
     return bindings
 
 
-def _get_expr(args, spec) -> RationalFunction:
-    try:
-        return parse_expression(args.expr, spec, bindings=_get_bindings(args, spec))
-    except ExprLimitError as exc:
-        raise CliError(EXIT_DOMAIN, "domain", str(exc)) from exc
-    except ExprError as exc:
-        raise CliError(EXIT_PARSE, "parse", str(exc)) from exc
-
-
 def _read_graph(args) -> LevelGraph:
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.file) as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise CliError(EXIT_SCHEMA, "schema", str(exc)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(EXIT_SCHEMA, "schema", str(exc)) from exc
     try:
         return LevelGraph.from_json(text)
     except GraphError as exc:
         raise CliError(EXIT_SCHEMA, "schema", str(exc)) from exc
 
 
-def _graph_datum(G: LevelGraph, args) -> HurwitzData:
-    """The discrete datum, from flags when given, else read off the graph."""
-    lam = xi = None
-    if getattr(args, "lam", None):
-        lam = _int_list(args.lam)
-    if getattr(args, "xi", None):
-        xi = _int_list(args.xi)
-    if getattr(args, "datum", None):
-        p, h, g, N = _datum(args.datum)
+def _graph_datum(args, G: LevelGraph = None) -> HurwitzData:
+    """The discrete datum from --datum, --lambda and --xi, else read off the graph G.
+
+    Without a graph (strata enumerate) --datum and --lambda are required.
+    """
+    if G is None and not (args.datum and args.lam):
+        raise CliError(EXIT_PARSE, "parse", "enumerate requires --datum p,h,g,N and --lambda")
+    lam = _int_list(args.lam) if args.lam else None
+    xi = _int_list(args.xi) if args.xi else None
+    if args.datum:
+        datum = _int_list(args.datum)
+        if len(datum) != 4:
+            raise CliError(EXIT_PARSE, "parse", "--datum must be p,h,g,N")
+        p, h, g, N = datum
         if lam is None:
             raise CliError(EXIT_PARSE, "parse", "--datum requires --lambda")
     else:
@@ -114,8 +108,9 @@ def _graph_datum(G: LevelGraph, args) -> HurwitzData:
         if lam is None:
             lam = [m.lam for m in G.markings]
             xi = [m.xi for m in G.markings]
+    regime = args.regime or (G.regime if G else "mixed")
     try:
-        return HurwitzData(p, h, g, N, lam, xi, getattr(args, "regime", None) or G.regime)
+        return HurwitzData(p, h, g, N, lam, xi, regime)
     except GraphError as exc:
         raise CliError(EXIT_PARSE, "parse", str(exc)) from exc
 
@@ -127,13 +122,6 @@ def _int_list(text):
         raise CliError(EXIT_PARSE, "parse", f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _datum(text):
-    values = _int_list(text)
-    if len(values) != 4:
-        raise CliError(EXIT_PARSE, "parse", "--datum must be p,h,g,N")
-    return values
-
-
 def _parse_places(text, spec):
     out = []
     for token in str(text).split(","):
@@ -141,10 +129,7 @@ def _parse_places(text, spec):
         if token in ("inf", "infinity", "oo"):
             out.append(INFINITY)
         else:
-            try:
-                out.append(Place.finite(parse_element(token, spec)))
-            except ExprError as exc:
-                raise CliError(EXIT_PARSE, "parse", str(exc)) from exc
+            out.append(Place.finite(parse_element(token, spec)))
     return out
 
 
@@ -178,121 +163,79 @@ def _text_value(v):
 # subcommands
 
 
-def cmd_cartier(args):
-    spec = _get_field(args)
-    f = _get_expr(args, spec)
+def _cartier_payload(spec, f):
     result = apply_cartier(Differential(f))
-    emit(args, {"field": f"{spec.p}^{spec.k}", "input": str(f), "result": str(result.f)})
-    return EXIT_OK
+    return {"field": f"{spec.p}^{spec.k}", "input": str(f), "result": str(result.f)}
 
 
-def _classify(tc):
-    if tc.is_zero():
-        return "exact"
-    if tc.is_constant():
-        return "quasi-exact"
-    return "neither"
-
-
-def cmd_tc(args):
-    spec = _get_field(args)
-    f = _get_expr(args, spec)
+def _tc_payload(spec, f):
     tc = twisted_cartier(BivariantForm(f))
-    emit(args, {"result": str(tc), "classification": _classify(tc)})
-    return EXIT_OK
+    classification = "exact" if tc.is_zero() else "quasi-exact" if tc.is_constant() else "neither"
+    return {"result": str(tc), "classification": classification}
 
 
-def cmd_exact(args):
-    spec = _get_field(args)
-    f = _get_expr(args, spec)
-    emit(args, {"exact": is_exact(BivariantForm(f))})
-    return EXIT_OK
+def _exact_payload(spec, f):
+    return {"exact": is_exact(BivariantForm(f))}
 
 
-def cmd_quasi_exact(args):
-    spec = _get_field(args)
-    f = _get_expr(args, spec)
+def _quasi_exact_payload(spec, f):
     flag, witness = is_quasi_exact(BivariantForm(f))
     payload = {"quasi_exact": flag}
     if witness is not None:
         payload["witness"] = str(witness)
         payload["witness_index"] = witness.idx
-    emit(args, payload)
-    return EXIT_OK
+    return payload
 
 
-def cmd_ascover(args):
-    spec = _get_field(args)
-    g = _get_expr(args, spec)
-    try:
-        cover = ascover.ArtinSchreierCover.from_equation(spec, g)
-        tau = cover.trace_form()
-        dim = cover.moduli_dimension()
-    except (ascover.CoverError, ValueError) as exc:
-        raise CliError(EXIT_DOMAIN, "domain", str(exc)) from exc
-    emit(
-        args,
-        {
-            "field": f"{spec.p}^{spec.k}",
-            "normal_form": str(cover.normal_form()),
-            "branch_points": [str(b) for b in cover.branch_points],
-            "conductors": list(cover.conductors),
-            "genus": cover.genus,
-            "moduli_dimension": dim,
-            "trace_coefficient": str(tau.coefficient),
-            "trace_orders": {
-                str(b): dict(tau.orders[b]) for b in cover.branch_points
-            },
+def _ascover_payload(spec, g):
+    cover = ascover.ArtinSchreierCover.from_equation(spec, g)
+    tau = cover.trace_form()
+    return {
+        "field": f"{spec.p}^{spec.k}",
+        "normal_form": str(cover.normal_form()),
+        "branch_points": [str(b) for b in cover.branch_points],
+        "conductors": list(cover.conductors),
+        "genus": cover.genus,
+        "moduli_dimension": cover.moduli_dimension(),
+        "trace_coefficient": str(tau.coefficient),
+        "trace_orders": {
+            str(b): dict(tau.orders[b]) for b in cover.branch_points
         },
-    )
+    }
+
+
+def cmd_expr(args):
+    """An expression subcommand: parse --expr over the field, emit args.payload(spec, f)."""
+    spec = _get_field(args)
+    f = parse_expression(args.expr, spec, bindings=_get_bindings(args, spec))
+    emit(args, args.payload(spec, f))
     return EXIT_OK
 
 
 def cmd_strata(args):
     if args.strata_cmd == "enumerate":
-        if not getattr(args, "datum", None) or not getattr(args, "lam", None):
-            raise CliError(EXIT_PARSE, "parse", "enumerate requires --datum p,h,g,N and --lambda")
-        p, h, g, N = _datum(args.datum)
-        lam = _int_list(args.lam)
-        xi = _int_list(args.xi) if getattr(args, "xi", None) else None
-        try:
-            A = HurwitzData(p, h, g, N, lam, xi, args.regime or "mixed")
-            comps = strata.enumerate_components(A, args.max_vertices)
-        except GraphError as exc:
-            raise CliError(EXIT_DOMAIN, "domain", str(exc)) from exc
-        emit(
-            args,
-            {"count": len(comps), "components": [G.to_json_obj() for G in comps]},
-            dot="".join(G.to_dot() for G in comps),
-        )
+        comps = strata.enumerate_components(_graph_datum(args), args.max_vertices)
+        payload = {"count": len(comps), "components": [G.to_json_obj() for G in comps]}
+        emit(args, payload, dot="".join(G.to_dot() for G in comps))
         return EXIT_OK
 
     G = _read_graph(args)
-    A = _graph_datum(G, args)
+    A = _graph_datum(args, G)
     if args.strata_cmd == "validate":
         report = strata.validate(G, A)
         emit(args, {"ok": report.ok, "errors": report.errors}, dot=G.to_dot())
         return EXIT_OK if report.ok else EXIT_DOMAIN
     if args.strata_cmd == "dim":
-        try:
-            L = strata.stratum_dimension(G, A)
-        except GraphError as exc:
-            raise CliError(EXIT_DOMAIN, "domain", str(exc)) from exc
-        emit(args, vars(L), dot=G.to_dot())
+        emit(args, vars(strata.stratum_dimension(G, A)), dot=G.to_dot())
         return EXIT_OK
-    if args.strata_cmd == "monoid":
-        rank, free = strata.monoid_rank(G, A)
-        emit(args, {"monoid_rank": rank, "monoid_free": free}, dot=G.to_dot())
-        return EXIT_OK
-    raise CliError(EXIT_PARSE, "parse", f"unknown strata subcommand {args.strata_cmd!r}")
+    rank, free = strata.monoid_rank(G, A)
+    emit(args, {"monoid_rank": rank, "monoid_free": free}, dot=G.to_dot())
+    return EXIT_OK
 
 
 def cmd_loci(args):
     spec = _get_field(args)
-    try:
-        pattern = loci.ZeroPolePattern(spec.p, _int_list(args.pattern))
-    except ValueError as exc:
-        raise CliError(EXIT_DOMAIN, "domain", str(exc)) from exc
+    pattern = loci.ZeroPolePattern(spec.p, _int_list(args.pattern))
     kind = args.kind.replace("-", "_")
     if kind not in (loci.EXACT, loci.QUASI_EXACT):
         raise CliError(EXIT_PARSE, "parse", f"unknown kind {args.kind!r}")
@@ -303,27 +246,15 @@ def cmd_loci(args):
         return EXIT_OK
     if args.loci_cmd == "search":
         pinned = _parse_places(args.pin, spec) if args.pin else None
-        try:
-            configs = loci.locus_search(pattern, kind, spec, pinned)
-        except ValueError as exc:
-            raise CliError(EXIT_DOMAIN, "domain", str(exc)) from exc
-        emit(
-            args,
-            dict(base, count=len(configs), configs=[[str(q) for q in c.points] for c in configs]),
-        )
+        configs = [[str(q) for q in c.points] for c in loci.locus_search(pattern, kind, spec, pinned)]
+        emit(args, dict(base, count=len(configs), configs=configs))
         return EXIT_OK
-    if args.loci_cmd == "tangent":
-        if not args.config:
-            raise CliError(EXIT_PARSE, "parse", "tangent requires --config")
-        points = _parse_places(args.config, spec)
-        try:
-            config = loci.MarkingConfig(spec, points)
-            report = loci.tangent_report(config, pattern, kind)
-        except ValueError as exc:
-            raise CliError(EXIT_DOMAIN, "domain", str(exc)) from exc
-        emit(args, dict(base, config=[str(q) for q in points], **report))
-        return EXIT_OK
-    raise CliError(EXIT_PARSE, "parse", f"unknown loci subcommand {args.loci_cmd!r}")
+    if not args.config:
+        raise CliError(EXIT_PARSE, "parse", "tangent requires --config")
+    points = _parse_places(args.config, spec)
+    report = loci.tangent_report(loci.MarkingConfig(spec, points), pattern, kind)
+    emit(args, dict(base, config=[str(q) for q in points], **report))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +314,6 @@ def run_example6(spec: FieldSpec = None, perturb: bool = False):
         report.append({"check": check, "description": description, "ok": bool(ok)})
 
     y = RationalFunction.variable(spec)
-    one = RationalFunction.constant(spec, 1)
 
     # (a) tc of the genus-1 family form, symbolically in lambda and mu
     # (b) quasi-exactness exactly on the mu = sqrt(lambda) locus
@@ -437,18 +367,14 @@ def run_example6(spec: FieldSpec = None, perturb: bool = False):
             [strata.SourceEdge(e.id, e.v1, e.v2, e.slope + 1, e.image)],
             G.target_vertices, G.target_edges, G.markings,
         )
-    totals = []
-    ranks = []
-    ok_f = True
+    ledgers = []
     for G in graphs:
         try:
             L = strata.stratum_dimension(G, A)
         except GraphError:
-            ok_f = False
-            continue
-        totals.append(L.total)
-        ranks.append(L.monoid_rank)
-    ok_f = ok_f and totals == [1, 0, 0] and ranks == [1, 2, 2]
+            break
+        ledgers.append((L.total, L.monoid_rank))
+    ok_f = ledgers == [(1, 1), (0, 2), (0, 2)]
     record("f", "stratum dimensions 1, 0, 0 and monoid ranks 1, 2, 2", ok_f)
 
     # (g) four irreducible components
@@ -509,16 +435,16 @@ def build_parser():
             p.add_argument("--expr", required=True, help="rational expression in y")
             p.add_argument("--bind", action="append", help="name=value element binding", default=[])
 
-    for name, fn in [
-        ("cartier", cmd_cartier),
-        ("tc", cmd_tc),
-        ("exact", cmd_exact),
-        ("quasi-exact", cmd_quasi_exact),
-        ("ascover", cmd_ascover),
+    for name, payload in [
+        ("cartier", _cartier_payload),
+        ("tc", _tc_payload),
+        ("exact", _exact_payload),
+        ("quasi-exact", _quasi_exact_payload),
+        ("ascover", _ascover_payload),
     ]:
         p = sub.add_parser(name)
         add_common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_expr, payload=payload)
 
     p = sub.add_parser("strata")
     p.add_argument("strata_cmd", choices=["validate", "dim", "monoid", "enumerate"])
@@ -557,6 +483,12 @@ def main(argv=None) -> int:
         payload, code = {"help": str(exc)}, EXIT_OK
     except CliError as exc:
         payload, code = {"error": exc.kind, "message": str(exc)}, exc.code
+    except ExprLimitError as exc:
+        payload, code = {"error": "domain", "message": str(exc)}, EXIT_DOMAIN
+    except ExprError as exc:
+        payload, code = {"error": "parse", "message": str(exc)}, EXIT_PARSE
+    except ValueError as exc:  # GraphError, CoverError and the other rejections of input
+        payload, code = {"error": "domain", "message": str(exc)}, EXIT_DOMAIN
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     return code
 

@@ -6,6 +6,16 @@ from .ffield import FieldSpec
 from .ratfunc import INFINITY, Place, Polynomial, RationalFunction
 
 
+def _homogeneous(spec, q: Place):
+    """Coordinates (x : z) of a place: (a : 1) for a finite a, (1 : 0) for infinity."""
+    one = spec.from_int(1)
+    return (one, spec.from_int(0)) if q.is_infinity else (q.value, one)
+
+
+def _det(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
 class Mobius:
     """x -> (a x + b) / (c x + d) with ad - bc != 0."""
 
@@ -41,37 +51,25 @@ class Mobius:
         )
 
     def apply_place(self, q: Place) -> Place:
-        if q.is_infinity:
-            if self.c.idx == 0:
-                return INFINITY
-            return Place.finite(self.a / self.c)
-        den = self.c * q.value + self.d
+        x, z = _homogeneous(self.spec, q)
+        den = self.c * x + self.d * z
         if den.idx == 0:
             return INFINITY
-        return Place.finite((self.a * q.value + self.b) / den)
+        return Place.finite((self.a * x + self.b * z) / den)
 
     @classmethod
     def to_standard(cls, spec, q0: Place, q1: Place, qinf: Place) -> "Mobius":
-        """The unique map sending (q0, q1, qinf) to (0, 1, infinity)."""
+        """The unique map sending (q0, q1, qinf) to (0, 1, infinity).
+
+        It is the cross ratio on homogeneous coordinates:
+        v -> (det(v, v0) det(v1, vinf) : det(v, vinf) det(v1, v0)).
+        """
         if len({q0, q1, qinf}) != 3:
             raise ValueError("points must be pairwise distinct")
-        # cross ratio (x - q0)(q1 - qinf) / ((x - qinf)(q1 - q0)), degenerating
-        # cleanly when one of the three points is infinity.
-        one = spec.from_int(1)
-        zero = spec.from_int(0)
-        if qinf.is_infinity:
-            d = one
-            c = zero
-            scale = (q1.value - q0.value).inverse()
-            return cls(spec, scale, -q0.value * scale, c, d)
-        if q0.is_infinity:
-            # (q1 - qinf)/(x - qinf)
-            num = q1.value - qinf.value
-            return cls(spec, zero, num, one, -qinf.value)
-        if q1.is_infinity:
-            return cls(spec, one, -q0.value, one, -qinf.value)
-        k = (q1.value - qinf.value) / (q1.value - q0.value)
-        return cls(spec, k, -q0.value * k, one, -qinf.value)
+        (x0, z0), v1, (xi, zi) = (_homogeneous(spec, q) for q in (q0, q1, qinf))
+        kn, kd = _det(v1, (xi, zi)), _det(v1, (x0, z0))
+        # det(v, u) = x u_z - z u_x, so each factor is linear in (x : z)
+        return cls(spec, kn * z0, -kn * x0, kd * zi, -kd * xi)
 
     @classmethod
     def from_triples(cls, spec, src, dst) -> "Mobius":

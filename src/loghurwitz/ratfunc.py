@@ -670,7 +670,8 @@ class RationalFunction:
         ns = str(self.num)
         if self.den.degree == 0:
             return ns
-        if self.num.degree > 0 and len(self.num.coeffs) - len([c for c in self.num.coeffs if c == 0]) > 1:
+        # several monomials, or one constant of several terms such as w+1
+        if " + " in ns or (self.num.degree == 0 and "+" in ns):
             ns = f"({ns})"
         return f"{ns}/({self.den})"
 

@@ -288,6 +288,33 @@ def test_global_tc_matrix_matches_reference(p, k):
         assert (M.entries, M.source_dim, M.target_dim) == _reference_tc_matrix(spec, marked), marked
 
 
+
+def _reference_linearised_rank(spec, entries):
+    """The rank after entrywise Frobenius linearisation, as TcMatrix once computed it."""
+    return matrix_rank(spec, [[spec.frobenius_idx(c) for c in row] for row in entries])
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2)])
+def test_tc_matrix_rank_matches_linearised_reference(p, k):
+    # Frobenius is not the identity on these fields, yet as an automorphism it keeps every rank
+    spec = field(p, k)
+    rng = random.Random(61 + spec.q)
+    places = [Place.finite(e) for e in spec.elements()] + [INFINITY]
+    values = [v for v in range(-2 * p, 2 * p + 1) if v != 0]
+    for _ in range(20):
+        n = rng.randrange(1, 5)
+        M = global_tc_matrix(spec, list(zip(rng.sample(places, n), (rng.choice(values) for _ in range(n)))))
+        assert M.rank == _reference_linearised_rank(spec, M.entries)
+    for _ in range(40):
+        # rows x r times r x cols: rank at most r, so often below full rank
+        rows, cols, r = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(4)
+        A = [[spec.element(rng.randrange(spec.q)) for _ in range(r)] for _ in range(rows)]
+        B = [[spec.element(rng.randrange(spec.q)) for _ in range(cols)] for _ in range(r)]
+        entries = [[sum((A[i][t] * B[t][j] for t in range(r)), spec.from_int(0)).idx for j in range(cols)]
+                   for i in range(rows)]
+        assert matrix_rank(spec, entries) == _reference_linearised_rank(spec, entries)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_twisted_cartier_matches_sympy_bucket(p):
     sympy = pytest.importorskip("sympy")

@@ -145,6 +145,13 @@ def test_schema_error_code(capsys, monkeypatch, tmp_path):
     assert code == EXIT_SCHEMA and obj["error"] == "schema"
 
 
+def test_undecodable_graph_file_is_schema_error(capsys, tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, obj = run_json(capsys, "strata", "validate", "--file", str(path))
+    assert code == EXIT_SCHEMA and obj["error"] == "schema"
+
+
 def test_short_datum_is_parse_error(capsys):
     code, obj = run_json(capsys, "strata", "enumerate", "--datum", "2,1", "--lambda", "2,2")
     assert code == EXIT_PARSE and obj["error"] == "parse"
@@ -175,6 +182,48 @@ def test_enumerate_work_bound(capsys):
 def test_domain_error_code(capsys):
     code, obj = run_json(capsys, "ascover", "--field", "2^4", "--expr", "1/y^2 + 1/y")
     assert code == EXIT_DOMAIN and obj["error"] == "domain"
+
+
+LOCI_2_4 = ("--field", "2^4", "--pattern", "1,1,1,1,-2")
+
+
+@pytest.mark.parametrize("argv,code,kind", [
+    (("tc", "--field", "2^4", "--expr", "y*(y-l)", "--bind", "l=z"), EXIT_PARSE, "parse"),
+    (("loci", "search", *LOCI_2_4, "--kind", "exact", "--pin", "0,z"), EXIT_PARSE, "parse"),
+    (("loci", "tangent", *LOCI_2_4, "--kind", "exact", "--config", "0,z,1,inf,w"), EXIT_PARSE, "parse"),
+    (("ascover", "--field", "2^4", "--expr", "1"), EXIT_DOMAIN, "domain"),
+    (("loci", "search", "--field", "2^4", "--pattern", "2,2", "--kind", "exact"), EXIT_DOMAIN, "domain"),
+    (("loci", "search", *LOCI_2_4, "--kind", "exact", "--pin", "0,0"), EXIT_DOMAIN, "domain"),
+    (("loci", "tangent", *LOCI_2_4, "--kind", "exact", "--config", "0,1,w,inf,w^2+1"), EXIT_DOMAIN, "domain"),
+    (("strata", "dim", "--file", "INVALID"), EXIT_DOMAIN, "domain"),
+    (("strata", "enumerate", "--datum", "2,1,0,4", "--lambda", "2,2,2,2", "--regime", "equicharacteristic"),
+     EXIT_DOMAIN, "domain"),
+])
+def test_error_sites_exit_codes(capsys, tmp_path, argv, code, kind):
+    obj = example_graphs()[0].to_json_obj()
+    obj["source"]["edges"][0]["slope"] = 2
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(obj))
+    got, out = run(capsys, *(str(path) if a == "INVALID" else a for a in argv))
+    assert (got, out.count("\n"), json.loads(out)["error"]) == (code, 1, kind)
+
+
+def test_enumerate_names_its_required_flags(capsys):
+    code, obj = run_json(capsys, "strata", "enumerate", "--lambda", "2,2,2,2")
+    assert code == EXIT_PARSE
+    assert obj["message"] == "enumerate requires --datum p,h,g,N and --lambda"
+
+
+@pytest.mark.parametrize("sub", ["enumerate", "dim", "validate", "monoid"])
+def test_malformed_datum_is_parse_error_for_every_strata_subcommand(capsys, tmp_path, sub):
+    path = tmp_path / "g.json"
+    path.write_text(example_graphs()[0].to_json())
+    code, obj = run_json(
+        capsys, "strata", sub, "--file", str(path),
+        "--datum", "2,1,0,4", "--lambda", "2,2,2,2", "--xi", "0,0",
+    )
+    assert code == EXIT_PARSE
+    assert obj == {"error": "parse", "message": "Lambda and Xi lengths differ"}
 
 
 def test_unknown_subcommand_exit(capsys):

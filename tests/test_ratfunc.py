@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -420,6 +421,20 @@ def test_parse_errors():
             parse_expression(bad, F16)
 
 
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 1)])
+def test_str_parses_back(p, k):
+    spec = field(p, k)
+    rng = random.Random(23 + spec.q)
+    fs = [rand_rational(spec, rng) for _ in range(80)]
+    # every constant as a numerator over y - b: w+1 must not print as w+1/(...)
+    for c in spec.elements():
+        b = spec.element(rng.randrange(spec.q))
+        fs.append(RationalFunction(Polynomial.constant(spec, c), Polynomial(spec, [-b, 1])))
+    for f in fs:
+        assert parse_expression(str(f), spec) == f, str(f)
+
+
 # -- Moebius maps ------------------------------------------------------------
 
 
@@ -442,6 +457,34 @@ def test_mobius_to_standard_with_infinity():
         assert m.apply_place(triple[0]) == zero
         assert m.apply_place(triple[1]) == one
         assert m.apply_place(triple[2]) == INFINITY
+
+
+def _reference_to_standard(spec, q0, q1, qinf):
+    """The cross ratio (x - q0)(q1 - qinf) / ((x - qinf)(q1 - q0)), one branch per infinite point."""
+    one, zero = spec.from_int(1), spec.from_int(0)
+    if qinf.is_infinity:
+        scale = (q1.value - q0.value).inverse()
+        return Mobius(spec, scale, -q0.value * scale, zero, one)
+    if q0.is_infinity:
+        return Mobius(spec, zero, q1.value - qinf.value, one, -qinf.value)
+    if q1.is_infinity:
+        return Mobius(spec, one, -q0.value, one, -qinf.value)
+    k = (q1.value - qinf.value) / (q1.value - q0.value)
+    return Mobius(spec, k, -q0.value * k, one, -qinf.value)
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2)])
+def test_mobius_to_standard_every_triple(p, k):
+    spec = field(p, k)
+    places = [Place.finite(e) for e in spec.elements()] + [INFINITY]
+    zero, one = Place.finite(spec.from_int(0)), Place.finite(spec.from_int(1))
+    for triple in itertools.permutations(places, 3):
+        m = Mobius.to_standard(spec, *triple)
+        assert [m.apply_place(q) for q in triple] == [zero, one, INFINITY]
+        ref = _reference_to_standard(spec, *triple)
+        # the same map up to a scalar: the same function and the same action on every place
+        assert m.as_rational() == ref.as_rational()
+        assert [m.apply_place(q) for q in places] == [ref.apply_place(q) for q in places]
 
 
 def test_mobius_from_triples_and_inverse():
