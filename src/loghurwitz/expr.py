@@ -142,7 +142,10 @@ class _Parser:
 
 
 def parse_expression(text: str, spec: FieldSpec, variable: str = "y", bindings=None) -> RationalFunction:
-    return _Parser(text, spec, variable, bindings).parse()
+    try:
+        return _Parser(text, spec, variable, bindings).parse()
+    except RecursionError as exc:  # the descent recurses once per nesting level
+        raise ExprLimitError("expression nests too deeply to parse") from exc
 
 
 def parse_element(text: str, spec: FieldSpec, bindings=None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .cartier import _tc_kernel, matrix_rank
+from .cartier import matrix_rank
 from .ffield import FieldSpec
 from .ratfunc import INFINITY, Place, Polynomial, _coefficient_index, _from_logs
 
@@ -216,43 +216,42 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     The last three markings are pinned; the i-th unit deformation of a
     free marking contributes r_i = tc of the eps-part of the deformed
     product, and the tangent space is the kernel of a -> sum a_i^{1/p} r_i
-    (quasi-exact kind: composed with the quotient by the constants).
+    (quasi-exact kind: composed with the quotient by the constants).  One
+    product N D^(p-1) serves both the membership guard (_in_locus) and
+    every response: the tc numerator of N / (D (y - p_i)) is the p-th root
+    of bucket p - 1 of N D^(p-1) (y - p_i)^(p-1).
     """
     _check_compatible(config, pattern)
     if pattern.n < 3:
         raise ValueError("need at least three markings to rigidify the line")
-    if not locus_membership(config, pattern, kind):
+    _check_kind(kind)
+    spec, p = config.spec, pattern.p
+    roots = _root_indices(spec, config.points)
+    big, D = _form_parts(spec, roots, pattern.m, p - 1)
+    if not _in_locus(spec, kind, _logs(big), _ONE, _logs(D), _ONE):
         raise ValueError("configuration is not in the locus")
-    spec = config.spec
-    n = pattern.n
-    free = n - 3
+    free = pattern.n - 3
     if any(q.is_infinity for q in config.points[:free]):
         raise ValueError("the marking at infinity must be among the three pinned ones")
 
     # the eps-part of the i-th unit deformation is -m_i * (N/D) / (y - p_i),
     # so it vanishes exactly when p divides m_i; a nonzero scalar factor
     # does not change the rank computed below.  Its tc is T_i / (D (y - p_i)).
-    p = pattern.p
-    roots = _root_indices(spec, config.points)
-    N, D = _form_parts(spec, roots, pattern.m, 0)
+    root = spec.pth_root_idx
     responses = []
     for r, mi in zip(roots[:free], pattern.m):
         if mi % p:
-            den = D * Polynomial._from_root_indices(spec, [r])
-            responses.append((_tc_kernel(N, den)[0], den))
+            bucket = (big * Polynomial._from_root_indices(spec, [r] * (p - 1))).coeffs[p - 1 :: p]
+            T = Polynomial.from_indices(spec, [root(c) for c in bucket])
+            responses.append((T, D * Polynomial._from_root_indices(spec, [r])))
     ker_alpha = free - len(responses)
 
     # coefficient vectors over the common denominator
     # prod (y - p_i)^{max(0, ceil(m_i / p))}, which clears every pole the
     # twisted operator can produce.
-    clear_roots = []
-    m_inf = 0
-    for r, mi in zip(roots, pattern.m):
-        if r is None:
-            m_inf = mi
-        else:
-            clear_roots += [r] * -(mi // p)  # pole allowance ceil(-m_i / p)
-    clear = Polynomial._from_root_indices(spec, clear_roots)
+    m_inf = sum(mi for r, mi in zip(roots, pattern.m) if r is None)
+    clear_roots = [r for r, mi in zip(roots, pattern.m) if r is not None for _ in range(-(mi // p))]
+    clear = Polynomial._from_root_indices(spec, clear_roots)  # pole allowance ceil(-m_i / p) at each
     inf_allowance = max(0, (3 * p - 3 - m_inf) // p)
     width = clear.degree + 1 + inf_allowance
 
@@ -272,13 +271,7 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
         one = Polynomial.constant(spec, 1)
         aug = rows + [coeff_row(one, one)]
         dim = free - (matrix_rank(spec, aug) - 1)
-    return {
-        "kind": kind,
-        "free": free,
-        "ker_alpha": ker_alpha,
-        "rank": rank,
-        "dimension": dim,
-    }
+    return {"kind": kind, "free": free, "ker_alpha": ker_alpha, "rank": rank, "dimension": dim}
 
 
 def tangent_dimension(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -> int:
@@ -289,17 +282,13 @@ def tangent_dimension(config: MarkingConfig, pattern: ZeroPolePattern, kind: str
 # exhaustive search
 
 
-def _default_pinned(spec: FieldSpec):
-    return (Place.finite(spec.from_int(0)), Place.finite(spec.from_int(1)), INFINITY)
-
-
 def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=None):
     """All locus configurations over GF(p^k), the last markings pinned.
 
-    The pinned places (default 0, 1, infinity, truncated for very short
-    patterns) occupy the final slots, killing the Moebius symmetry; the
-    free slots range over the remaining places in the order of
-    itertools.permutations, as a depth-first search that fills the free
+    The pinned places (default 0, 1, infinity; at most three, truncated
+    for very short patterns) occupy the final slots, killing the Moebius
+    symmetry; the free slots range over the remaining places in the order
+    of itertools.permutations, as a depth-first search that fills the free
     slots one at a time, each in candidate order.  Along a branch the
     search carries the prefix product base * prod (y - a_i)^{e_i}, with
     e_i = m_i at a zero and (p - 1)|m_i| at a pole, so that the full
@@ -308,22 +297,27 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
     factors (y - a)^{e} are cached for the call.  At the last free slot
     the full product is never formed: the coefficients of its bucket
     p - 1 are computed one at a time and the first that fails rules the
-    candidate out (_in_locus, shared with locus_membership).  A search of
-    more than MAX_SEARCH_CONFIGS free-slot permutations raises ValueError
-    before visiting any.
+    candidate out (_in_locus, shared with locus_membership).  Its
+    quasi-exact degree test low <= top is decided before the search:
+    top - low + p - 1 is the sum of m_i over the finite markings, so it
+    holds iff a marking at infinity has m_i <= p - 1.  A pinned infinity
+    that fails returns [], and no free slot that fails holds infinity.  A
+    search of more than MAX_SEARCH_CONFIGS free-slot permutations raises
+    ValueError before visiting any.
     """
     if spec.p != pattern.p:
         raise ValueError("field characteristic and pattern characteristic differ")
     _check_kind(kind)
     n, m, p = pattern.n, pattern.m, pattern.p
     if pinned is None:
-        pinned = _default_pinned(spec)
-    pinned = tuple(pinned)[: min(3, n)]
+        pinned = (Place.finite(spec.from_int(0)), Place.finite(spec.from_int(1)), INFINITY)
+    pinned = tuple(pinned)
+    if len(pinned) > 3:
+        raise ValueError(f"at most three places can be pinned, got {len(pinned)}")
+    pinned = pinned[:n]
     if len(set(pinned)) != len(pinned):
         raise ValueError("pinned places must be distinct")
     free = n - len(pinned)
-    if free < 0:
-        raise ValueError("more pinned places than markings")
     pinned_roots = _root_indices(spec, pinned)
     # element indices in index order, then infinity (None), as Places sort
     candidates = [r for r in [*range(spec.q), None] if r not in pinned_roots]
@@ -332,6 +326,10 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
         raise ValueError(
             f"search would visit {visits} configurations, above MAX_SEARCH_CONFIGS = {MAX_SEARCH_CONFIGS}"
         )
+    quasi = kind == QUASI_EXACT
+    if quasi and any(q.is_infinity and mi >= p for q, mi in zip(pinned, m[free:])):
+        return []
+    slots = [[r for r in candidates if r is not None or not quasi or mi < p] for mi in m[:free]]
     base, base_den = _form_parts(spec, pinned_roots, m[free:], p - 1)
     if free == 0:
         found = _in_locus(spec, kind, _logs(base), _ONE, _logs(base_den), _ONE)
@@ -363,7 +361,6 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
         return cache[key]
 
     out = []
-    quasi = kind == QUASI_EXACT
     # depth-first over the prefixes (chosen roots, prefix product, prefix D);
     # children are pushed in reverse so that they pop in candidate order
     stack = [((), base, base_den)]
@@ -372,7 +369,7 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
         mi = m[len(chosen)]
         if len(chosen) == free - 1:
             big, den = _logs(big), _logs(den)
-            for r in candidates:
+            for r in slots[-1]:
                 if r not in chosen:
                     fl, gl = factor(r, mi)
                     if _in_locus(spec, kind, big, fl, den, gl):
@@ -380,7 +377,7 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
                         out.append(MarkingConfig(spec, tuple(points) + pinned))
             continue
         children = []
-        for r in candidates:
+        for r in slots[len(chosen)]:
             if r in chosen:
                 continue
             big_r, den_r = big, den  # infinity contributes 1

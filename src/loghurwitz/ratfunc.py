@@ -241,13 +241,13 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of Polynomial; use RationalFunction")
-        result = Polynomial.constant(self.spec, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if not n:
+            return Polynomial.constant(self.spec, 1)
+        result = self  # left to right: a squaring per bit after the top one, a multiply per set bit
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def _operand(self, other):

@@ -116,6 +116,12 @@ def test_power_degree_bound_is_domain_error(capsys):
     assert obj["error"] == "domain" and str(MAX_POWER_DEGREE) in obj["message"]
 
 
+def test_deep_nesting_is_domain_error(capsys):
+    code, out = run(capsys, "tc", "--field", "2", "--expr", "(" * 2000 + "y" + ")" * 2000)
+    assert code == EXIT_DOMAIN and out.count("\n") == 1
+    assert json.loads(out)["error"] == "domain"
+
+
 def test_constant_power_has_no_degree_bound(capsys):
     code, obj = run_json(capsys, "tc", "--field", "2^2", "--expr", "w^99999999999")
     assert code == EXIT_OK and obj["classification"] == "exact"
@@ -194,6 +200,8 @@ LOCI_2_4 = ("--field", "2^4", "--pattern", "1,1,1,1,-2")
     (("ascover", "--field", "2^4", "--expr", "1"), EXIT_DOMAIN, "domain"),
     (("loci", "search", "--field", "2^4", "--pattern", "2,2", "--kind", "exact"), EXIT_DOMAIN, "domain"),
     (("loci", "search", *LOCI_2_4, "--kind", "exact", "--pin", "0,0"), EXIT_DOMAIN, "domain"),
+    (("loci", "search", "--field", "2", "--pattern", "1,1,1,1,-2", "--kind", "quasi-exact", "--pin", "0,1,inf,0"),
+     EXIT_DOMAIN, "domain"),
     (("loci", "tangent", *LOCI_2_4, "--kind", "exact", "--config", "0,1,w,inf,w^2+1"), EXIT_DOMAIN, "domain"),
     (("strata", "dim", "--file", "INVALID"), EXIT_DOMAIN, "domain"),
     (("strata", "enumerate", "--datum", "2,1,0,4", "--lambda", "2,2,2,2", "--regime", "equicharacteristic"),

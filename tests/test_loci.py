@@ -1,8 +1,10 @@
 import itertools
+import math
+import time
 
 import pytest
 
-from loghurwitz.cartier import _tc_kernel
+from loghurwitz.cartier import _tc_kernel, matrix_rank
 from loghurwitz.ffield import FieldSpec, field
 from loghurwitz.loci import (
     EXACT,
@@ -10,6 +12,8 @@ from loghurwitz.loci import (
     QUASI_EXACT,
     MarkingConfig,
     ZeroPolePattern,
+    _form_parts,
+    _root_indices,
     dimension_formula,
     locus_membership,
     locus_search,
@@ -302,6 +306,24 @@ def test_search_custom_pin():
         assert c.points[2:] == pin
 
 
+def test_search_rejects_more_than_three_pins():
+    pat = ZeroPolePattern(2, (1, 1, 1, 1, -2))
+    with pytest.raises(ValueError, match="at most three"):
+        locus_search(pat, QUASI_EXACT, F16, (pt(F16, 0), pt(F16, 1), INFINITY, pt(F16, 2)))
+
+
+def test_degree_decided_search_near_the_work_bound():
+    # infinity is pinned under m = 3 >= p: the quasi-exact degree test fails
+    # for every configuration, so the search returns before its DFS
+    F27 = field(3, 3)
+    pat = ZeroPolePattern(3, (1, 1, 1, 1, 1, -1, -3, 3))
+    visits = math.perm(F27.q - 2, 5)
+    assert MAX_SEARCH_CONFIGS // 2 < visits <= MAX_SEARCH_CONFIGS
+    start = time.monotonic()
+    assert locus_search(pat, QUASI_EXACT, F27) == []
+    assert time.monotonic() - start < 2.0
+
+
 def test_search_deterministic():
     pat = ZeroPolePattern(2, (1, 1, 1, 1, -2))
     a = [c.points for c in locus_search(pat, QUASI_EXACT, F16)]
@@ -352,6 +374,14 @@ def _patterns(p, n_max):
                     yield ZeroPolePattern(p, perm)
 
 
+# patterns whose free slots (the first two of five) mix m_i >= p, where the
+# degree test bars infinity, with m_i < p, where infinity may sit
+MIXED_FREE = {
+    2: [(2, 1, -1, 1, -1), (1, 2, -1, 1, -1), (4, -1, 1, -1, -1), (-1, 4, 1, -1, -1)],
+    3: [(3, 1, -1, 2, -1), (1, 3, -1, 2, -1), (-2, 5, 1, 1, -1), (5, -2, 1, 1, -1)],
+}
+
+
 @pytest.mark.parametrize("spec", [F4, F8, field(3, 1), F9], ids=["2^2", "2^3", "3", "3^2"])
 @pytest.mark.parametrize("pins", ["default", "finite"])
 def test_search_matches_permutation_reference(spec, pins):
@@ -360,8 +390,9 @@ def test_search_matches_permutation_reference(spec, pins):
     pinned = (pt(spec, 0), pt(spec, 1), INFINITY)
     if pins == "finite":
         pinned = (Place.finite(spec.element(spec.q - 1)), pt(spec, 0), pt(spec, 1))
-    searched = hits = 0
-    for pattern in _patterns(spec.p, 5):
+    searched = hits = mixed = 0
+    patterns = [*_patterns(spec.p, 5), *(ZeroPolePattern(spec.p, m) for m in MIXED_FREE[spec.p])]
+    for pattern in patterns:
         for kind in (EXACT, QUASI_EXACT):
             visited, want = _reference_search(pattern, kind, spec, pinned)
             got = locus_search(pattern, kind, spec, None if pins == "default" else pinned)
@@ -370,7 +401,123 @@ def test_search_matches_permutation_reference(spec, pins):
                 assert locus_membership(config, pattern, kind) == (config in want), (config, pattern, kind)
             searched += len(visited)
             hits += len(want)
+            barred = [mi >= spec.p for mi in pattern.m[: pattern.n - 3]]
+            if pins == "finite" and kind == QUASI_EXACT and any(barred) and not all(barred):
+                mixed += 1
+                # infinity turns up only in free slots that pass the degree test
+                assert all(not q.is_infinity or mi < spec.p for c in got for q, mi in zip(c.points, pattern.m))
     assert searched > 100 and hits > 10
+    if pins == "finite":
+        assert mixed >= len(MIXED_FREE[spec.p])
+
+
+# -- tangent_report against the implementation it replaced --------------------
+
+
+def _reference_tangent_report(config, pattern, kind):
+    """tangent_report as it was: the membership guard, then N and D again and one tc kernel per response."""
+    if len(config.points) != pattern.n or config.spec.p != pattern.p:
+        raise ValueError("configuration and pattern lengths differ")
+    if pattern.n < 3:
+        raise ValueError("need at least three markings to rigidify the line")
+    if not locus_membership(config, pattern, kind):
+        raise ValueError("configuration is not in the locus")
+    spec = config.spec
+    free = pattern.n - 3
+    if any(q.is_infinity for q in config.points[:free]):
+        raise ValueError("the marking at infinity must be among the three pinned ones")
+    p = pattern.p
+    roots = _root_indices(spec, config.points)
+    N, D = _form_parts(spec, roots, pattern.m, 0)
+    responses = []
+    for r, mi in zip(roots[:free], pattern.m):
+        if mi % p:
+            den = D * Polynomial._from_root_indices(spec, [r])
+            responses.append((_tc_kernel(N, den)[0], den))
+    ker_alpha = free - len(responses)
+    clear_roots = []
+    m_inf = 0
+    for r, mi in zip(roots, pattern.m):
+        if r is None:
+            m_inf = mi
+        else:
+            clear_roots += [r] * -(mi // p)
+    clear = Polynomial._from_root_indices(spec, clear_roots)
+    width = clear.degree + 1 + max(0, (3 * p - 3 - m_inf) // p)
+
+    def coeff_row(T, den):
+        g, rest = (T * clear).divmod(den)
+        if not rest.is_zero() or len(g.coeffs) > width:
+            raise AssertionError("tc response escapes the cleared coefficient space")
+        return list(g.coeffs) + [0] * (width - len(g.coeffs))
+
+    rows = [coeff_row(T, den) for T, den in responses]
+    rank = matrix_rank(spec, rows) if rows else 0
+    if kind == EXACT:
+        dim = free - rank
+    else:
+        one = Polynomial.constant(spec, 1)
+        dim = free - (matrix_rank(spec, rows + [coeff_row(one, one)]) - 1)
+    return {"kind": kind, "free": free, "ker_alpha": ker_alpha, "rank": rank, "dimension": dim}
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# the loci-grid benchmark cells: (p, k, largest n), every pattern of
+# entries in [-2p, 2p] \ {0} with sum 2p - 2 in ascending order
+LOCI_GRID = ((2, 3, 6), (3, 2, 5), (3, 3, 4), (3, 4, 4))
+
+
+def _grid_cells():
+    for p, k, n_max in LOCI_GRID:
+        spec = field(p, k)
+        values = [v for v in range(-2 * p, 2 * p + 1) if v != 0]
+        for n in range(3, n_max + 1):
+            for m in itertools.combinations_with_replacement(values, n):
+                if sum(m) == 2 * p - 2:
+                    for kind in (EXACT, QUASI_EXACT):
+                        yield spec, ZeroPolePattern(p, m), kind
+
+
+@pytest.mark.parametrize("pins", ["default", "finite"])
+def test_tangent_report_matches_reference_on_grid(pins):
+    reports = 0
+    for spec, pattern, kind in _grid_cells():
+        pinned = None
+        if pins == "finite":
+            pinned = (Place.finite(spec.element(spec.q - 1)), pt(spec, 0), pt(spec, 1))
+        for config in locus_search(pattern, kind, spec, pinned):
+            want = _outcome(_reference_tangent_report, config, pattern, kind)
+            assert _outcome(tangent_report, config, pattern, kind) == want, (config, pattern, kind)
+            reports += isinstance(want, dict)
+    assert reports > 100
+
+
+def test_tangent_report_rejects_what_the_reference_rejects():
+    # configurations off the locus, and malformed calls, raise the same ValueError
+    rejected = 0
+    for spec, pattern, kind in _grid_cells():
+        if spec.q > 9:
+            continue
+        places = [Place.finite(e) for e in spec.elements()] + [INFINITY]
+        pinned = (pt(spec, 0), pt(spec, 1), INFINITY)
+        for combo in itertools.islice(itertools.permutations(places[2:-1], pattern.n - 3), 4):
+            config = MarkingConfig(spec, combo + pinned)
+            want = _outcome(_reference_tangent_report, config, pattern, kind)
+            assert _outcome(tangent_report, config, pattern, kind) == want, (config, pattern, kind)
+            rejected += not isinstance(want, dict)
+    assert rejected > 100
+    short = MarkingConfig(F4, [pt(F4, 0), pt(F4, 1)])
+    for args in [(short, ZeroPolePattern(2, (1, 1)), EXACT),
+                 (MarkingConfig(F4, [pt(F4, 0), pt(F4, 1), INFINITY]), ZeroPolePattern(2, (1, 1)), EXACT),
+                 (short, ZeroPolePattern(2, (1, 1)), "bogus")]:
+        assert _outcome(tangent_report, *args) == _outcome(_reference_tangent_report, *args)
 
 
 def test_formula_rank_agreement_p3():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from loghurwitz.expr import ExprError, parse_element, parse_expression
+from loghurwitz.expr import ExprError, ExprLimitError, parse_element, parse_expression
 from loghurwitz.ffield import field
 from loghurwitz.mobius import Mobius
 from loghurwitz.ratfunc import (
@@ -51,6 +51,31 @@ def test_poly_arith_ring_axioms():
             assert a * (b + c) == a * b + a * c
             assert (a + b) * c == a * c + b * c
             assert a - a == Polynomial.constant(spec, 0)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 1), (5, 1)])
+def test_poly_pow_matches_repeated_multiplication(p, k, monkeypatch):
+    spec = field(p, k)
+    rng = random.Random(p * 10 + k)
+    mul = Polynomial.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    for _ in range(5):
+        f = rand_poly(spec, rng, maxdeg=3)
+        want = Polynomial.constant(spec, 1)
+        for n in range(10):
+            calls.clear()
+            monkeypatch.setattr(Polynomial, "__mul__", counted)
+            got = f**n
+            monkeypatch.setattr(Polynomial, "__mul__", mul)
+            assert got == want, (f, n)
+            # floor(log2 n) squarings and popcount(n) - 1 multiplies
+            assert len(calls) == (n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0), n
+            want = want * f
 
 
 def test_poly_divmod_and_gcd():
@@ -419,6 +444,12 @@ def test_parse_errors():
     for bad in ["", "y +", "(y", "y ^ y", "1//2"]:
         with pytest.raises(ExprError):
             parse_expression(bad, F16)
+
+
+def test_deep_nesting_is_a_limit_error():
+    with pytest.raises(ExprLimitError, match="nests too deeply"):
+        parse_expression("(" * 2000 + "y" + ")" * 2000, F16)
+    assert parse_expression("(" * 50 + "y" + ")" * 50, F16) == RationalFunction.variable(F16)
 
 
 
