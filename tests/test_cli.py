@@ -200,11 +200,11 @@ LOCI_2_4 = ("--field", "2^4", "--pattern", "1,1,1,1,-2")
     (("ascover", "--field", "2^4", "--expr", "1"), EXIT_DOMAIN, "domain"),
     (("loci", "search", "--field", "2^4", "--pattern", "2,2", "--kind", "exact"), EXIT_DOMAIN, "domain"),
     (("loci", "search", *LOCI_2_4, "--kind", "exact", "--pin", "0,0"), EXIT_DOMAIN, "domain"),
-    (("loci", "search", "--field", "2", "--pattern", "1,1,1,1,-2", "--kind", "quasi-exact", "--pin", "0,1,inf,0"),
-     EXIT_DOMAIN, "domain"),
     (("loci", "tangent", *LOCI_2_4, "--kind", "exact", "--config", "0,1,w,inf,w^2+1"), EXIT_DOMAIN, "domain"),
     (("strata", "dim", "--file", "INVALID"), EXIT_DOMAIN, "domain"),
     (("strata", "enumerate", "--datum", "2,1,0,4", "--lambda", "2,2,2,2", "--regime", "equicharacteristic"),
+     EXIT_DOMAIN, "domain"),
+    (("loci", "search", "--field", "2", "--pattern", "1,1,1,1,-2", "--kind", "quasi-exact", "--pin", "0,1,inf,0"),
      EXIT_DOMAIN, "domain"),
 ])
 def test_error_sites_exit_codes(capsys, tmp_path, argv, code, kind):

@@ -12,6 +12,7 @@ from loghurwitz.loci import (
     QUASI_EXACT,
     MarkingConfig,
     ZeroPolePattern,
+    _check_compatible,
     _form_parts,
     _root_indices,
     dimension_formula,
@@ -416,8 +417,7 @@ def test_search_matches_permutation_reference(spec, pins):
 
 def _reference_tangent_report(config, pattern, kind):
     """tangent_report as it was: the membership guard, then N and D again and one tc kernel per response."""
-    if len(config.points) != pattern.n or config.spec.p != pattern.p:
-        raise ValueError("configuration and pattern lengths differ")
+    _check_compatible(config, pattern)
     if pattern.n < 3:
         raise ValueError("need at least three markings to rigidify the line")
     if not locus_membership(config, pattern, kind):
