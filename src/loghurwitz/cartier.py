@@ -99,6 +99,29 @@ class PPowerDecomposition:
         return out
 
 
+def _root_indices(spec: FieldSpec, places):
+    """Element index of each place, None at infinity."""
+    return [None if q.is_infinity else _coefficient_index(spec, q.value) for q in places]
+
+
+def _form_parts(spec: FieldSpec, roots, m, weight: int):
+    """(N D^weight, D) for markings at element indices `roots` (None at infinity).
+
+    N and D are the monic products of (y - r)^{|m_i|} over the finite zeros
+    and poles, so N / D is the product over the finite markings.  A zero
+    contributes (y - r)^{m_i} to the first polynomial and a pole
+    (y - r)^{weight |m_i|}; weight p - 1 gives N D^(p-1), whose bucket
+    p - 1 is the twisted Cartier numerator (see _tc_kernel).
+    """
+    first, den = [], []
+    for r, mi in zip(roots, m):
+        if r is not None:
+            first += [r] * (mi if mi > 0 else -weight * mi)
+            if mi < 0:
+                den += [r] * -mi
+    return Polynomial._from_root_indices(spec, first), Polynomial._from_root_indices(spec, den)
+
+
 def _tc_kernel(N: Polynomial, D: Polynomial, shifts=(0,)):
     """Numerators T_j with tc(y^j N/D dy/dx) = T_j / D, one per j in `shifts`.
 
@@ -129,8 +152,7 @@ def ppower_decompose(f: RationalFunction) -> PPowerDecomposition:
 
 
 def cartier(omega: Differential) -> Differential:
-    f = omega.f
-    return Differential(RationalFunction(_tc_kernel(f.num, f.den)[0], f.den))
+    return Differential(twisted_cartier(BivariantForm(omega.f)))
 
 
 def twisted_cartier(psi: BivariantForm) -> RationalFunction:
@@ -234,6 +256,14 @@ class TcMatrix:
         return self.rank == self.target_dim
 
 
+def _coordinates(T: Polynomial, mult: Polynomial, den: Polynomial, width: int):
+    """Coefficients of T mult / den, padded to `width`: a tc image in a monomial basis."""
+    coords, rest = (T * mult).divmod(den)
+    if rest or len(coords.coeffs) > width:
+        raise AssertionError("tc image escapes the target space")
+    return list(coords.coeffs) + [0] * (width - len(coords.coeffs))
+
+
 def global_tc_matrix(spec: FieldSpec, marked) -> TcMatrix:
     """Matrix of tc on global sections for marked points with multiplicities.
 
@@ -244,35 +274,20 @@ def global_tc_matrix(spec: FieldSpec, marked) -> TcMatrix:
     if len(set(places)) != len(places):
         raise ValueError("marked places must be distinct")
 
-    src = {q: m for q, m in marked}
-    src[INFINITY] = src.get(INFINITY, 0) + 2 * p - 2
-    tgt = {q: -(-m // p) for q, m in marked}
-
-    deg_src = sum(src.values())
-    deg_tgt = sum(tgt.values())
+    deg_src = sum(m for _, m in marked) + 2 * p - 2
+    deg_tgt = sum(-(-m // p) for _, m in marked)
     source_dim = deg_src + 1 if deg_src >= 0 else 0
     target_dim = deg_tgt + 1 if deg_tgt >= 0 else 0
 
     if source_dim == 0 or target_dim == 0:
         return TcMatrix(spec, [[0] * source_dim for _ in range(target_dim)], source_dim, target_dim)
 
-    def factor(orders, sign):
-        """prod (y - q)^(sign n) over the finite q with sign n > 0."""
-        roots = []
-        for q, n in orders.items():
-            if not q.is_infinity and sign * n > 0:
-                roots += [_coefficient_index(spec, q.value)] * (sign * n)
-        return Polynomial._from_root_indices(spec, roots)
-
-    # the source basis is y^j N/D, the target basis is y^i G/H
-    N, D = factor(src, -1), factor(src, 1)
-    G, H = factor(tgt, -1), factor(tgt, 1)
+    # the source basis is y^j N/D = y^j prod (y - q)^(-m_q), the target
+    # basis is y^i G/H = y^i prod (y - q)^(-ceil(m_q / p))
+    roots = _root_indices(spec, places)
+    N, D = _form_parts(spec, roots, [-m for _, m in marked], 0)
+    G, H = _form_parts(spec, roots, [-m // p for _, m in marked], 0)
     DG = D * G
-    columns = []
-    for T in _tc_kernel(N, D, range(source_dim)):
-        coords, rest = (T * H).divmod(DG)
-        if not rest.is_zero() or len(coords.coeffs) > target_dim:
-            raise AssertionError("tc image escapes the target space")
-        columns.append(coords.coeffs + (0,) * (target_dim - len(coords.coeffs)))
+    columns = [_coordinates(T, H, DG, target_dim) for T in _tc_kernel(N, D, range(source_dim))]
     entries = [[columns[j][i] for j in range(source_dim)] for i in range(target_dim)]
     return TcMatrix(spec, entries, source_dim, target_dim)

@@ -138,11 +138,12 @@ def _parse_places(text, spec):
 
 
 def emit(args, payload, dot=None):
+    """Write payload in the --format of args; dot is a zero-argument callable giving the DOT text."""
     fmt = getattr(args, "format", "json") or "json"
     if fmt == "dot":
         if dot is None:
             raise CliError(EXIT_PARSE, "parse", "dot output is only available for graphs")
-        sys.stdout.write(dot)
+        sys.stdout.write(dot())
         return
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
@@ -216,20 +217,20 @@ def cmd_strata(args):
     if args.strata_cmd == "enumerate":
         comps = strata.enumerate_components(_graph_datum(args), args.max_vertices)
         payload = {"count": len(comps), "components": [G.to_json_obj() for G in comps]}
-        emit(args, payload, dot="".join(G.to_dot() for G in comps))
+        emit(args, payload, dot=lambda: "".join(G.to_dot() for G in comps))
         return EXIT_OK
 
     G = _read_graph(args)
     A = _graph_datum(args, G)
     if args.strata_cmd == "validate":
         report = strata.validate(G, A)
-        emit(args, {"ok": report.ok, "errors": report.errors}, dot=G.to_dot())
+        emit(args, {"ok": report.ok, "errors": report.errors}, dot=G.to_dot)
         return EXIT_OK if report.ok else EXIT_DOMAIN
     if args.strata_cmd == "dim":
-        emit(args, vars(strata.stratum_dimension(G, A)), dot=G.to_dot())
+        emit(args, vars(strata.stratum_dimension(G, A)), dot=G.to_dot)
         return EXIT_OK
     rank, free = strata.monoid_rank(G, A)
-    emit(args, {"monoid_rank": rank, "monoid_free": free}, dot=G.to_dot())
+    emit(args, {"monoid_rank": rank, "monoid_free": free}, dot=G.to_dot)
     return EXIT_OK
 
 

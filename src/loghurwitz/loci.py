@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 
-from .cartier import matrix_rank
+from .cartier import _coordinates, _form_parts, _root_indices, _tc_kernel, matrix_rank
 from .ffield import FieldSpec
-from .ratfunc import INFINITY, Place, Polynomial, _coefficient_index, _from_logs
+from .ratfunc import INFINITY, Place, Polynomial, _coeff_log, _log_mul, _logs
 
 EXACT = "exact"
 QUASI_EXACT = "quasi_exact"
@@ -95,61 +95,7 @@ def _check_kind(kind: str):
         raise ValueError(f"unknown kind {kind!r}")
 
 
-def _root_indices(spec: FieldSpec, places):
-    """Element index of each place, None at infinity."""
-    return [None if q.is_infinity else _coefficient_index(spec, q.value) for q in places]
-
-
-def _form_parts(spec: FieldSpec, roots, m, weight: int):
-    """(N D^weight, D) for markings at element indices `roots` (None at infinity).
-
-    N and D are the monic products of (y - r)^{|m_i|} over the finite zeros
-    and poles, so N / D is the product over the finite markings.  A zero
-    contributes (y - r)^{m_i} to the first polynomial and a pole
-    (y - r)^{weight |m_i|}; weight p - 1 gives N D^(p-1), whose bucket
-    p - 1 is the twisted Cartier numerator (see cartier._tc_kernel).
-    """
-    first, den = [], []
-    for r, mi in zip(roots, m):
-        if r is not None:
-            first += [r] * (mi if mi > 0 else -weight * mi)
-            if mi < 0:
-                den += [r] * -mi
-    return Polynomial._from_root_indices(spec, first), Polynomial._from_root_indices(spec, den)
-
-
-def _logs(poly: Polynomial):
-    """Discrete logs of the coefficients, -1 standing for zero."""
-    log = poly.spec._log
-    return [log[c] for c in poly.coeffs]
-
-
-_ONE = [0]  # discrete logs of the constant polynomial 1
-
-
-def _coeff_log(a, b, d, zech, q1):
-    """Discrete log of the coefficient of y^d in the product of log lists a and b.
-
-    Products of log lists follow Polynomial.__mul__: -1 stands for zero and
-    a multiply-add is one Zech lookup; the result may exceed q - 1 by one
-    period.
-    """
-    s = -1
-    for t in range(max(0, d - len(a) + 1), min(len(b), d + 1)):
-        x, y = a[d - t], b[t]
-        if x >= 0 and y >= 0:
-            x += y
-            if s < 0:
-                s = x
-            else:
-                z = zech[x - s]
-                if z < 0:
-                    s = -1
-                else:
-                    s += z
-                    if s >= q1:
-                        s -= q1
-    return s
+_ONE = [0]  # log list of the constant polynomial 1 (see ratfunc._logs)
 
 
 def _in_locus(spec: FieldSpec, kind: str, big, big_f, den, den_f) -> bool:
@@ -218,8 +164,9 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     product, and the tangent space is the kernel of a -> sum a_i^{1/p} r_i
     (quasi-exact kind: composed with the quotient by the constants).  One
     product N D^(p-1) serves both the membership guard (_in_locus) and
-    every response: the tc numerator of N / (D (y - p_i)) is the p-th root
-    of bucket p - 1 of N D^(p-1) (y - p_i)^(p-1).
+    every response: N / (D (y - p_i)) is N D^(p-1) / (y - p_i) over the
+    p-th power D^p, so its tc is T / (D (y - p_i)) with
+    T = _tc_kernel(N D^(p-1), y - p_i).
     """
     _check_compatible(config, pattern)
     if pattern.n < 3:
@@ -237,13 +184,11 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     # the eps-part of the i-th unit deformation is -m_i * (N/D) / (y - p_i),
     # so it vanishes exactly when p divides m_i; a nonzero scalar factor
     # does not change the rank computed below.  Its tc is T_i / (D (y - p_i)).
-    root = spec.pth_root_idx
     responses = []
     for r, mi in zip(roots[:free], pattern.m):
         if mi % p:
-            bucket = (big * Polynomial._from_root_indices(spec, [r] * (p - 1))).coeffs[p - 1 :: p]
-            T = Polynomial.from_indices(spec, [root(c) for c in bucket])
-            responses.append((T, D * Polynomial._from_root_indices(spec, [r])))
+            lin = Polynomial._from_root_indices(spec, [r])
+            responses.append((_tc_kernel(big, lin)[0], D * lin))
     ker_alpha = free - len(responses)
 
     # coefficient vectors over the common denominator
@@ -254,14 +199,7 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     clear = Polynomial._from_root_indices(spec, clear_roots)  # pole allowance ceil(-m_i / p) at each
     inf_allowance = max(0, (3 * p - 3 - m_inf) // p)
     width = clear.degree + 1 + inf_allowance
-
-    def coeff_row(T, den):
-        g, rest = (T * clear).divmod(den)
-        if not rest.is_zero() or len(g.coeffs) > width:
-            raise AssertionError("tc response escapes the cleared coefficient space")
-        return list(g.coeffs) + [0] * (width - len(g.coeffs))
-
-    rows = [coeff_row(T, den) for T, den in responses]
+    rows = [_coordinates(T, clear, den, width) for T, den in responses]
     # absorb the p^{-1}-semilinearity: substituting a_i -> a_i^p makes the
     # map linear without changing the kernel dimension over a finite field
     rank = matrix_rank(spec, rows) if rows else 0
@@ -269,7 +207,7 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
         dim = free - rank
     else:
         one = Polynomial.constant(spec, 1)
-        aug = rows + [coeff_row(one, one)]
+        aug = rows + [_coordinates(one, clear, one, width)]
         dim = free - (matrix_rank(spec, aug) - 1)
     return {"kind": kind, "free": free, "ker_alpha": ker_alpha, "rank": rank, "dimension": dim}
 
@@ -290,20 +228,21 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
     symmetry; the free slots range over the remaining places in the order
     of itertools.permutations, as a depth-first search that fills the free
     slots one at a time, each in candidate order.  Along a branch the
-    search carries the prefix product base * prod (y - a_i)^{e_i}, with
-    e_i = m_i at a zero and (p - 1)|m_i| at a pole, so that the full
-    product is the N D^(p-1) of the tc kernel; base is the product over
-    the pinned points and a free slot at infinity contributes 1.  The
-    factors (y - a)^{e} are cached for the call.  At the last free slot
-    the full product is never formed: the coefficients of its bucket
-    p - 1 are computed one at a time and the first that fails rules the
-    candidate out (_in_locus, shared with locus_membership).  Its
-    quasi-exact degree test low <= top is decided before the search:
-    top - low + p - 1 is the sum of m_i over the finite markings, so it
-    holds iff a marking at infinity has m_i <= p - 1.  A pinned infinity
-    that fails returns [], and no free slot that fails holds infinity.  A
-    search of more than MAX_SEARCH_CONFIGS free-slot permutations raises
-    ValueError before visiting any.
+    search carries the log list (ratfunc._logs) of the prefix product
+    base * prod (y - a_i)^{e_i}, with e_i = m_i at a zero and (p - 1)|m_i|
+    at a pole, so that the full product is the N D^(p-1) of the tc
+    kernel; base is the product over the pinned points and a free slot at
+    infinity contributes 1.  The log lists of the factors (y - a)^{e} are
+    cached for the call.  At the last free slot the full product is never
+    formed: the coefficients of its bucket p - 1 are computed one at a
+    time and the first that fails rules the candidate out (_in_locus,
+    shared with locus_membership).  Its quasi-exact degree test
+    low <= top is decided before the search: top - low + p - 1 is the sum
+    of m_i over the finite markings, so it holds iff a marking at infinity
+    has m_i <= p - 1.  A pinned infinity that fails returns [], and no
+    free slot that fails holds infinity.  A search of more than
+    MAX_SEARCH_CONFIGS free-slot permutations raises ValueError before
+    visiting any.
     """
     if spec.p != pattern.p:
         raise ValueError("field characteristic and pattern characteristic differ")
@@ -337,7 +276,7 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
     if not visits:
         return []
 
-    log, q1 = spec._log, spec.q - 1
+    log, zech, q1 = spec._log, spec._zech, spec.q - 1
     templates, cache = {}, {}
 
     def factor(r, mi):
@@ -360,32 +299,21 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
                 ]
         return cache[key]
 
-    out = []
-    # depth-first over the prefixes (chosen roots, prefix product, prefix D);
-    # children are pushed in reverse so that they pop in candidate order
-    stack = [((), base, base_den)]
-    while stack:
-        chosen, big, den = stack.pop()
-        mi = m[len(chosen)]
-        if len(chosen) == free - 1:
-            big, den = _logs(big), _logs(den)
-            for r in slots[-1]:
-                if r not in chosen:
-                    fl, gl = factor(r, mi)
-                    if _in_locus(spec, kind, big, fl, den, gl):
-                        points = [INFINITY if a is None else Place.finite(spec.element(a)) for a in chosen + (r,)]
-                        out.append(MarkingConfig(spec, tuple(points) + pinned))
-            continue
-        children = []
+    def hits(chosen, big, den):
+        """Completions of the prefix `chosen`, with log lists big of its N D^(p-1) and den of its D."""
+        mi, last = m[len(chosen)], len(chosen) == free - 1
         for r in slots[len(chosen)]:
             if r in chosen:
                 continue
-            big_r, den_r = big, den  # infinity contributes 1
-            if r is not None:
-                fl, gl = factor(r, mi)
-                big_r = big * _from_logs(spec, fl)
-                if quasi and mi < 0:  # only the quasi-exact test reads D
-                    den_r = den * _from_logs(spec, gl)
-            children.append((chosen + (r,), big_r, den_r))
-        stack += reversed(children)
-    return out
+            fl, gl = factor(r, mi)
+            if last:
+                if _in_locus(spec, kind, big, fl, den, gl):
+                    yield chosen + (r,)
+            else:
+                den_r = _log_mul(den, gl, zech, q1) if quasi and mi < 0 else den  # only quasi-exact reads D
+                yield from hits(chosen + (r,), _log_mul(big, fl, zech, q1), den_r)
+
+    return [
+        MarkingConfig(spec, tuple(INFINITY if a is None else Place.finite(spec.element(a)) for a in chosen) + pinned)
+        for chosen in hits((), _logs(base), _logs(base_den))
+    ]

@@ -58,10 +58,63 @@ def _coefficient_index(spec: FieldSpec, c) -> int:
     return spec.from_int(c).idx
 
 
+def _logs(poly):
+    """Log list of a polynomial: its coefficients as discrete logs, low degree first.
+
+    A log list holds the discrete log of each coefficient, -1 standing for
+    zero.  Products of log lists cost one Zech lookup per multiply-add,
+    g^s + g^t = g^s (1 + g^(t-s)).  _log_mul returns entries below q - 1,
+    so products feed back in; _from_logs also accepts entries below
+    2(q - 1), which the long division in Polynomial.divmod leaves.
+    """
+    log = poly.spec._log
+    return [log[c] for c in poly.coeffs]
+
+
 def _from_logs(spec, logs):
-    """Polynomial from discrete-log coefficients, -1 standing for zero."""
     exp = spec._exp
     return Polynomial.from_indices(spec, [exp[s] if s >= 0 else 0 for s in logs])
+
+
+def _log_mul(a, b, zech, q1):
+    """Log list of the product of log lists a and b; q1 = q - 1."""
+    lb = [(j, y) for j, y in enumerate(b) if y >= 0]
+    out = [-1] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x >= 0:
+            for j, y in lb:
+                t = x + y
+                s = out[i + j]
+                if s < 0:
+                    out[i + j] = t - q1 if t >= q1 else t
+                else:
+                    z = zech[t - s]
+                    if z < 0:
+                        out[i + j] = -1
+                    else:
+                        s += z
+                        out[i + j] = s - q1 if s >= q1 else s
+    return out
+
+
+def _coeff_log(a, b, d, zech, q1):
+    """Entry d of _log_mul(a, b, zech, q1), possibly one period q - 1 above it."""
+    s = -1
+    for t in range(max(0, d - len(a) + 1), min(len(b), d + 1)):
+        x, y = a[d - t], b[t]
+        if x >= 0 and y >= 0:
+            x += y
+            if s < 0:
+                s = x
+            else:
+                z = zech[x - s]
+                if z < 0:
+                    s = -1
+                else:
+                    s += z
+                    if s >= q1:
+                        s -= q1
+    return s
 
 
 class Polynomial:
@@ -110,7 +163,7 @@ class Polynomial:
     def _from_root_indices(cls, spec, roots):
         """prod (y - r) over `roots`, each an element index trusted to lie in range(spec.q)."""
         log, zech, q1 = spec._log, spec._zech, spec.q - 1
-        out = [0]  # discrete logs, see __mul__; log 1 = 0
+        out = [0]  # a log list, see _logs; log 1 = 0
         for r in roots:
             if not r:
                 out.insert(0, -1)
@@ -210,31 +263,9 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        spec = self.spec
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial.from_indices(spec, [])
-        # Log domain: coefficients are discrete logs < 2(q-1), -1 stands for
-        # zero; a multiply-add is one Zech lookup, s + t = s (1 + g^(t-s)).
-        log, zech, q1 = spec._log, spec._zech, spec.q - 1
-        lb = [(j, log[c]) for j, c in enumerate(b) if c]
-        out = [-1] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                x = log[ca]
-                for j, y in lb:
-                    t = x + y
-                    s = out[i + j]
-                    if s < 0:
-                        out[i + j] = t
-                    else:
-                        z = zech[t - s]
-                        if z < 0:
-                            out[i + j] = -1
-                        else:
-                            s += z
-                            out[i + j] = s - q1 if s >= q1 else s
-        return _from_logs(spec, out)
+        spec, log = self.spec, self.spec._log
+        a, b = [log[c] for c in self.coeffs], [log[c] for c in other.coeffs]  # _logs, inlined
+        return _from_logs(spec, _log_mul(a, b, spec._zech, spec.q - 1))
 
     __rmul__ = __mul__
 
@@ -265,10 +296,10 @@ class Polynomial:
         db = other.degree
         if len(self.coeffs) <= db:
             return Polynomial.from_indices(spec, []), self
-        # long division in the log domain of __mul__: each step subtracts
+        # long division on log lists (see _logs): each step subtracts
         # c y^shift times the divisor, with c = lead(rem) / lead(divisor)
         log, zech, q1 = spec._log, spec._zech, spec.q - 1
-        rem = [log[c] for c in self.coeffs]
+        rem = _logs(self)
         lead = log[other.coeffs[-1]]
         neg = spec._log_neg_one
         low = [(i, (log[c] + neg) % q1) for i, c in enumerate(other.coeffs[:-1]) if c]  # -b_i

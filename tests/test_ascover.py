@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import random
 from pathlib import Path
@@ -12,6 +14,7 @@ from loghurwitz.ascover import (
 )
 from loghurwitz.cli import main
 from loghurwitz.ffield import field
+from loghurwitz.mobius import Mobius
 from loghurwitz.ratfunc import INFINITY, Place, Polynomial, RationalFunction
 
 F16 = field(2, 4)
@@ -176,6 +179,24 @@ def test_moduli_dimension_formula():
         moduli_dimension(2, 2, (2, 2), 0)  # inconsistent genus
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_moduli_dimension_equals_closed_form_on_grid(p):
+    """Where sum e_i (p-1) = 2h + 2(p-1), both dimension formulas agree and 2h/(p-1) is exact."""
+    checked = 0
+    for m in range(1, 4):
+        for e in itertools.combinations_with_replacement(range(2, 13), m):
+            for h, n in itertools.product(range(100), range(4)):
+                if sum(e) * (p - 1) != 2 * h + 2 * (p - 1):
+                    continue
+                assert 2 * h % (p - 1) == 0
+                dim = 2 * h // (p - 1) + n - 1 - sum((ei - 1) // p for ei in e)
+                assert dim == n + m - 3 + sum(ei - 1 - (ei - 1) // p for ei in e)
+                if all(ei % p != 1 for ei in e):
+                    assert moduli_dimension(p, h, e, n) == dim
+                    checked += 1
+    assert checked > 100
+
+
 # -- isomorphism --------------------------------------------------------------
 
 
@@ -236,6 +257,71 @@ def test_unit_scaling_detected():
     c1 = ArtinSchreierCover.from_equation(F9, 1 / x, q)
     c2 = ArtinSchreierCover.from_equation(F9, RationalFunction.constant(F9, F9.from_int(2)) / x, q)
     assert isomorphic(c1, c2)
+
+
+@functools.cache
+def _pgl2(spec):
+    """One matrix per element of PGL2(spec): c = 1, or c = 0 and d = 1."""
+    els = [spec.element(i) for i in range(spec.q)]
+    maps = [Mobius(spec, a, b, 1, d) for a, b, d in itertools.product(els, repeat=3) if a * d != b]
+    maps += [Mobius(spec, a, b, 0, 1) for a, b in itertools.product(els, repeat=2) if a.idx]
+    assert len(maps) == spec.q * (spec.q**2 - 1)
+    return maps
+
+
+def _brute_isomorphic(c1, c2):
+    """Some (phi, u) in PGL2(F_q) x F_p^* carries y^p - y = g1 to y^p - y = g2 and marks to marks."""
+    spec, g1 = c1.spec, c1.normal_form()
+    for phi in _pgl2(spec):
+        if {phi.apply_place(b) for b in c1.branch_points} != set(c2.branch_points):
+            continue  # a Moebius map keeps each pole order, so phi moves the branch locus to c2's
+        marked = tuple(phi.apply_place(q) for q in c1.marked_unramified)
+        moved = g1.compose(phi.inverse().as_rational())
+        for u in range(1, spec.p):
+            if ArtinSchreierCover.from_equation(spec, moved * spec.from_int(u), marked) == c2:
+                return True
+    return False
+
+
+def _random_cover(spec, rng, orders, n_marked):
+    """A cover with a pole of each order in `orders` at distinct random places, and n_marked marks."""
+    line = [INFINITY, *(Place.finite(spec.element(i)) for i in range(spec.q))]
+    places = rng.sample(line, len(orders) + n_marked)
+    x = x_of(spec)
+    g = RationalFunction.constant(spec, 0)
+    for q, d in zip(places, orders):
+        u = x if q.is_infinity else 1 / (x - q.value)
+        for j in range(1, d + 1):
+            c = rng.randrange(1 if j == d else 0, spec.q)
+            g = g + RationalFunction.constant(spec, spec.element(c)) * u**j
+    return ArtinSchreierCover.from_equation(spec, g, tuple(places[len(orders):]))
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (5, 1), (3, 2)])
+def test_isomorphic_matches_brute_force(p, k):
+    """isomorphic agrees with a search over PGL2(F_q) x F_p^*.
+
+    The pairs are isomorphic by construction, or random with the same pole orders and number of marks.
+    """
+    spec = field(p, k)
+    rng = random.Random(7 * p + k)
+    pole_orders = [d for d in (1, 2, 3) if d % p]
+    verdicts = []
+    for _ in range(20):
+        orders = [rng.choice(pole_orders) for _ in range(rng.randrange(1, 4))]
+        n_marked = rng.randrange(max(0, 3 - len(orders)), 5 - len(orders))
+        c1 = _random_cover(spec, rng, orders, n_marked)
+        phi, u = rng.choice(_pgl2(spec)), rng.randrange(1, p)
+        moved = c1.normal_form().compose(phi.inverse().as_rational()) * spec.from_int(u)
+        marked = tuple(phi.apply_place(q) for q in c1.marked_unramified)
+        image = ArtinSchreierCover.from_equation(spec, moved, marked)
+        other = _random_cover(spec, rng, rng.sample(orders, len(orders)), n_marked)
+        for c2 in (image, other):
+            verdict = isomorphic(c1, c2)
+            assert verdict == _brute_isomorphic(c1, c2)
+            verdicts.append(verdict)
+        assert verdicts[-2]
+    assert False in verdicts
 
 
 # -- validation ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from loghurwitz.cli import (
     run_example6,
 )
 from loghurwitz.expr import MAX_POWER_DEGREE
-from loghurwitz.strata import MAX_ENUM_CANDIDATES
+from loghurwitz.strata import MAX_ENUM_CANDIDATES, LevelGraph
 
 
 def run(capsys, *argv):
@@ -97,6 +97,27 @@ def test_dot_format(capsys, tmp_path):
     code, out = run(capsys, "strata", "dim", "--file", str(path), "--format", "dot")
     assert code == EXIT_OK
     assert out.startswith("digraph")
+
+
+def test_json_and_text_never_build_dot(capsys, monkeypatch, tmp_path):
+    """Only --format dot builds DOT text: with to_dot broken the other formats read as before."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(example_graphs()[0].to_json())
+    obj = example_graphs()[0].to_json_obj()
+    obj["source"]["edges"][0]["slope"] = 2
+    bad.write_text(json.dumps(obj))
+    calls = [("strata", "enumerate", "--datum", "2,1,0,4", "--lambda", "2,2,2,2", "--max-vertices", "6")]
+    for cmd in ("validate", "dim", "monoid"):
+        calls += [("strata", cmd, "--file", str(good)), ("strata", cmd, "--file", str(bad))]
+    calls = [(*argv, "--format", fmt) for argv in calls for fmt in ("json", "text")]
+    want = [run(capsys, *argv) for argv in calls]
+
+    def broken(self):
+        raise RuntimeError("to_dot called outside --format dot")
+
+    monkeypatch.setattr(LevelGraph, "to_dot", broken)
+    assert [run(capsys, *argv) for argv in calls] == want
+    assert {code for code, _ in want} == {EXIT_OK, EXIT_DOMAIN}
 
 
 # -- error codes --------------------------------------------------------------

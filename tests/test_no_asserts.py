@@ -1,4 +1,8 @@
-"""Runtime checks in the package raise, never `assert`: `python -O` strips asserts."""
+"""Static checks on the package source.
+
+Runtime checks raise, never `assert`, since `python -O` strips asserts; and
+no module keeps an import it does not use.
+"""
 
 import ast
 from pathlib import Path
@@ -16,3 +20,21 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_modules_use_every_name_they_import():
+    """Each module other than __init__.py reads every name it imports (leftovers of moved code fail)."""
+    sources = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+    assert sources
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -13,6 +13,10 @@ from loghurwitz.ratfunc import (
     Place,
     Polynomial,
     RationalFunction,
+    _coeff_log,
+    _from_logs,
+    _log_mul,
+    _logs,
     partial_fractions,
 )
 
@@ -162,6 +166,25 @@ def test_log_kernels_match_schoolbook(p, k):
         for r in roots:
             want = _school_mul(F, want, [F.neg_idx(r), 1])
         assert Polynomial.from_roots(F, [F.element(r) for r in roots]).coeffs == tuple(want)
+
+    # log lists, with entries near q - 1 so that unreduced sums would show
+    q1, zech = F.q - 1, F._zech
+
+    def log_list(n):
+        return [rng.choice([-1, q1 - 1, max(q1 - 2, 0), rng.randrange(q1)]) for _ in range(n)]
+
+    for _ in range(300):
+        la, lb = log_list(rng.randrange(1, 12)), log_list(rng.randrange(1, 7))
+        prod = _log_mul(la, lb, zech, q1)
+        assert all(-1 <= e < q1 for e in prod)
+        a, b, P = _from_logs(F, la).coeffs, _from_logs(F, lb).coeffs, _from_logs(F, prod)
+        assert P.coeffs == _trim(_school_mul(F, a, b))
+        assert _logs(P) == prod[: len(P.coeffs)]
+        again = _log_mul(prod, la, zech, q1)  # products feed back in, as in the locus search
+        assert _from_logs(F, again).coeffs == _trim(_school_mul(F, P.coeffs, a))
+        for d, e in enumerate(prod):
+            c = _coeff_log(la, lb, d, zech, q1)
+            assert (c < 0) == (e < 0) and (c < 0 or (c - e) % q1 == 0)
 
 
 def _school_value(F, coeffs, x):
