@@ -23,6 +23,7 @@ from .ratfunc import (
     Polynomial,
     RationalFunction,
     _coefficient_index,
+    _from_logs,
     partial_fractions,
 )
 
@@ -128,17 +129,16 @@ def _tc_kernel(N: Polynomial, D: Polynomial, shifts=(0,)):
     y^j N/D = y^j N D^(p-1) / D^p with D^p a p-th power, so T_j is the
     coefficientwise p-th root of bucket p-1 of y^j N D^(p-1): the slice
     of N D^(p-1) in degrees = p-1-j mod p, shifted by floor(j/p).  One
-    product serves every shift; N/D need not be reduced.
+    product serves every shift; N/D need not be reduced.  On logs the
+    p-th root is s -> s p^(k-1) mod q - 1.
     """
     spec = N.spec
-    p = spec.p
-    big = (N * D ** (p - 1)).coeffs
-    root = spec.pth_root_idx
-    out = []
-    for j in shifts:
-        roots = [root(c) for c in big[p - 1 - j % p :: p]]
-        out.append(Polynomial.from_indices(spec, [0] * (j // p) + roots))
-    return out
+    p, e, q1 = spec.p, spec.p ** (spec.k - 1), spec.q - 1
+    big = (N * D ** (p - 1)).logs
+    return [
+        _from_logs(spec, [-1] * (j // p) + [s * e % q1 if s >= 0 else -1 for s in big[p - 1 - j % p :: p]])
+        for j in shifts
+    ]
 
 
 def ppower_decompose(f: RationalFunction) -> PPowerDecomposition:
@@ -259,9 +259,9 @@ class TcMatrix:
 def _coordinates(T: Polynomial, mult: Polynomial, den: Polynomial, width: int):
     """Coefficients of T mult / den, padded to `width`: a tc image in a monomial basis."""
     coords, rest = (T * mult).divmod(den)
-    if rest or len(coords.coeffs) > width:
+    if rest or len(coords.logs) > width:
         raise AssertionError("tc image escapes the target space")
-    return list(coords.coeffs) + [0] * (width - len(coords.coeffs))
+    return list(coords.coeffs) + [0] * (width - len(coords.logs))
 
 
 def global_tc_matrix(spec: FieldSpec, marked) -> TcMatrix:

@@ -14,7 +14,7 @@ import math
 
 from .cartier import _coordinates, _form_parts, _root_indices, _tc_kernel, matrix_rank
 from .ffield import FieldSpec
-from .ratfunc import INFINITY, Place, Polynomial, _coeff_log, _log_mul, _logs
+from .ratfunc import INFINITY, Place, Polynomial, _coeff_log, _log_mul
 
 EXACT = "exact"
 QUASI_EXACT = "quasi_exact"
@@ -95,7 +95,7 @@ def _check_kind(kind: str):
         raise ValueError(f"unknown kind {kind!r}")
 
 
-_ONE = [0]  # log list of the constant polynomial 1 (see ratfunc._logs)
+_ONE = [0]  # log list of the constant polynomial 1 (see ratfunc._from_logs)
 
 
 def _in_locus(spec: FieldSpec, kind: str, big, big_f, den, den_f) -> bool:
@@ -143,7 +143,7 @@ def locus_membership(config: MarkingConfig, pattern: ZeroPolePattern, kind: str)
     _check_kind(kind)
     spec = config.spec
     big, den = _form_parts(spec, _root_indices(spec, config.points), pattern.m, pattern.p - 1)
-    return _in_locus(spec, kind, _logs(big), _ONE, _logs(den), _ONE)
+    return _in_locus(spec, kind, big.logs, _ONE, den.logs, _ONE)
 
 
 def dimension_formula(pattern: ZeroPolePattern, kind: str) -> int:
@@ -175,7 +175,7 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     spec, p = config.spec, pattern.p
     roots = _root_indices(spec, config.points)
     big, D = _form_parts(spec, roots, pattern.m, p - 1)
-    if not _in_locus(spec, kind, _logs(big), _ONE, _logs(D), _ONE):
+    if not _in_locus(spec, kind, big.logs, _ONE, D.logs, _ONE):
         raise ValueError("configuration is not in the locus")
     free = pattern.n - 3
     if any(q.is_infinity for q in config.points[:free]):
@@ -228,7 +228,7 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
     symmetry; the free slots range over the remaining places in the order
     of itertools.permutations, as a depth-first search that fills the free
     slots one at a time, each in candidate order.  Along a branch the
-    search carries the log list (ratfunc._logs) of the prefix product
+    search carries the log list (Polynomial.logs) of the prefix product
     base * prod (y - a_i)^{e_i}, with e_i = m_i at a zero and (p - 1)|m_i|
     at a pole, so that the full product is the N D^(p-1) of the tc
     kernel; base is the product over the pinned points and a free slot at
@@ -271,7 +271,7 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
     slots = [[r for r in candidates if r is not None or not quasi or mi < p] for mi in m[:free]]
     base, base_den = _form_parts(spec, pinned_roots, m[free:], p - 1)
     if free == 0:
-        found = _in_locus(spec, kind, _logs(base), _ONE, _logs(base_den), _ONE)
+        found = _in_locus(spec, kind, base.logs, _ONE, base_den.logs, _ONE)
         return [MarkingConfig(spec, pinned)] if found else []
     if not visits:
         return []
@@ -288,10 +288,10 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
         key = (r, mi)
         if key not in cache:
             if not r:  # infinity (None) contributes 1, and 0 powers of y
-                cache[key] = [_logs(f) for f in _form_parts(spec, [r], [mi], p - 1)]
+                cache[key] = [f.logs for f in _form_parts(spec, [r], [mi], p - 1)]
             else:
                 if mi not in templates:
-                    templates[mi] = [_logs(f) for f in _form_parts(spec, [1], [mi], p - 1)]
+                    templates[mi] = [f.logs for f in _form_parts(spec, [1], [mi], p - 1)]
                 lr = log[r]
                 cache[key] = [
                     [c if c < 0 else (c + (len(f) - 1 - t) * lr) % q1 for t, c in enumerate(f)]
@@ -315,5 +315,5 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
 
     return [
         MarkingConfig(spec, tuple(INFINITY if a is None else Place.finite(spec.element(a)) for a in chosen) + pinned)
-        for chosen in hits((), _logs(base), _logs(base_den))
+        for chosen in hits((), base.logs, base_den.logs)
     ]

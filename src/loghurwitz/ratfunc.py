@@ -1,7 +1,7 @@
 """Univariate polynomials and rational functions over GF(p^k).
 
-Polynomials are coefficient vectors (low degree first) with no trailing
-zeros; the zero polynomial has an empty vector and degree NEG_INF.
+Polynomials are log lists (see _from_logs), low degree first, with no
+trailing zeros; the zero polynomial has an empty list and degree NEG_INF.
 Rational functions are kept in canonical reduced form: gcd(num, den) = 1
 and den monic.  Places on the projective line are either finite field
 elements or the distinguished point at infinity, with the convention
@@ -58,22 +58,20 @@ def _coefficient_index(spec: FieldSpec, c) -> int:
     return spec.from_int(c).idx
 
 
-def _logs(poly):
-    """Log list of a polynomial: its coefficients as discrete logs, low degree first.
-
-    A log list holds the discrete log of each coefficient, -1 standing for
-    zero.  Products of log lists cost one Zech lookup per multiply-add,
-    g^s + g^t = g^s (1 + g^(t-s)).  _log_mul returns entries below q - 1,
-    so products feed back in; _from_logs also accepts entries below
-    2(q - 1), which the long division in Polynomial.divmod leaves.
-    """
-    log = poly.spec._log
-    return [log[c] for c in poly.coeffs]
-
-
 def _from_logs(spec, logs):
-    exp = spec._exp
-    return Polynomial.from_indices(spec, [exp[s] if s >= 0 else 0 for s in logs])
+    """The Polynomial with log list `logs`, trusted and kept, not copied.
+
+    A log list holds the discrete log of each coefficient, low degree
+    first, -1 standing for zero; every entry lies in range(-1, q - 1).
+    Products of log lists cost one Zech lookup per multiply-add,
+    g^s + g^t = g^s (1 + g^(t-s)).  Trailing -1 entries are dropped here.
+    """
+    while logs and logs[-1] < 0:
+        logs.pop()
+    poly = object.__new__(Polynomial)
+    poly.spec = spec
+    poly.logs = logs
+    return poly
 
 
 def _log_mul(a, b, zech, q1):
@@ -118,16 +116,17 @@ def _coeff_log(a, b, d, zech, q1):
 
 
 class Polynomial:
-    """Polynomial over a FieldSpec; coeffs[i] is the coefficient of y^i."""
+    """Polynomial over a FieldSpec; logs[i] is the log of the coefficient of y^i (see _from_logs)."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "logs")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        idxs = [_coefficient_index(spec, c) for c in coeffs]
-        while idxs and idxs[-1] == 0:
-            idxs.pop()
+        log = spec._log
+        logs = [log[_coefficient_index(spec, c)] for c in coeffs]
+        while logs and logs[-1] < 0:
+            logs.pop()
         self.spec = spec
-        self.coeffs = tuple(idxs)
+        self.logs = logs
 
     # -- constructors ------------------------------------------------------
 
@@ -138,13 +137,8 @@ class Polynomial:
         Unlike the constructor, an int here is an element index, not an
         integer mod p; indices are trusted to lie in range(spec.q).
         """
-        idxs = list(idxs)
-        while idxs and idxs[-1] == 0:
-            idxs.pop()
-        poly = object.__new__(cls)
-        poly.spec = spec
-        poly.coeffs = tuple(idxs)
-        return poly
+        log = spec._log
+        return _from_logs(spec, [log[c] for c in idxs])
 
     @classmethod
     def constant(cls, spec, c):
@@ -163,7 +157,7 @@ class Polynomial:
     def _from_root_indices(cls, spec, roots):
         """prod (y - r) over `roots`, each an element index trusted to lie in range(spec.q)."""
         log, zech, q1 = spec._log, spec._zech, spec.q - 1
-        out = [0]  # a log list, see _logs; log 1 = 0
+        out = [0]  # log 1 = 0
         for r in roots:
             if not r:
                 out.insert(0, -1)
@@ -187,38 +181,43 @@ class Polynomial:
     # -- basics ------------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The coefficients as element indices, low degree first."""
+        exp = self.spec._exp
+        return tuple([exp[s] if s >= 0 else 0 for s in self.logs])
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.logs) - 1 if self.logs else NEG_INF
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.logs
 
     def leading(self) -> FieldElement:
-        if not self.coeffs:
+        if not self.logs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.spec.element(self.coeffs[-1])
+        return self.spec.element(self.spec._exp[self.logs[-1]])
 
     def coefficient(self, i: int) -> FieldElement:
-        idx = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-        return self.spec.element(idx)
+        s = self.logs[i] if 0 <= i < len(self.logs) else -1
+        return self.spec.element(self.spec._exp[s] if s >= 0 else 0)
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        inv = self.spec.inv_idx(self.coeffs[-1])
-        mul = self.spec.mul_idx
-        return Polynomial.from_indices(self.spec, [mul(c, inv) for c in self.coeffs])
+        lead, q1 = self.logs[-1], self.spec.q - 1
+        return _from_logs(self.spec, [(s - lead) % q1 if s >= 0 else -1 for s in self.logs])
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return self.spec == other.spec and self.logs == other.logs
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, tuple(self.logs)))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.logs)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -236,19 +235,25 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         spec = self.spec
-        a, b = self.coeffs, other.coeffs
+        zech, q1 = spec._zech, spec.q - 1
+        a, b = self.logs, other.logs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] = spec.add_idx(out[i], c)
-        return Polynomial.from_indices(spec, out)
+        for i, t in enumerate(b):
+            s = out[i]
+            if s < 0 or t < 0:
+                out[i] = max(s, t)  # the other term, -1 when both are zero
+            else:
+                z = zech[t - s]
+                out[i] = -1 if z < 0 else (s + z) % q1
+        return _from_logs(spec, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        spec = self.spec
-        return Polynomial.from_indices(spec, [spec.neg_idx(c) for c in self.coeffs])
+        neg, q1 = self.spec._log_neg_one, self.spec.q - 1
+        return _from_logs(self.spec, [(s + neg) % q1 if s >= 0 else -1 for s in self.logs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -263,9 +268,8 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        spec, log = self.spec, self.spec._log
-        a, b = [log[c] for c in self.coeffs], [log[c] for c in other.coeffs]  # _logs, inlined
-        return _from_logs(spec, _log_mul(a, b, spec._zech, spec.q - 1))
+        spec = self.spec
+        return _from_logs(spec, _log_mul(self.logs, other.logs, spec._zech, spec.q - 1))
 
     __rmul__ = __mul__
 
@@ -294,15 +298,15 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         spec = self.spec
         db = other.degree
-        if len(self.coeffs) <= db:
-            return Polynomial.from_indices(spec, []), self
-        # long division on log lists (see _logs): each step subtracts
+        if len(self.logs) <= db:
+            return _from_logs(spec, []), self
+        # long division on log lists: each step subtracts
         # c y^shift times the divisor, with c = lead(rem) / lead(divisor)
-        log, zech, q1 = spec._log, spec._zech, spec.q - 1
-        rem = _logs(self)
-        lead = log[other.coeffs[-1]]
+        zech, q1 = spec._zech, spec.q - 1
+        rem = list(self.logs)
+        lead = other.logs[-1]
         neg = spec._log_neg_one
-        low = [(i, (log[c] + neg) % q1) for i, c in enumerate(other.coeffs[:-1]) if c]  # -b_i
+        low = [(i, (c + neg) % q1) for i, c in enumerate(other.logs[:-1]) if c >= 0]  # -b_i
         quot = [-1] * (len(rem) - db)
         for shift in range(len(rem) - 1 - db, -1, -1):
             s = rem[shift + db]
@@ -313,7 +317,7 @@ class Polynomial:
                 t = x + y
                 s = rem[shift + i]
                 if s < 0:
-                    rem[shift + i] = t
+                    rem[shift + i] = t - q1 if t >= q1 else t
                 else:
                     z = zech[t - s]
                     if z < 0:
@@ -343,30 +347,28 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         spec = self.spec
-        cs = self.coeffs
-        return Polynomial.from_indices(spec, [spec.mul_idx(cs[i], i % spec.p) for i in range(1, len(cs))])
+        log, p, q1 = spec._log, spec.p, spec.q - 1  # log[i % p] is the log of the integer i
+        return _from_logs(spec, [(s + log[i % p]) % q1 if s >= 0 and i % p else -1 for i, s in enumerate(self.logs) if i])
 
     def __call__(self, point):
-        """Evaluate at a field element (Horner)."""
-        if isinstance(point, int):
-            point = self.spec.from_int(point)
-        return self.spec.element(self._value_idx(point.idx))
+        """Evaluate at a field element or an integer mod p (Horner)."""
+        return self.spec.element(self._value_idx(_coefficient_index(self.spec, point)))
 
     def _value_idx(self, x: int) -> int:
         """Index of the value at the element of index x: Horner on discrete logs."""
-        cs = self.coeffs
-        if not x or not cs:
-            return cs[0] if cs else 0
-        spec = self.spec
-        log, zech, q1 = spec._log, spec._zech, spec.q - 1
-        lx = log[x]
+        logs, spec = self.logs, self.spec
+        if not logs:
+            return 0
+        if not x:
+            return spec._exp[logs[0]] if logs[0] >= 0 else 0
+        zech, q1 = spec._zech, spec.q - 1
+        lx = spec._log[x]
         acc = -1  # log of the running value, -1 for zero
-        for c in reversed(cs):
+        for c in reversed(logs):
             if acc >= 0:  # acc * x
                 acc += lx
                 if acc >= q1:
                     acc -= q1
-            c = log[c]
             if c >= 0:  # + c, one Zech lookup
                 if acc < 0:
                     acc = c
@@ -416,8 +418,7 @@ class Polynomial:
         if self.is_zero():
             return "0"
         terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             cs = str(self.spec.element(c))
@@ -531,7 +532,7 @@ class RationalFunction:
         if g.degree > 0:
             num = num // g
             den = den // g
-        if den.coeffs[-1] != 1:
+        if den.logs[-1]:  # not monic: log 1 = 0
             lead = den.leading()
             inv = lead.inverse()
             num = num * inv
@@ -643,8 +644,6 @@ class RationalFunction:
         )
 
     def __call__(self, point):
-        if isinstance(point, int):
-            point = self.spec.from_int(point)
         dv = self.den(point)
         if dv.idx == 0:
             raise ZeroDivisionError(f"pole at {point}")

@@ -144,6 +144,8 @@ class LevelGraph:
 
     @property
     def min_level(self):
+        if not self.source_vertices:
+            raise GraphError("level graph has no source vertices")
         return min(v.level for v in self.source_vertices)
 
     def is_horizontal(self, e: SourceEdge) -> bool:

@@ -315,6 +315,14 @@ def test_monoid_subcommand(capsys, tmp_path):
     assert obj == {"monoid_free": True, "monoid_rank": 2}
 
 
+def test_graph_without_source_vertices_is_domain_error(capsys, monkeypatch):
+    empty = {"vertices": [], "edges": []}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"p": 2, "source": empty, "target": empty})))
+    code, obj = run_json(capsys, "strata", "monoid")
+    assert code == EXIT_DOMAIN
+    assert obj == {"error": "domain", "message": "level graph has no source vertices"}
+
+
 # -- loci ---------------------------------------------------------------------
 
 

@@ -16,7 +16,6 @@ from loghurwitz.ratfunc import (
     _coeff_log,
     _from_logs,
     _log_mul,
-    _logs,
     partial_fractions,
 )
 
@@ -106,6 +105,17 @@ def test_poly_division_rejects_foreign_operands():
     assert divmod(p * p + 1, 2) == ((p * p + 1) * 2, Polynomial.constant(F9, 0))  # scalars still coerce
 
 
+def test_evaluation_rejects_an_element_of_another_field():
+    F4 = field(2, 2)
+    y, f = Polynomial.variable(F4), RationalFunction.variable(F4)
+    for point in (field(3, 1).element(2), F16.element(9)):
+        with pytest.raises(ValueError):
+            y(point)
+        with pytest.raises(ValueError):
+            f(point)
+    assert y(3) == f(3) == F4.one  # an integer is taken mod p
+
+
 def test_from_roots_and_roots():
     a, b = F16.element(3), F16.element(7)
     p = Polynomial.from_roots(F16, [a, a, b])
@@ -144,7 +154,15 @@ def _trim(c):
     return tuple(c)
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def _well_formed(P):
+    """Every log lies in range(-1, q - 1), and the last one is not -1."""
+    q1 = P.spec.q - 1
+    return all(-1 <= s < q1 for s in P.logs) and (not P.logs or P.logs[-1] >= 0)
+
+
+@pytest.mark.parametrize(
+    "p,k", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (2, 16), (3, 10), (65521, 1)]
+)
 def test_log_kernels_match_schoolbook(p, k):
     F = field(p, k)
     rng = random.Random(31 * p + k)
@@ -156,16 +174,19 @@ def test_log_kernels_match_schoolbook(p, k):
         a, b = coeffs(rng.randrange(0, 12)), coeffs(rng.randrange(0, 7))
         A, B = Polynomial.from_indices(F, a), Polynomial.from_indices(F, b)
         assert (A * B).coeffs == _trim(_school_mul(F, a, b))
+        assert _well_formed(A) and _well_formed(B) and _well_formed(A * B)
         if B:
             quot, rem = A.divmod(B)
             want_q, want_r = _school_divmod(F, A.coeffs, B.coeffs)
             assert quot.coeffs == _trim(want_q) and rem.coeffs == _trim(want_r)
             assert quot * B + rem == A
+            assert _well_formed(quot) and _well_formed(rem)
         roots = [rng.choice([0, rng.randrange(F.q)]) for _ in range(rng.randrange(0, 8))]
         want = [1]
         for r in roots:
             want = _school_mul(F, want, [F.neg_idx(r), 1])
-        assert Polynomial.from_roots(F, [F.element(r) for r in roots]).coeffs == tuple(want)
+        R = Polynomial.from_roots(F, [F.element(r) for r in roots])
+        assert R.coeffs == tuple(want) and _well_formed(R)
 
     # log lists, with entries near q - 1 so that unreduced sums would show
     q1, zech = F.q - 1, F._zech
@@ -179,9 +200,10 @@ def test_log_kernels_match_schoolbook(p, k):
         assert all(-1 <= e < q1 for e in prod)
         a, b, P = _from_logs(F, la).coeffs, _from_logs(F, lb).coeffs, _from_logs(F, prod)
         assert P.coeffs == _trim(_school_mul(F, a, b))
-        assert _logs(P) == prod[: len(P.coeffs)]
+        assert P.logs == prod[: len(P.coeffs)]
         again = _log_mul(prod, la, zech, q1)  # products feed back in, as in the locus search
         assert _from_logs(F, again).coeffs == _trim(_school_mul(F, P.coeffs, a))
+        assert _well_formed(P) and _well_formed(_from_logs(F, again))
         for d, e in enumerate(prod):
             c = _coeff_log(la, lb, d, zech, q1)
             assert (c < 0) == (e < 0) and (c < 0 or (c - e) % q1 == 0)

@@ -19,7 +19,18 @@ def elements(spec):
 
 
 def polynomials(spec):
-    return st.lists(st.integers(0, spec.q - 1), max_size=3).map(lambda idxs: Polynomial.from_indices(spec, idxs))
+    """Polynomials from coefficient indices, and from the arithmetic that builds log lists directly."""
+    base = st.lists(st.integers(0, spec.q - 1), max_size=3).map(lambda idxs: Polynomial.from_indices(spec, idxs))
+    pairs, divisions = st.tuples(base, base), st.tuples(base, base.filter(bool))
+    return st.one_of(
+        base,
+        pairs.map(lambda ab: ab[0] * ab[1]),
+        divisions.map(lambda ab: ab[0].divmod(ab[1])[0]),
+        divisions.map(lambda ab: ab[0].divmod(ab[1])[1]),
+        base.map(lambda a: -a),
+        base.map(lambda a: a.derivative()),
+        base.map(lambda a: a.monic()),
+    )
 
 
 def rational_functions(spec):
@@ -56,3 +67,12 @@ def test_no_cross_type_equality():
     assert Polynomial.constant(F3, 1) != RationalFunction.constant(F3, 1)
     assert RationalFunction.constant(F3, 1) != Polynomial.constant(F3, 1)
     assert Place.finite(one) != one and INFINITY != None  # noqa: E711
+
+
+@settings(max_examples=400, deadline=None)
+@given(polynomials(F4), polynomials(F4))
+def test_polynomials_equal_exactly_when_their_coefficients_do(a, b):
+    assert a == Polynomial.from_indices(F4, a.coeffs)
+    assert (a == b) == (a.coeffs == b.coeffs)
+    if a == b:
+        assert hash(a) == hash(b)
