@@ -72,8 +72,8 @@ class ArtinSchreierCover:
                 raise CoverError(f"empty principal part at {b}")
             if h.coefficient(0).idx != 0:
                 raise CoverError(f"principal part at {b} must vanish at 0")
-            for j in range(p, len(h.logs), p):
-                if h.logs[j] >= 0:
+            for j, c in enumerate(h.coeffs):
+                if c and j > 0 and j % p == 0:
                     raise CoverError(f"unreduced p-th power term of order {j} at {b}")
             d = h.degree
             if d % p == 0:
@@ -140,7 +140,7 @@ class ArtinSchreierCover:
             if b.is_infinity:
                 poly = h
             else:
-                terms += [(b.value, j, h.coefficient(j)) for j in range(1, len(h.logs)) if h.logs[j] >= 0]
+                terms += [(b.value, j, h.coefficient(j)) for j, c in enumerate(h.coeffs) if j and c]
         return PartialFractions(poly, terms).recombine()
 
     def __eq__(self, other):

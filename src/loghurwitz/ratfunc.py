@@ -59,12 +59,12 @@ def _coefficient_index(spec: FieldSpec, c) -> int:
 
 
 def _from_logs(spec, logs):
-    """The Polynomial with log list `logs`, trusted and kept, not copied.
+    """The Polynomial with log list `logs`, trusted and kept: not copied, trailing -1s popped.
 
     A log list holds the discrete log of each coefficient, low degree
     first, -1 standing for zero; every entry lies in range(-1, q - 1).
-    Products of log lists cost one Zech lookup per multiply-add,
-    g^s + g^t = g^s (1 + g^(t-s)).  Trailing -1 entries are dropped here.
+    The caller gives `logs` up and must not change it.  Products of log
+    lists cost one Zech lookup per multiply-add, g^s + g^t = g^s (1 + g^(t-s)).
     """
     while logs and logs[-1] < 0:
         logs.pop()
@@ -116,7 +116,7 @@ def _coeff_log(a, b, d, zech, q1):
 
 
 class Polynomial:
-    """Polynomial over a FieldSpec; logs[i] is the log of the coefficient of y^i (see _from_logs)."""
+    """Polynomial over a FieldSpec with log list `logs` (see _from_logs); == and hash read it, so it is read-only."""
 
     __slots__ = ("spec", "logs")
 
