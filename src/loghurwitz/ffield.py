@@ -231,8 +231,12 @@ class FieldSpec:
         return FieldElement(self, idx)
 
     def from_int(self, n: int) -> "FieldElement":
-        """Image of the integer n under the natural map Z -> GF(p^k)."""
-        return FieldElement(self, n % self.p)
+        """Image of the integer n under the natural map Z -> GF(p^k).
+
+        By the operand rule (see _operator), an element of this field is
+        returned as it is and any other type raises TypeError.
+        """
+        return _operand(self.zero, n)
 
     def elements(self):
         return [FieldElement(self, i) for i in range(self.q)]
@@ -269,6 +273,41 @@ def parse_field(designator: str) -> FieldSpec:
     return field(p, k)
 
 
+def _operator(impl, reflected=False):
+    """impl(a, b), on two values of one class, as a binary operator of that class.
+
+    This is the one operand rule of FieldElement, Polynomial and
+    RationalFunction.  The operator passes its operand through the class's
+    `_coerce`: an int, an element of the same field or a value of a smaller
+    of these types over that field becomes a value of the class; a value
+    over another field raises ValueError; any other operand gives None, and
+    the operator returns NotImplemented, so Python tries the other operand.
+    With reflected=True (__rsub__, __rtruediv__) the operands are swapped,
+    as in fractions._operator_fallbacks.
+    """
+    if reflected:
+
+        def op(b, a):
+            a = b._coerce(a)
+            return NotImplemented if a is None else impl(a, b)
+
+    else:
+
+        def op(a, b):
+            b = a._coerce(b)
+            return NotImplemented if b is None else impl(a, b)
+
+    return op
+
+
+def _operand(value, other):
+    """other coerced by value's class (see _operator); TypeError naming its type if it does not coerce."""
+    coerced = value._coerce(other)
+    if coerced is None:
+        raise TypeError(f"unsupported operand type for {type(value).__name__}: {type(other).__name__!r}")
+    return coerced
+
+
 class FieldElement:
     """Immutable element of GF(p^k), identified by its integer index."""
 
@@ -284,51 +323,24 @@ class FieldElement:
                 raise ValueError("mismatched FieldSpec")
             return other
         if isinstance(other, int):
-            return self.spec.from_int(other)
-        return NotImplemented
+            return FieldElement(self.spec, other % self.spec.p)
+        return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add_idx(self.idx, other.idx))
+    def _sub(self, other):
+        return FieldElement(self.spec, self.spec.add_idx(self.idx, self.spec.neg_idx(other.idx)))
 
-    __radd__ = __add__
+    def _truediv(self, other):
+        return FieldElement(self.spec, self.spec.mul_idx(self.idx, self.spec.inv_idx(other.idx)))
+
+    __add__ = __radd__ = _operator(lambda a, b: FieldElement(a.spec, a.spec.add_idx(a.idx, b.idx)))
+    __sub__ = _operator(_sub)
+    __rsub__ = _operator(_sub, reflected=True)
+    __mul__ = __rmul__ = _operator(lambda a, b: FieldElement(a.spec, a.spec.mul_idx(a.idx, b.idx)))
+    __truediv__ = _operator(_truediv)
+    __rtruediv__ = _operator(_truediv, reflected=True)
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec.neg_idx(self.idx))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add_idx(self.idx, self.spec.neg_idx(other.idx)))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_idx(self.idx, other.idx))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_idx(self.idx, self.spec.inv_idx(other.idx)))
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, n: int):
         return FieldElement(self.spec, self.spec.pow_idx(self.idx, n))

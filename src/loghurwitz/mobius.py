@@ -22,16 +22,11 @@ class Mobius:
     __slots__ = ("spec", "a", "b", "c", "d")
 
     def __init__(self, spec: FieldSpec, a, b, c, d):
-        coerce = lambda v: spec.from_int(v) if isinstance(v, int) else v
-        a, b, c, d = map(coerce, (a, b, c, d))
+        a, b, c, d = map(spec.from_int, (a, b, c, d))
         if (a * d - b * c).idx == 0:
             raise ValueError("singular Moebius matrix")
         self.spec = spec
         self.a, self.b, self.c, self.d = a, b, c, d
-
-    @classmethod
-    def identity(cls, spec):
-        return cls(spec, 1, 0, 0, 1)
 
     def inverse(self) -> "Mobius":
         return Mobius(self.spec, self.d, -self.b, -self.c, self.a)

@@ -13,7 +13,7 @@ exact and fast at the supported field sizes (order <= 2^16).
 
 from __future__ import annotations
 
-from .ffield import FieldElement, FieldSpec
+from .ffield import FieldElement, FieldSpec, _operand, _operator
 
 
 class NegInf:
@@ -50,12 +50,8 @@ NEG_INF = NegInf()
 
 
 def _coefficient_index(spec: FieldSpec, c) -> int:
-    """Index of a coefficient given as a FieldElement of spec or an integer mod p."""
-    if isinstance(c, FieldElement):
-        if c.spec != spec:
-            raise ValueError("mismatched FieldSpec in coefficients")
-        return c.idx
-    return spec.from_int(c).idx
+    """Index of a coefficient given as a FieldElement of spec or an integer mod p; TypeError otherwise."""
+    return _operand(spec.zero, c).idx
 
 
 def _from_logs(spec, logs):
@@ -202,11 +198,13 @@ class Polynomial:
         s = self.logs[i] if 0 <= i < len(self.logs) else -1
         return self.spec.element(self.spec._exp[s] if s >= 0 else 0)
 
+    def _times(self, t):
+        """self times the element of log t: one shift of every log."""
+        q1 = self.spec.q - 1
+        return _from_logs(self.spec, [(s + t) % q1 if s >= 0 else -1 for s in self.logs])
+
     def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lead, q1 = self.logs[-1], self.spec.q - 1
-        return _from_logs(self.spec, [(s - lead) % q1 if s >= 0 else -1 for s in self.logs])
+        return self._times(-self.logs[-1]) if self.logs else self
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -228,12 +226,9 @@ class Polynomial:
             return other
         if isinstance(other, (int, FieldElement)):
             return Polynomial.constant(self.spec, other)
-        return NotImplemented
+        return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _add(self, other):
         spec = self.spec
         zech, q1 = spec._zech, spec.q - 1
         a, b = self.logs, other.logs
@@ -249,29 +244,24 @@ class Polynomial:
                 out[i] = -1 if z < 0 else (s + z) % q1
         return _from_logs(spec, out)
 
-    __radd__ = __add__
+    def _sub(self, other):
+        return self._add(-other)
 
-    def __neg__(self):
-        neg, q1 = self.spec._log_neg_one, self.spec.q - 1
-        return _from_logs(self.spec, [(s + neg) % q1 if s >= 0 else -1 for s in self.logs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _mul(self, other):
         spec = self.spec
         return _from_logs(spec, _log_mul(self.logs, other.logs, spec._zech, spec.q - 1))
 
-    __rmul__ = __mul__
+    def __neg__(self):
+        return self._times(self.spec._log_neg_one)
+
+    __add__ = __radd__ = _operator(_add)
+    __sub__ = _operator(_sub)
+    __rsub__ = _operator(_sub, reflected=True)
+    __mul__ = __rmul__ = _operator(_mul)
+    # through the public divmod, the one division entry
+    __divmod__ = _operator(lambda a, b: a.divmod(b))
+    __mod__ = _operator(lambda a, b: a.divmod(b)[1])
+    __floordiv__ = _operator(lambda a, b: a.divmod(b)[0])
 
     def __pow__(self, n: int):
         if n < 0:
@@ -285,15 +275,9 @@ class Polynomial:
                 result = result * self
         return result
 
-    def _operand(self, other):
-        """other as a Polynomial over this field; TypeError for a type that does not coerce."""
-        coerced = self._coerce(other)
-        if coerced is NotImplemented:
-            raise TypeError(f"unsupported operand type for Polynomial: {type(other).__name__!r}")
-        return coerced
-
     def divmod(self, other: "Polynomial"):
-        other = self._operand(other)
+        """(quotient, remainder) of long division; TypeError for an operand that does not coerce."""
+        other = _operand(self, other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         spec = self.spec
@@ -327,20 +311,8 @@ class Polynomial:
                         rem[shift + i] = s - q1 if s >= q1 else s
         return _from_logs(spec, quot), _from_logs(spec, rem[:db])
 
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else self.divmod(other)
-
-    def __mod__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else self.divmod(other)[0]
-
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, self._operand(other)
+        a, b = self, _operand(self, other)
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
         return a.monic() if not a.is_zero() else a
@@ -525,18 +497,16 @@ class RationalFunction:
 
     def __init__(self, num: Polynomial, den: Polynomial = None):
         if den is None:
-            den = Polynomial.constant(num.spec, 1)
+            den = _from_logs(num.spec, [0])  # log 1 = 0
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         g = num.gcd(den)
         if g.degree > 0:
             num = num // g
             den = den // g
-        if den.logs[-1]:  # not monic: log 1 = 0
-            lead = den.leading()
-            inv = lead.inverse()
-            num = num * inv
-            den = den * inv
+        lead = den.logs[-1]
+        if lead:  # not monic
+            num, den = num._times(-lead), den._times(-lead)
         self.num = num
         self.den = den
 
@@ -578,57 +548,35 @@ class RationalFunction:
         return not self.is_zero()
 
     def _coerce(self, other):
+        """other as a fraction over this field; an int, element or Polynomial p is the reduced p/1."""
         if isinstance(other, RationalFunction):
             if other.spec != self.spec:
                 raise ValueError("mismatched FieldSpec")
             return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        if isinstance(other, (int, FieldElement)):
-            return RationalFunction.constant(self.spec, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
+        num = self.num._coerce(other)
+        if num is None:
+            return None
+        frac = object.__new__(RationalFunction)
+        frac.num, frac.den = num, _from_logs(num.spec, [0])
+        return frac
 
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+    def _sub(self, other):
+        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _truediv(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+    __add__ = __radd__ = _operator(lambda a, b: RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den))
+    __sub__ = _operator(_sub)
+    __rsub__ = _operator(_sub, reflected=True)
+    __mul__ = __rmul__ = _operator(lambda a, b: RationalFunction(a.num * b.num, a.den * b.den))
+    __truediv__ = _operator(_truediv)
+    __rtruediv__ = _operator(_truediv, reflected=True)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -656,7 +604,7 @@ class RationalFunction:
         def poly_at(poly):
             acc = RationalFunction.constant(spec, 0)
             for c in reversed(poly.coeffs):
-                acc = acc * g + RationalFunction.constant(spec, spec.element(c))
+                acc = acc * g + spec.element(c)
             return acc
 
         den = poly_at(self.den)

@@ -706,19 +706,6 @@ def _labeled_trees(n):
         yield edges
 
 
-def _odd_compositions(total, parts):
-    """Compositions of `total` into `parts` positive odd summands."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    first = 1
-    while first <= total - (parts - 1):
-        for rest in _odd_compositions(total - first, parts - 1):
-            yield (first,) + rest
-        first += 2
-
-
 def _bipartite_trees(t, n):
     """Labeled trees on 0..n-1 whose edges all join a top (< t) to a bottom (>= t).
 
@@ -825,7 +812,7 @@ def enumerate_components(A: HurwitzData, max_vertices: int = 8):
                     if any(len(incident[v]) > genera[v] + 1 for v in range(t)):
                         continue
                     slope_choices = [
-                        list(_odd_compositions(2 * genera[v] + 2 - len(incident[v]), len(incident[v])))
+                        list(_compositions(2 * genera[v] + 2 - len(incident[v]), len(incident[v]), step=2))
                         for v in range(t)
                     ]
                     if any(not c for c in slope_choices):
@@ -863,13 +850,14 @@ def enumerate_components(A: HurwitzData, max_vertices: int = 8):
     return sorted(graphs, key=canonical_form)
 
 
-def _compositions(total, parts):
-    """Compositions of `total` into `parts` positive summands."""
-    if parts == 1:
-        yield (total,)
+def _compositions(total, parts, step=1):
+    """Compositions of `total` into `parts` positive summands, each 1 mod `step` (odd for step=2)."""
+    if parts == 0:
+        if total == 0:
+            yield ()
         return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(1, total - parts + 2, step):
+        for rest in _compositions(total - first, parts - 1, step):
             yield (first,) + rest
 
 

@@ -1,7 +1,8 @@
 """Static checks on the package source.
 
-Runtime checks raise, never `assert`, since `python -O` strips asserts; and
-no module keeps an import it does not use.
+Runtime checks raise, never `assert`, since `python -O` strips asserts; no
+module keeps an import it does not use; and the operand rule of the value
+types is written once.
 """
 
 import ast
@@ -38,3 +39,29 @@ def test_package_modules_use_every_name_they_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_only_the_operator_helper_returns_not_implemented():
+    """NotImplemented (so `is NotImplemented` too) appears only in ffield._operator and in __eq__.
+
+    Every arithmetic operator is built by ffield._operator, so a
+    coerce-or-NotImplemented prologue copied into an operator body fails here.
+    """
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            and (func.name == "__eq__" or (path.name, func.name) == ("ffield.py", "_operator"))
+            for node in ast.walk(func)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "NotImplemented" and id(node) not in allowed
+        ]
+    assert found == []

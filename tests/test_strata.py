@@ -262,6 +262,15 @@ def test_enumerate_large_vertex_bound_is_cheap():
 # -- enumeration against the build-everything reference -----------------------
 
 
+def test_compositions_list_every_tuple_of_allowed_summands_in_order():
+    """_compositions(total, parts, step) against the lexicographic product of the summands 1, 1 + step, ..."""
+    for step, top in ((1, 12), (2, 24)):
+        for parts in range(5):
+            tuples = list(itertools.product(range(1, top + 1, step), repeat=parts))
+            for total in range(top + 1):
+                assert list(strata._compositions(total, parts, step)) == [c for c in tuples if sum(c) == total]
+
+
 def reference_candidates(A, max_vertices):
     """Every raw candidate (t, genera, n, tree, slope, assignment), in generation order."""
     for t in range(1, A.h + 1):
@@ -281,7 +290,7 @@ def reference_candidates(A, max_vertices):
                     if any(deg[v] > genera[v] + 1 for v in range(t)):
                         continue
                     slope_choices = [
-                        list(strata._odd_compositions(2 * genera[v] + 2 - deg[v], deg[v]))
+                        list(strata._compositions(2 * genera[v] + 2 - deg[v], deg[v], step=2))
                         for v in range(t)
                     ]
                     for slopes_per_top in itertools.product(*slope_choices):
