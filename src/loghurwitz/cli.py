@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 expression/argument parse error, 3 field
 designator error, 4 graph schema error, 5 domain error (an operation
 rejected mathematically valid-looking input).  `main` maps library
 errors to codes in one place.  JSON output is emitted with sorted keys
-so identical inputs yield byte-identical bytes.
+so identical inputs yield byte-identical bytes.  The handlers import
+ascover, loci and strata themselves, so a call loads only the layers
+its subcommand uses.
 """
 
 from __future__ import annotations
@@ -15,19 +17,10 @@ import json
 import os
 import sys
 
-from . import ascover, loci, strata
-from .cartier import (
-    BivariantForm,
-    Differential,
-    cartier as apply_cartier,
-    is_exact,
-    is_quasi_exact,
-    twisted_cartier,
-)
+from .cartier import BivariantForm, Differential, cartier as apply_cartier, is_exact, is_quasi_exact, twisted_cartier
 from .expr import ExprError, ExprLimitError, parse_element, parse_expression
-from .ffield import FieldSpec, parse_field
+from .ffield import FieldSpec, field as make_field, parse_field
 from .ratfunc import INFINITY, Place, RationalFunction
-from .strata import GraphError, HurwitzData, LevelGraph
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -69,7 +62,9 @@ def _get_bindings(args, spec):
     return bindings
 
 
-def _read_graph(args) -> LevelGraph:
+def _read_graph(args):
+    from .strata import GraphError, LevelGraph
+
     try:
         if args.file == "-":
             text = sys.stdin.read()
@@ -84,11 +79,13 @@ def _read_graph(args) -> LevelGraph:
         raise CliError(EXIT_SCHEMA, "schema", str(exc)) from exc
 
 
-def _graph_datum(args, G: LevelGraph = None) -> HurwitzData:
-    """The discrete datum from --datum, --lambda and --xi, else read off the graph G.
+def _graph_datum(args, G=None):
+    """The HurwitzData from --datum, --lambda and --xi, else read off the LevelGraph G.
 
     Without a graph (strata enumerate) --datum and --lambda are required.
     """
+    from .strata import GraphError, HurwitzData
+
     if G is None and not (args.datum and args.lam):
         raise CliError(EXIT_PARSE, "parse", "enumerate requires --datum p,h,g,N and --lambda")
     lam = _int_list(args.lam) if args.lam else None
@@ -189,6 +186,8 @@ def _quasi_exact_payload(spec, f):
 
 
 def _ascover_payload(spec, g):
+    from . import ascover
+
     cover = ascover.ArtinSchreierCover.from_equation(spec, g)
     tau = cover.trace_form()
     return {
@@ -214,6 +213,8 @@ def cmd_expr(args):
 
 
 def cmd_strata(args):
+    from . import strata
+
     if args.strata_cmd == "enumerate":
         comps = strata.enumerate_components(_graph_datum(args), args.max_vertices)
         payload = {"count": len(comps), "components": [G.to_json_obj() for G in comps]}
@@ -235,6 +236,8 @@ def cmd_strata(args):
 
 
 def cmd_loci(args):
+    from . import loci
+
     spec = _get_field(args)
     pattern = loci.ZeroPolePattern(spec.p, _int_list(args.pattern))
     kind = args.kind.replace("-", "_")
@@ -264,11 +267,12 @@ def cmd_loci(args):
 
 def example_graphs():
     """The three degenerations of the genus-1, four-marking family at p=2."""
-    SV, SE = strata.SourceVertex, strata.SourceEdge
-    TV, TE, M = strata.TargetVertex, strata.TargetEdge, strata.Marking
+    from .strata import AS, FROB, LevelGraph, Marking as M, SourceEdge as SE, SourceVertex as SV
+    from .strata import TargetEdge as TE, TargetVertex as TV
+
     two_level = LevelGraph(
         2, "mixed",
-        [SV("v0", 1, 0, strata.AS, "d0"), SV("v1", 0, -1, strata.FROB, "d1")],
+        [SV("v0", 1, 0, AS, "d0"), SV("v1", 0, -1, FROB, "d1")],
         [SE("e0", "v0", "v1", 3, "f0")],
         [TV("d0", 0), TV("d1", -1)],
         [TE("f0", "d0", "d1")],
@@ -276,8 +280,8 @@ def example_graphs():
     )
     three_level = LevelGraph(
         2, "mixed",
-        [SV("v0", 1, 0, strata.AS, "d0"), SV("v1", 0, -1, strata.FROB, "d1"),
-         SV("v2", 0, -2, strata.FROB, "d2"), SV("v3", 0, -2, strata.FROB, "d3")],
+        [SV("v0", 1, 0, AS, "d0"), SV("v1", 0, -1, FROB, "d1"),
+         SV("v2", 0, -2, FROB, "d2"), SV("v3", 0, -2, FROB, "d3")],
         [SE("e0", "v0", "v1", 3, "f0"), SE("e1", "v1", "v2", 1, "f1"),
          SE("e2", "v1", "v3", 1, "f2")],
         [TV("d0", 0), TV("d1", -1), TV("d2", -2), TV("d3", -2)],
@@ -286,8 +290,8 @@ def example_graphs():
     )
     horizontal = LevelGraph(
         2, "mixed",
-        [SV("v0", 0, 0, strata.AS, "d0"), SV("v1", 0, 0, strata.AS, "d1"),
-         SV("v2", 0, -1, strata.FROB, "d2"), SV("v3", 0, -1, strata.FROB, "d3")],
+        [SV("v0", 0, 0, AS, "d0"), SV("v1", 0, 0, AS, "d1"),
+         SV("v2", 0, -1, FROB, "d2"), SV("v3", 0, -1, FROB, "d3")],
         [SE("h0", "v0", "v1", 0, "fh"), SE("h1", "v0", "v1", 0, "fh"),
          SE("e0", "v0", "v2", 1, "f0"), SE("e1", "v1", "v3", 1, "f1")],
         [TV("d0", 0), TV("d1", 0), TV("d2", -1), TV("d3", -1)],
@@ -303,7 +307,7 @@ def run_example6(spec: FieldSpec = None, perturb: bool = False):
     Returns a list of {"check", "description", "ok"} dicts; perturb=True
     breaks a slope in check (f) as a negative control.
     """
-    from .ffield import field as make_field
+    from . import ascover, strata
 
     if spec is None:
         spec = make_field(2, 4)
@@ -358,12 +362,12 @@ def run_example6(spec: FieldSpec = None, perturb: bool = False):
     record("e", "y^2(y-1)^2 dy/dx is exact", ok_e)
 
     # (f) ledger totals 1, 0, 0 and monoid ranks 1, 2, 2
-    A = HurwitzData(2, 1, 0, 4, (2, 2, 2, 2))
+    A = strata.HurwitzData(2, 1, 0, 4, (2, 2, 2, 2))
     graphs = list(example_graphs())
     if perturb:
         G = graphs[0]
         e = G.source_edges[0]
-        graphs[0] = LevelGraph(
+        graphs[0] = strata.LevelGraph(
             G.p, G.regime, G.source_vertices,
             [strata.SourceEdge(e.id, e.v1, e.v2, e.slope + 1, e.image)],
             G.target_vertices, G.target_edges, G.markings,
@@ -372,7 +376,7 @@ def run_example6(spec: FieldSpec = None, perturb: bool = False):
     for G in graphs:
         try:
             L = strata.stratum_dimension(G, A)
-        except GraphError:
+        except strata.GraphError:
             break
         ledgers.append((L.total, L.monoid_rank))
     ok_f = ledgers == [(1, 1), (0, 2), (0, 2)]

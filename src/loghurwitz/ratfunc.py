@@ -248,6 +248,9 @@ class Polynomial:
         return self._add(-other)
 
     def _mul(self, other):
+        a, b = (self, other) if len(self.logs) > 1 else (other, self)
+        if len(b.logs) <= 1:  # a constant factor is one log shift, a zero one gives zero
+            return a._times(b.logs[0]) if b.logs else b
         spec = self.spec
         return _from_logs(spec, _log_mul(self.logs, other.logs, spec._zech, spec.q - 1))
 
@@ -500,10 +503,10 @@ class RationalFunction:
             den = _from_logs(num.spec, [0])  # log 1 = 0
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
+        if den.degree > 0:  # a constant den is prime to num
+            g = num.gcd(den)
+            if g.degree > 0:
+                num, den = num // g, den // g
         lead = den.logs[-1]
         if lead:  # not monic
             num, den = num._times(-lead), den._times(-lead)

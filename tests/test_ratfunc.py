@@ -211,6 +211,21 @@ def test_log_kernels_match_schoolbook(p, k):
             assert (c < 0) == (e < 0) and (c < 0 or (c - e) % q1 == 0)
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 16)])
+def test_products_by_a_constant_match_schoolbook(p, k):
+    F = field(p, k)
+    rng = random.Random(41 * p + k)
+    for _ in range(60):
+        a = [rng.randrange(F.q) if rng.random() < 0.7 else 0 for _ in range(rng.randrange(0, 8))]
+        A = Polynomial.from_indices(F, a)
+        for c in (0, F.one.idx, F.q - 1, rng.randrange(F.q)):
+            C, want = Polynomial.from_indices(F, [c]), _trim(_school_mul(F, a, [c]))
+            for got in (A * C, C * A, A * F.element(c), F.element(c) * A):
+                assert got.coeffs == want and _well_formed(got), (a, c)
+        for n in (0, 1, -1):
+            assert (A * n).coeffs == (n * A).coeffs == _trim(_school_mul(F, a, [F.from_int(n).idx]))
+
+
 def _school_value(F, coeffs, x):
     acc = 0
     for c in reversed(coeffs):
@@ -282,6 +297,40 @@ def test_rational_field_axioms():
             assert a * (b + c) == a * b + a * c
             if not b.is_zero():
                 assert (a / b) * b == a
+
+
+def test_fractions_skip_the_gcd_against_a_constant_denominator(monkeypatch):
+    gcd = Polynomial.gcd
+    constant_operands = []
+
+    def watched(a, b):
+        if isinstance(b, Polynomial) and b.degree <= 0:
+            constant_operands.append((a, b))
+        return gcd(a, b)
+
+    def reference(num, den):  # reduce by the full gcd, then make den monic
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        inv = den.leading().inverse()
+        return num * inv, den * inv
+
+    rng = random.Random(16)
+    for spec in (F16, F9, F5):
+        y = RationalFunction.variable(spec)
+        values = [rand_rational(spec, rng, 3) for _ in range(6)]
+        values += [RationalFunction.constant(spec, c) for c in (0, 1, -1)] + [y, 1 / (y + 1)]
+        for a, b in itertools.product(values, repeat=2):
+            ops = [lambda: a + b, lambda: a - b, lambda: a * b]
+            want = [(a.num * b.den + b.num * a.den, a.den * b.den), (a.num * b.den - b.num * a.den, a.den * b.den),
+                    (a.num * b.num, a.den * b.den)]
+            if b:
+                ops.append(lambda: a / b)
+                want.append((a.num * b.den, a.den * b.num))
+            monkeypatch.setattr(Polynomial, "gcd", watched)
+            got = [op() for op in ops]
+            monkeypatch.undo()
+            assert [(f.num, f.den) for f in got] == [reference(*w) for w in want], (a, b)
+    assert not constant_operands
 
 
 def test_order_at_and_divisor():
