@@ -149,6 +149,25 @@ def emit(args, payload, dot=None):
         sys.stdout.write(f"{key}: {_text_value(payload[key])}\n")
 
 
+def _write_components(fmt, comps):
+    """emit's bytes for {"count": N, "components": [G.to_json_obj(), ...]}, written one graph at a time.
+
+    emit sorts keys, so "components" comes first.  No list of payloads and no string of the whole output is held.
+    """
+    write = sys.stdout.write
+    if fmt == "dot":
+        for G in comps:
+            write(G.to_dot())
+        return
+    as_json = fmt == "json"
+    write('{"components":[' if as_json else "components: [")
+    for i, G in enumerate(comps):
+        if i:
+            write("," if as_json else ", ")
+        write(G.to_json() if as_json else _text_value(G.to_json_obj()))
+    write(f'],"count":{len(comps)}}}\n' if as_json else f"]\ncount: {len(comps)}\n")
+
+
 def _text_value(v):
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_text_value(x) for x in v) + "]"
@@ -216,9 +235,7 @@ def cmd_strata(args):
     from . import strata
 
     if args.strata_cmd == "enumerate":
-        comps = strata.enumerate_components(_graph_datum(args), args.max_vertices)
-        payload = {"count": len(comps), "components": [G.to_json_obj() for G in comps]}
-        emit(args, payload, dot=lambda: "".join(G.to_dot() for G in comps))
+        _write_components(args.format, strata.enumerate_components(_graph_datum(args), args.max_vertices))
         return EXIT_OK
 
     G = _read_graph(args)

@@ -84,8 +84,18 @@ TargetEdge = namedtuple("TargetEdge", "id v1 v2")
 Marking = namedtuple("Marking", "vertex lam xi image")
 
 
+_compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 class LevelGraph:
-    """Enhanced level graph of a degree-p cover."""
+    """Enhanced level graph of a degree-p cover.
+
+    Instances are read-only: enumerated classes share their shape's tuples and dicts.
+    """
+
+    _FRAME = ("p", "regime", "source_vertices", "source_edges", "target_vertices", "target_edges",
+              "_sv", "_tv", "_te", "_edges_at", "_out", "_in", "_frame_json")
+    __slots__ = _FRAME + ("markings", "_marks_at")
 
     def __init__(self, p, regime, source_vertices, source_edges, target_vertices, target_edges, markings):
         self.p = p
@@ -94,7 +104,6 @@ class LevelGraph:
         self.source_edges = tuple(source_edges)
         self.target_vertices = tuple(target_vertices)
         self.target_edges = tuple(target_edges)
-        self.markings = tuple(markings)
         self._sv = {v.id: v for v in self.source_vertices}
         self._tv = {v.id: v for v in self.target_vertices}
         self._te = {e.id: e for e in self.target_edges}
@@ -117,13 +126,10 @@ class LevelGraph:
         for v in self.source_vertices:
             if v.image not in self._tv:
                 raise GraphError(f"vertex {v.id} has unknown image vertex")
-        for m in self.markings:
-            if m.vertex not in self._sv:
-                raise GraphError(f"marking on unknown vertex {m.vertex}")
         # per-vertex incidence (_out/_in: level-crossing edges whose upper/lower
-        # endpoint is the vertex), each in source_edges / markings order; tuples,
-        # since enumeration keeps thousands of graphs alive
-        edges_at, out, inc, marks_at = ({vid: [] for vid in self._sv} for _ in range(4))
+        # endpoint is the vertex), each in source_edges order; tuples, since
+        # enumeration keeps thousands of graphs alive
+        edges_at, out, inc = ({vid: [] for vid in self._sv} for _ in range(3))
         for e in self.source_edges:
             edges_at[e.v1].append(e)
             edges_at[e.v2].append(e)  # loops appear twice
@@ -131,11 +137,27 @@ class LevelGraph:
                 down, up = self.edge_down_up(e)
                 out[up.id].append(e)
                 inc[down.id].append(e)
+        self._edges_at, self._out, self._in = ({v: tuple(xs) for v, xs in d.items()} for d in (edges_at, out, inc))
+        self._frame_json = _compact_json(self._frame_obj())
+        self._set_markings(markings)
+
+    def _set_markings(self, markings):
+        """Check the markings against the source vertices and index them by vertex, in markings order."""
+        self.markings = tuple(markings)
+        marks_at = {vid: [] for vid in self._sv}
         for i, m in enumerate(self.markings):
-            marks_at[m.vertex].append(i)  # marking positions
-        self._edges_at, self._out, self._in, self._marks_at = (
-            {vid: tuple(xs) for vid, xs in index.items()} for index in (edges_at, out, inc, marks_at)
-        )
+            if m.vertex not in marks_at:
+                raise GraphError(f"marking on unknown vertex {m.vertex}")
+            marks_at[m.vertex].append(i)
+        self._marks_at = {vid: tuple(xs) for vid, xs in marks_at.items()}
+
+    def _with_markings(self, markings):
+        """This graph with other markings, sharing every tuple and dict of its frame."""
+        G = object.__new__(type(self))
+        for name in self._FRAME:
+            setattr(G, name, getattr(self, name))
+        G._set_markings(markings)
+        return G
 
     # -- derived structure -------------------------------------------------
 
@@ -222,7 +244,7 @@ class LevelGraph:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_obj(self):
+    def _frame_obj(self):
         return {
             "p": self.p,
             "regime": self.regime,
@@ -234,15 +256,18 @@ class LevelGraph:
                 "vertices": [v._asdict() for v in self.target_vertices],
                 "edges": [e._asdict() for e in self.target_edges],
             },
-            # the field lam is written as the key "lambda"
-            "markings": [
-                {"vertex": m.vertex, "lambda": m.lam, "xi": m.xi, "image": m.image}
-                for m in self.markings
-            ],
         }
 
+    def _markings_obj(self):
+        # the field lam is written as the key "lambda"
+        return [{"vertex": m.vertex, "lambda": m.lam, "xi": m.xi, "image": m.image} for m in self.markings]
+
+    def to_json_obj(self):
+        return {**self._frame_obj(), "markings": self._markings_obj()}
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        # "markings" sorts before the frame's keys, whose text the frame's classes share
+        return '{"markings":' + _compact_json(self._markings_obj()) + "," + self._frame_json[1:]
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -841,8 +866,12 @@ def enumerate_components(A: HurwitzData, max_vertices: int = 8):
         if key in seen:
             continue
         seen.add(key)
+        # the shape's classes share its frame and one Marking per (bottom, marking index)
+        frame = _build_two_level(A, t, genera, n, tree, slope)
+        marks = [[Marking(v.id, 2, 0, f"q{mi}") for mi in range(b)] for v in frame.source_vertices[t:]]
         for assignment in _orbit_least(b, mark_counts, perms):
-            G = _build_two_level(A, t, genera, n, tree, slope, assignment)
+            owner = {mi: w for w, idxs in enumerate(assignment) for mi in idxs}
+            G = frame._with_markings([marks[owner[mi]][mi] for mi in range(b)])
             rep = validate(G, A)
             if not rep.ok:
                 raise GraphError(f"generated an invalid level graph: {rep.errors}")
@@ -861,7 +890,8 @@ def _compositions(total, parts, step=1):
             yield (first,) + rest
 
 
-def _build_two_level(A, t, genera, n, tree, slope, assignment):
+def _build_two_level(A, t, genera, n, tree, slope):
+    """The unmarked two-level graph of a shape: tops 0..t-1 of the given genera over bottoms t..n-1."""
     vname = [f"v{v}" for v in range(n)]
     dname = [f"d{v}" for v in range(n)]
     svs = []
@@ -878,8 +908,4 @@ def _build_two_level(A, t, genera, n, tree, slope, assignment):
         fname = f"f{i}"
         ses.append(SourceEdge(f"e{i}", vname[u], vname[v], slope[i], fname))
         tes.append(TargetEdge(fname, dname[u], dname[v]))
-    marks = [None] * A.b
-    for wi, idxs in enumerate(assignment):
-        for mi in idxs:
-            marks[mi] = Marking(vname[t + wi], 2, 0, f"q{mi}")
-    return LevelGraph(A.p, A.regime, svs, ses, tvs, tes, marks)
+    return LevelGraph(A.p, A.regime, svs, ses, tvs, tes, ())

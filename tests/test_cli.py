@@ -10,12 +10,13 @@ from loghurwitz.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SCHEMA,
+    _text_value,
     example_graphs,
     main,
     run_example6,
 )
 from loghurwitz.expr import MAX_POWER_DEGREE
-from loghurwitz.strata import MAX_ENUM_CANDIDATES, LevelGraph
+from loghurwitz.strata import MAX_ENUM_CANDIDATES, HurwitzData, LevelGraph, enumerate_components
 
 
 def run(capsys, *argv):
@@ -204,6 +205,20 @@ def test_enumerate_work_bound(capsys):
     assert code == EXIT_DOMAIN and out.count("\n") == 1
     obj = json.loads(out)
     assert obj["error"] == "domain" and str(MAX_ENUM_CANDIDATES) in obj["message"]
+
+
+@pytest.mark.parametrize("b, fmt", [(b, fmt) for b in (4, 6) for fmt in ("json", "text", "dot")] + [(8, "json")])
+def test_enumerate_streams_the_bytes_emit_wrote(capsys, b, fmt):
+    """strata enumerate writes one class at a time the bytes emit wrote for the whole payload."""
+    comps = enumerate_components(HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b), 6)
+    payload = {"count": len(comps), "components": [G.to_json_obj() for G in comps]}
+    want = {
+        "json": lambda: json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
+        "text": lambda: "".join(f"{key}: {_text_value(payload[key])}\n" for key in sorted(payload)),
+        "dot": lambda: "".join(G.to_dot() for G in comps),
+    }[fmt]()
+    argv = ("--datum", f"2,{(b - 2) // 2},0,{b}", "--lambda", ",".join(["2"] * b), "--max-vertices", "6")
+    assert run(capsys, "strata", "enumerate", *argv, "--format", fmt) == (EXIT_OK, want)
 
 
 def test_domain_error_code(capsys):

@@ -1,6 +1,9 @@
+import gc
 import itertools
+import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -259,6 +262,81 @@ def test_enumerate_large_vertex_bound_is_cheap():
     assert big == [G.to_json() for G in enumerate_components(A4, max_vertices=6)]
 
 
+# -- classes that share their shape's frame ------------------------------------
+
+
+@pytest.mark.parametrize("b", [4, 6, 8])
+def test_shared_frame_classes_answer_as_their_json_copies(b):
+    """Every query gives the same answer on an enumerated class as on the graph its JSON builds afresh."""
+    A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
+    mismatched = HurwitzData(2, A.h + 1, 0, b, (2,) * (b - 1) + (1,))
+    queries = [
+        LevelGraph.to_json, LevelGraph.to_dot, canonical_form, LevelGraph.marking_groups,
+        lambda G: validate(G, A).errors, lambda G: validate(G, mismatched).errors,
+        lambda G: vars(stratum_dimension(G, A)), lambda G: monoid_rank(G, A),
+    ]
+    for G in enumerate_components(A, 6):
+        answers = [query(G) for query in queries]
+        assert answers[5]  # the mismatched datum takes the error path
+        assert answers == [query(LevelGraph.from_json(G.to_json())) for query in queries]
+
+
+def test_enumerated_list_retains_under_2_kb_a_class():
+    """Classes share their shape's frame: at b = 8 the list held about 6.8 KB a class when each built its own."""
+    A = HurwitzData(2, 3, 0, 8, (2,) * 8)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        comps = enumerate_components(A, 6)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(comps) == 3510
+    assert retained / len(comps) <= 2048
+
+
+def test_with_markings_checks_markings_as_init_does():
+    G = example_graphs()[0]
+    bad = [*G.markings[:3], Marking("v9", 2, 0, "q3")]
+    with pytest.raises(GraphError) as by_init:
+        LevelGraph(G.p, G.regime, G.source_vertices, G.source_edges, G.target_vertices, G.target_edges, bad)
+    with pytest.raises(GraphError) as by_frame:
+        G._with_markings(bad)
+    assert str(by_frame.value) == str(by_init.value) == "marking on unknown vertex v9"
+    moved = [G.markings[0]._replace(vertex="v0"), *G.markings[1:]]
+    H = G._with_markings(moved)
+    assert all(getattr(H, name) is getattr(G, name) for name in LevelGraph._FRAME)
+    fresh = LevelGraph(G.p, G.regime, G.source_vertices, G.source_edges, G.target_vertices, G.target_edges, moved)
+    assert (H.markings, H._marks_at) == (fresh.markings, fresh._marks_at)
+    assert H._marks_at == {"v0": (0,), "v1": (1, 2, 3)}
+    assert G._marks_at == {"v0": (), "v1": (0, 1, 2, 3)} and not hasattr(G, "__dict__")
+    for K in (G, H):  # to_json writes the frame's shared text after the markings
+        assert K.to_json() == json.dumps(K.to_json_obj(), sort_keys=True, separators=(",", ":"))
+
+
+def test_enumeration_validates_every_class(monkeypatch):
+    calls = []
+
+    def counted(G, A):
+        calls.append(G)
+        return validate(G, A)
+
+    monkeypatch.setattr(strata, "validate", counted)
+    comps = enumerate_components(HurwitzData(2, 2, 0, 6, (2,) * 6), 6)
+    assert len(calls) == len(comps) == 92 and {id(G) for G in calls} == {id(G) for G in comps}
+
+    def failing(G, A):
+        report = validate(G, A)
+        report.add("test", "rejected")
+        return report
+
+    monkeypatch.setattr(strata, "validate", failing)
+    with pytest.raises(GraphError, match="generated an invalid level graph"):
+        enumerate_components(A4, 6)
+
+
 # -- enumeration against the build-everything reference -----------------------
 
 
@@ -305,11 +383,37 @@ def reference_candidates(A, max_vertices):
                             yield t, genera, n, tree, slope, assignment
 
 
+# The per-class builder that enumerate_components used before classes shared
+# their shape's frame, kept unchanged as the oracle of the references below.
+def _build_two_level(A, t, genera, n, tree, slope, assignment):
+    vname = [f"v{v}" for v in range(n)]
+    dname = [f"d{v}" for v in range(n)]
+    svs = []
+    tvs = []
+    for v in range(n):
+        level = 0 if v < t else -1
+        ct = AS if v < t else FROB
+        genus = genera[v] if v < t else 0
+        svs.append(SourceVertex(vname[v], genus, level, ct, dname[v]))
+        tvs.append(TargetVertex(dname[v], level))
+    ses = []
+    tes = []
+    for i, (u, v) in enumerate(tree):
+        fname = f"f{i}"
+        ses.append(SourceEdge(f"e{i}", vname[u], vname[v], slope[i], fname))
+        tes.append(TargetEdge(fname, dname[u], dname[v]))
+    marks = [None] * A.b
+    for wi, idxs in enumerate(assignment):
+        for mi in idxs:
+            marks[mi] = Marking(vname[t + wi], 2, 0, f"q{mi}")
+    return LevelGraph(A.p, A.regime, svs, ses, tvs, tes, marks)
+
+
 def reference_enumerate(A, max_vertices):
     """Build every candidate and keep the first of each canonical_form class."""
     seen = {}
     for cand in reference_candidates(A, max_vertices):
-        G = strata._build_two_level(A, *cand)
+        G = _build_two_level(A, *cand)
         seen.setdefault(canonical_form(G), G)
     return [seen[k] for k in sorted(seen)]
 
@@ -362,7 +466,7 @@ def reference_keyed_enumerate(A, max_vertices):
         t, genera, n, tree, slope, assignment = cand
         key = _iso_key(genera, tree, slope, assignment)
         if key not in reps:
-            reps[key] = strata._build_two_level(A, *cand)
+            reps[key] = _build_two_level(A, *cand)
     return sorted(reps.values(), key=canonical_form)
 
 
@@ -400,7 +504,7 @@ def test_iso_key_partition_equals_canonical_form():
     count = 0
     for t, genera, n, tree, slope, assignment in reference_candidates(A, 6):
         key = _iso_key(genera, tree, slope, assignment)
-        canon = canonical_form(strata._build_two_level(A, t, genera, n, tree, slope, assignment))
+        canon = canonical_form(_build_two_level(A, t, genera, n, tree, slope, assignment))
         assert key_to_canon.setdefault(key, canon) == canon
         assert canon_to_key.setdefault(canon, key) == key
         count += 1
@@ -545,7 +649,7 @@ def star(t, genus=1, slope=3):
     b = 2 + t * (slope - 1)
     A = HurwitzData(2, t * genus, 0, b, (2,) * b)
     tree = [(i, t) for i in range(t)]
-    return strata._build_two_level(A, t, (genus,) * t, t + 1, tree, [slope] * t, (tuple(range(b)),))
+    return _build_two_level(A, t, (genus,) * t, t + 1, tree, [slope] * t, (tuple(range(b)),))
 
 
 def test_canonical_form_fixes_twin_order():
@@ -560,7 +664,7 @@ def test_canonical_form_fixes_twin_order():
 def test_canonical_form_ordering_bound(monkeypatch):
     # three equal tops on three bottoms with distinct markings: no twins, 3! orderings
     A = HurwitzData(2, 3, 0, 12, (2,) * 12)
-    G = strata._build_two_level(A, 3, (1, 1, 1), 6, [(0, 3), (1, 4), (2, 5)], [3, 3, 3],
+    G = _build_two_level(A, 3, (1, 1, 1), 6, [(0, 3), (1, 4), (2, 5)], [3, 3, 3],
                                 ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)))
     monkeypatch.setattr(strata, "MAX_CANON_ORDERINGS", 5)
     with pytest.raises(GraphError, match="MAX_CANON_ORDERINGS = 5"):
