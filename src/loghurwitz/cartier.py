@@ -22,6 +22,7 @@ from .ratfunc import (
     PartialFractions,
     Polynomial,
     RationalFunction,
+    _addmul,
     _coefficient_index,
     _from_logs,
     partial_fractions,
@@ -200,33 +201,23 @@ def integrate(f: RationalFunction) -> RationalFunction:
 
 
 def matrix_rank(spec: FieldSpec, rows) -> int:
-    """Rank of a matrix given as a list of rows of element indices."""
-    rows = [list(r) for r in rows if any(r)]
+    """Rank of a matrix given as a list of rows of element indices.
+
+    Elimination on log lists: each nonzero row in turn is a pivot, and
+    one _addmul per later row clears the pivot's leading column there.
+    """
+    zech, q1, log = spec._zech, spec.q - 1, spec._log
+    rows = [[log[c] for c in r] for r in rows]
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < ncols:
-        pivot = None
-        for i, r in enumerate(rows):
-            if r[col]:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        row = rows.pop(pivot)
-        inv = spec.inv_idx(row[col])
-        row = [spec.mul_idx(c, inv) for c in row]
-        new_rows = []
-        for r in rows:
-            if r[col]:
-                factor = spec.neg_idx(r[col])
-                r = [spec.add_idx(c, spec.mul_idx(factor, rc)) for c, rc in zip(r, row)]
-            if any(r):
-                new_rows.append(r)
-        rows = new_rows
-        rank += 1
-        col += 1
+    for i, row in enumerate(rows):
+        pivot = [(j, y) for j, y in enumerate(row) if y >= 0]
+        if pivot:
+            rank += 1
+            col, lead = pivot[0]
+            shift = spec._log_neg_one - lead  # r -= (r[col] / lead) row
+            for r in rows[i + 1 :]:
+                if r[col] >= 0:
+                    _addmul(r, 0, (r[col] + shift) % q1, pivot, zech, q1)
     return rank
 
 

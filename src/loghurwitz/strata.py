@@ -50,6 +50,8 @@ class HurwitzData(namedtuple("HurwitzData", "p h g N Lam Xi regime")):
     def __new__(cls, p, h, g, N, Lam, Xi=None, regime="mixed"):
         Lam = tuple(Lam)
         Xi = tuple(Xi) if Xi is not None else tuple(0 for _ in Lam)
+        if p < 2:  # validate divides by p - 1; no primality test, which costs O(sqrt p)
+            raise GraphError(f"p = {p} must be at least 2")
         if regime not in ("mixed", "equicharacteristic"):
             raise GraphError(f"unknown regime {regime!r}")
         if len(Lam) != len(Xi):
@@ -98,6 +100,8 @@ class LevelGraph:
     __slots__ = _FRAME + ("markings", "_marks_at")
 
     def __init__(self, p, regime, source_vertices, source_edges, target_vertices, target_edges, markings):
+        if p < 2:  # as in HurwitzData
+            raise GraphError(f"p = {p} must be at least 2")
         self.p = p
         self.regime = regime
         self.source_vertices = tuple(source_vertices)

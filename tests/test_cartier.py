@@ -289,9 +289,87 @@ def test_global_tc_matrix_matches_reference(p, k):
 
 
 
+def _reference_matrix_rank(spec, rows):
+    """Rank by Gauss-Jordan on element indices with normalised pivots, as matrix_rank once computed it."""
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    col = 0
+    while rows and col < ncols:
+        pivot = None
+        for i, r in enumerate(rows):
+            if r[col]:
+                pivot = i
+                break
+        if pivot is None:
+            col += 1
+            continue
+        row = rows.pop(pivot)
+        inv = spec.inv_idx(row[col])
+        row = [spec.mul_idx(c, inv) for c in row]
+        new_rows = []
+        for r in rows:
+            if r[col]:
+                factor = spec.neg_idx(r[col])
+                r = [spec.add_idx(c, spec.mul_idx(factor, rc)) for c, rc in zip(r, row)]
+            if any(r):
+                new_rows.append(r)
+        rows = new_rows
+        rank += 1
+        col += 1
+    return rank
+
+
+def _brute_force_rank(spec, rows):
+    """log_q of the size of the row space, listed combination by combination."""
+    span = {(0,) * len(rows[0])} if rows else {()}
+    for r in rows:
+        span = {tuple(spec.add_idx(v, spec.mul_idx(c, x)) for v, x in zip(vec, r)) for vec in span for c in range(spec.q)}
+    rank = 0
+    while spec.q**rank < len(span):
+        rank += 1
+    if spec.q**rank != len(span):
+        raise AssertionError(f"row space of size {len(span)} is not a power of {spec.q}")
+    return rank
+
+
+def _random_low_rank(spec, rng, rows, cols, r):
+    """rows x r times r x cols over spec, as element indices: rank at most r."""
+    A = [[rng.randrange(spec.q) if rng.random() < 0.7 else 0 for _ in range(r)] for _ in range(rows)]
+    B = [[rng.randrange(spec.q) if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(r)]
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = 0
+            for t in range(r):
+                acc = spec.add_idx(acc, spec.mul_idx(A[i][t], B[t][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 4), (5, 2), (2, 8)])
+def test_matrix_rank_matches_reference_and_brute_force(p, k):
+    spec = field(p, k)
+    rng = random.Random(67 * p + k)
+    samples = [[], [[]] * 3, [[0] * 4] * 3, [[0] * 3, [1, 0, 2 % spec.q], [0] * 3]]
+    for _ in range(300):
+        rows, cols = rng.randrange(0, 8), rng.randrange(0, 8)
+        m = _random_low_rank(spec, rng, rows, cols, rng.randrange(0, 6))
+        if m and rng.random() < 0.3:  # a zero row
+            m.insert(rng.randrange(len(m) + 1), [0] * cols)
+        samples.append(m)
+    for m in samples:
+        got = matrix_rank(spec, m)
+        assert got == _reference_matrix_rank(spec, m), m
+        if len(m) <= 4 and spec.q <= 9:
+            assert got == _brute_force_rank(spec, m), m
+
+
 def _reference_linearised_rank(spec, entries):
     """The rank after entrywise Frobenius linearisation, as TcMatrix once computed it."""
-    return matrix_rank(spec, [[spec.frobenius_idx(c) for c in row] for row in entries])
+    return _reference_matrix_rank(spec, [[spec.frobenius_idx(c) for c in row] for row in entries])
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2)])

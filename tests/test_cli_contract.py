@@ -55,7 +55,7 @@ def cli_argv(draw):
     flags = []
     if command == "strata":
         argv.append(draw(st.sampled_from(["validate", "dim", "monoid", "enumerate", "bogus"])))
-        flags += [["--file", draw(st.sampled_from(["GOOD", "BAD", "MISSING", "-"]))],
+        flags += [["--file", draw(st.sampled_from(["GOOD", "BAD", "P1", "MISSING", "-"]))],
                   ["--datum", draw(_int_lists())], ["--lambda", draw(_int_lists())],
                   ["--xi", draw(_int_lists())], ["--max-vertices", draw(st.sampled_from(["-1", "0", "2", "4", "x"]))],
                   ["--regime", draw(st.sampled_from(["mixed", "equicharacteristic", "other"]))]]
@@ -81,18 +81,40 @@ def graph_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("graphs")
     (root / "good.json").write_text(example_graphs()[0].to_json())
     (root / "bad.json").write_text('{"p": "x", "source": [')
-    return {"GOOD": str(root / "good.json"), "BAD": str(root / "bad.json"), "MISSING": str(root / "none.json")}
+    (root / "p1.json").write_text(example_graphs()[0].to_json().replace('"p":2', '"p":1'))
+    return {"GOOD": str(root / "good.json"), "BAD": str(root / "bad.json"), "P1": str(root / "p1.json"),
+            "MISSING": str(root / "none.json")}
+
+
+def _run(argv, stdin=""):
+    """(exit code, payload) of one in-process call, which must print exactly one JSON object line."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {}, clear=True), mock.patch("sys.stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out):
+        code = main(argv)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, (argv, out.getvalue()[:200])
+    payload = json.loads(lines[0])
+    assert isinstance(payload, dict), argv
+    return code, payload
+
+
+@pytest.mark.parametrize("command", ["validate", "dim", "monoid"])
+def test_graph_with_p_below_2_exits_schema(graph_files, command):
+    code, payload = _run(["strata", command, "--file", graph_files["P1"]])
+    assert code == EXIT_SCHEMA and "p = 1" in payload["message"], payload
+
+
+@pytest.mark.parametrize("p", [0, 1, -3])
+@pytest.mark.parametrize("command", ["validate", "dim", "monoid"])
+def test_datum_with_p_below_2_exits_parse(graph_files, command, p):
+    code, payload = _run(["strata", command, f"--datum={p},1,0,4", "--lambda", "2,2,2,2", "--file", graph_files["GOOD"]])
+    assert code == EXIT_PARSE and f"p = {p}" in payload["message"], payload
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(argv=cli_argv(), stdin=st.sampled_from(["", "{}", "not json", example_graphs()[1].to_json()]))
 def test_cli_contract_on_generated_argv(graph_files, argv, stdin):
     argv = [graph_files.get(a, a) for a in argv]
-    out = io.StringIO()
-    with mock.patch.dict(os.environ, {}, clear=True), mock.patch("sys.stdin", io.StringIO(stdin)), \
-            contextlib.redirect_stdout(out):
-        code = main(argv)
+    code, _ = _run(argv, stdin)
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_FIELD, EXIT_SCHEMA, EXIT_DOMAIN), argv
-    lines = out.getvalue().splitlines()
-    assert len(lines) == 1, (argv, out.getvalue()[:200])
-    assert isinstance(json.loads(lines[0]), dict), argv

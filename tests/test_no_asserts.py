@@ -2,7 +2,7 @@
 
 Runtime checks raise, never `assert`, since `python -O` strips asserts; no
 module keeps an import it does not use; and the operand rule of the value
-types is written once.
+types and the Zech multiply-add on log lists are each written once.
 """
 
 import ast
@@ -63,5 +63,40 @@ def test_only_the_operator_helper_returns_not_implemented():
             f"{path.name}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Name) and node.id == "NotImplemented" and id(node) not in allowed
+        ]
+    assert found == []
+
+
+def test_zech_lookups_stay_in_the_multiply_add_and_the_fused_loops():
+    """A subscript of `zech` or `._zech` appears only in ratfunc._addmul, the four fused loops and add_idx.
+
+    ratfunc._addmul is the one multiply-add on log lists, so a Zech
+    multiply-add loop copied into another function fails here.
+    """
+    allowed_funcs = {
+        ("ratfunc.py", "_addmul"),
+        ("ratfunc.py", "_from_root_indices"),
+        ("ratfunc.py", "_add"),
+        ("ratfunc.py", "_coeff_log"),
+        ("ratfunc.py", "_value_idx"),
+        ("ffield.py", "add_idx"),
+    }
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) in allowed_funcs
+            for node in ast.walk(func)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and (getattr(node.value, "id", None) == "zech" or getattr(node.value, "attr", None) == "_zech")
+            and id(node) not in allowed
         ]
     assert found == []

@@ -203,6 +203,9 @@ def test_log_kernels_match_schoolbook(p, k):
         P = _from_logs(F, list(prod))
         assert P.coeffs == _trim(_school_mul(F, a, b))
         assert [F._log[c] for c in P.coeffs] == prod[: len(P.coeffs)]
+        if len(la) != len(lb):  # either order puts the longer factor in the row, so one of them swaps
+            swapped = _log_mul(lb, la, zech, q1)
+            assert _from_logs(F, list(swapped)).coeffs == _trim(_school_mul(F, b, a)) and swapped == prod
         again = _log_mul(prod, la, zech, q1)  # products feed back in, as in the locus search
         assert _from_logs(F, again).coeffs == _trim(_school_mul(F, P.coeffs, a))
         assert _well_formed(P) and _well_formed(_from_logs(F, again))
