@@ -208,6 +208,8 @@ def matrix_rank(spec: FieldSpec, rows) -> int:
     """
     zech, q1, log = spec._zech, spec.q - 1, spec._log
     rows = [[log[c] for c in r] for r in rows]
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("matrix rows differ in length")
     rank = 0
     for i, row in enumerate(rows):
         pivot = [(j, y) for j, y in enumerate(row) if y >= 0]

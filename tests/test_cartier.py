@@ -212,6 +212,9 @@ def test_matrix_rank():
     rows = [[1, 0, 1], [0, 1, 0], [1, 1, 1]]
     assert matrix_rank(F16, rows) == 2
     assert matrix_rank(F16, []) == 0
+    for ragged in ([[1, 1], [1]], [[1], [1, 1]]):
+        with pytest.raises(ValueError):
+            matrix_rank(F16, ragged)
 
 
 def test_global_tc_matrix_no_marks():
