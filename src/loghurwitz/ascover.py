@@ -75,10 +75,7 @@ class ArtinSchreierCover:
             for j, c in enumerate(h.coeffs):
                 if c and j > 0 and j % p == 0:
                     raise CoverError(f"unreduced p-th power term of order {j} at {b}")
-            d = h.degree
-            if d % p == 0:
-                raise CoverError(f"pole order {d} divisible by p at {b}")
-            conductors.append(d + 1)
+            conductors.append(h.degree + 1)
         if not places:
             raise CoverError("no branch points: the cover is disconnected")
         # each conductor is at least 2, and even at p = 2, so num is even and >= 0

@@ -29,58 +29,44 @@ from .ratfunc import (
 )
 
 
-class Differential:
+class _Form:
+    """f times a frame on the projective line; a subclass names the frame."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: RationalFunction):
+        self.f = f
+
+    @property
+    def spec(self):
+        return self.f.spec
+
+    def divisor(self) -> Divisor:
+        """div(f) shifted by the frame's order at infinity: -2 for dy, 2p-2 for dy/dx."""
+        return self.f.divisor() + Divisor({INFINITY: 2 * self.spec.p * self._dx_dual - 2})
+
+    def __add__(self, other):
+        return type(self)(self.f + other.f)
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.f == other.f
+
+    def __repr__(self):
+        return f"({self.f}) {self._frame}"
+
+
+class Differential(_Form):
     """omega = f dy on the projective line."""
 
-    __slots__ = ("f",)
-
-    def __init__(self, f: RationalFunction):
-        self.f = f
-
-    @property
-    def spec(self):
-        return self.f.spec
-
-    def divisor(self) -> Divisor:
-        """Divisor of omega: div(f) shifted by -2 at infinity."""
-        d = self.f.divisor()
-        return d + Divisor({INFINITY: -2})
-
-    def __add__(self, other):
-        return Differential(self.f + other.f)
-
-    def __eq__(self, other):
-        return isinstance(other, Differential) and self.f == other.f
-
-    def __repr__(self):
-        return f"({self.f}) dy"
+    __slots__ = ()
+    _frame, _dx_dual = "dy", 0
 
 
-class BivariantForm:
+class BivariantForm(_Form):
     """psi = f (dx)^v (x) dy for the relative Frobenius x = y^p."""
 
-    __slots__ = ("f",)
-
-    def __init__(self, f: RationalFunction):
-        self.f = f
-
-    @property
-    def spec(self):
-        return self.f.spec
-
-    def divisor(self) -> Divisor:
-        """Plain divisor of psi: div(f) shifted by 2p-2 at infinity."""
-        d = self.f.divisor()
-        return d + Divisor({INFINITY: 2 * self.spec.p - 2})
-
-    def __add__(self, other):
-        return BivariantForm(self.f + other.f)
-
-    def __eq__(self, other):
-        return isinstance(other, BivariantForm) and self.f == other.f
-
-    def __repr__(self):
-        return f"({self.f}) dy/dx"
+    __slots__ = ()
+    _frame, _dx_dual = "dy/dx", 1  # x = y^p has a pole of order p at infinity, so (dx)^v adds 2p
 
 
 class PPowerDecomposition:
@@ -207,7 +193,8 @@ def matrix_rank(spec: FieldSpec, rows) -> int:
     one _addmul per later row clears the pivot's leading column there.
     """
     zech, q1, log = spec._zech, spec.q - 1, spec._log
-    rows = [[log[c] for c in r] for r in rows]
+    # spec.element raises the ValueError for an entry outside range(q), where log[c] would wrap or fail
+    rows = [[log[c] if 0 <= c <= q1 else spec.element(c) for c in r] for r in rows]
     if len({len(r) for r in rows}) > 1:
         raise ValueError("matrix rows differ in length")
     rank = 0

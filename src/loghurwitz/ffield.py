@@ -55,8 +55,6 @@ def _digits(idx, p, k):
 
 def _gfp_mul(a, b, p, mod):
     """Multiply coefficient lists over GF(p) modulo the list `mod`."""
-    if not a or not b:
-        return []
     res = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -129,9 +127,6 @@ class FieldSpec:
         self._build_tables()
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
-
-    def _digits(self, idx):
-        return _digits(idx, self.p, self.k)
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
@@ -366,11 +361,11 @@ class FieldElement:
         return hash((self.spec.p, self.spec.k, self.idx))
 
     def coeffs(self):
-        return tuple(self.spec._digits(self.idx))
+        return tuple(_digits(self.idx, self.spec.p, self.spec.k))
 
     def __str__(self):
         terms = []
-        for i, c in enumerate(self.spec._digits(self.idx)):
+        for i, c in enumerate(_digits(self.idx, self.spec.p, self.spec.k)):
             if c == 0:
                 continue
             if i == 0:

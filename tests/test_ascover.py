@@ -75,6 +75,18 @@ def test_cli_bytes_match_golden(capsys):
     assert not mismatched
 
 
+@pytest.mark.parametrize(
+    "spec, coeffs, order",
+    [(field(3, 1), [0, 0, 0, 1], 3), (F16, [0, 1, 1], 2), (F5, [0, 1, 0, 2] + [0] * 6 + [1], 10)],
+)
+def test_principal_part_of_degree_divisible_by_p_is_unreduced(spec, coeffs, order):
+    """A pole order divisible by p is caught by the p-th power check on its leading term."""
+    h = Polynomial(spec, coeffs)
+    for b in (INFINITY, Place.finite(spec.one)):
+        with pytest.raises(CoverError, match=f"^unreduced p-th power term of order {order} at "):
+            ArtinSchreierCover(spec, {b: h})
+
+
 def test_total_cancellation_rejected():
     x = x_of(F16)
     with pytest.raises(CoverError):

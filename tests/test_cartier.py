@@ -18,7 +18,7 @@ from loghurwitz.cartier import (
 )
 from loghurwitz.ffield import field
 from loghurwitz.mobius import Mobius
-from loghurwitz.ratfunc import INFINITY, Place, Polynomial, RationalFunction
+from loghurwitz.ratfunc import INFINITY, Divisor, Place, Polynomial, RationalFunction
 
 F16 = field(2, 4)
 F9 = field(3, 2)
@@ -175,6 +175,26 @@ def test_degree_bookkeeping():
     assert psi.divisor().degree() == 2 * F16.p - 2
 
 
+@pytest.mark.parametrize("spec", [F16, F9, F5])
+def test_form_contract(spec):
+    """f dy and f dy/dx: one class in two frames, never equal to each other and never hashable."""
+    y = RationalFunction.variable(spec)
+    f, g = y * (y - 1) / (y + 1), 1 / y
+    for cls, frame, order in ((Differential, "dy", -2), (BivariantForm, "dy/dx", 2 * spec.p - 2)):
+        form = cls(f)
+        assert repr(form) == f"({f}) {frame}"
+        assert form.spec is spec
+        assert cls(RationalFunction.constant(spec, 1)).divisor() == Divisor({INFINITY: order})
+        assert form.divisor() == f.divisor() + Divisor({INFINITY: order})
+        total = form + cls(g)
+        assert type(total) is cls and total == cls(f + g)
+        assert form == cls(f) and form != cls(g)
+        with pytest.raises(TypeError):
+            hash(form)
+    assert Differential(f) != BivariantForm(f) and BivariantForm(f) != Differential(f)
+    assert not isinstance(Differential(f), BivariantForm) and not isinstance(BivariantForm(f), Differential)
+
+
 # -- chart independence ------------------------------------------------------
 
 
@@ -215,6 +235,15 @@ def test_matrix_rank():
     for ragged in ([[1, 1], [1]], [[1], [1, 1]]):
         with pytest.raises(ValueError):
             matrix_rank(F16, ragged)
+
+
+def test_matrix_rank_rejects_entries_that_are_not_element_indices():
+    F4 = field(2, 2)
+    for bad in (-1, 4, 17):
+        for rows in ([[bad]], [[1, 0], [0, bad]]):
+            with pytest.raises(ValueError, match=rf"^element index {bad} out of range for GF\(2\^2\)$"):
+                matrix_rank(F4, rows)
+    assert matrix_rank(F4, [[0, 3], [3, 0]]) == 2
 
 
 def test_global_tc_matrix_no_marks():

@@ -100,3 +100,31 @@ def test_zech_lookups_stay_in_the_multiply_add_and_the_fused_loops():
             and id(node) not in allowed
         ]
     assert found == []
+
+
+def test_every_private_definition_is_named_elsewhere_in_the_package():
+    """Each private function, class and method is named in the package outside its own body.
+
+    A name counts as a reference where it is read as a variable or an
+    attribute or imported, so a helper that only the tests keep alive fails.
+    """
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    assert trees
+    refs = {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            name = node.asname or node.name
+        if name:
+            refs.setdefault(name, set()).add(id(node))
+    defs = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert len(defs) > 50
+    orphans = [d.name for d in defs if not refs.get(d.name, set()) - {id(n) for n in ast.walk(d)}]
+    assert orphans == []

@@ -106,6 +106,19 @@ def test_json_schema_errors():
         LevelGraph.from_json_obj(obj)
 
 
+def test_duplicate_ids_raise_in_order():
+    """Each kind of duplicate id has its message; of several kinds, the first in this order is reported."""
+    kinds = [("source", "vertices", "source vertex"), ("target", "vertices", "target vertex"),
+             ("source", "edges", "source edge"), ("target", "edges", "target edge")]
+    for first in range(len(kinds)):
+        obj = example_graphs()[0].to_json_obj()
+        for side, part, _ in kinds[first:]:
+            obj[side][part].append(dict(obj[side][part][0]))
+        with pytest.raises(GraphError) as exc:
+            LevelGraph.from_json_obj(obj)
+        assert str(exc.value) == f"malformed level graph JSON: duplicate {kinds[first][2]} id"
+
+
 def test_dot_output():
     dot = example_graphs()[2].to_dot()
     assert dot.startswith("digraph")
