@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter, namedtuple
+from collections import namedtuple
 import json
 import math
 from types import SimpleNamespace
@@ -68,7 +68,7 @@ class HurwitzData(namedtuple("HurwitzData", "p h g N Lam Xi regime")):
         return lhs == rhs
 
     def errors(self):
-        out = []
+        out = [f"{name} = {value} must be at least 0" for name, value in zip("hgN", self[1:4]) if value < 0]
         if not self.rh_holds():
             out.append("Riemann-Hurwitz count fails for the discrete datum")
         if self.regime == "mixed" and any(self.Xi):
@@ -96,7 +96,7 @@ class LevelGraph:
     """
 
     _FRAME = ("p", "regime", "source_vertices", "source_edges", "target_vertices", "target_edges",
-              "_sv", "_tv", "_te", "_edges_at", "_out", "_in", "_frame_json")
+              "_sv", "_tv", "_te", "_edges_at", "_out", "_in", "_frame_json", "_facts")
     __slots__ = _FRAME + ("markings", "_marks_at")
 
     def __init__(self, p, regime, source_vertices, source_edges, target_vertices, target_edges, markings):
@@ -139,6 +139,7 @@ class LevelGraph:
                 inc[down.id].append(e)
         self._edges_at, self._out, self._in = ({v: tuple(xs) for v, xs in d.items()} for d in (edges_at, out, inc))
         self._frame_json = _compact_json(self._frame_obj())
+        self._facts = SimpleNamespace(datum=None, ledger=None, signatures=None)  # see _frame_facts
         self._set_markings(markings)
 
     def _set_markings(self, markings):
@@ -214,18 +215,17 @@ class LevelGraph:
     @staticmethod
     def _components(vertices, edges):
         parent = {v.id: v.id for v in vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        count = len(parent)  # ids are unique; each union joins two components
         for e in edges:
-            a, b = find(e.v1), find(e.v2)
+            a, b = e.v1, e.v2
+            while parent[a] != a:  # path halving, inline: a nested find cost a call per end
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
             if a != b:
                 parent[a] = b
-        return len({find(v.id) for v in vertices})
+                count -= 1
+        return count
 
     def total_source_genus(self):
         b1, _ = self.source_betti()
@@ -343,65 +343,122 @@ class ValidationReport:
         self.errors.append({"rule": rule, "detail": detail})
 
 
-def _ramified_points(G: LevelGraph, vid):
-    """(kind, slope-or-xi) for the ramified points of an AS vertex."""
-    pts = [("edge", e.id, e.slope) for e in G._out[vid]]
-    return pts + [("marking", str(i), G.markings[i].xi) for i in G._marks_at[vid] if G.markings[i].lam == G.p]
+def _ramified_markings(G: LevelGraph, vid):
+    """(kind, ident, xi) for the markings of index p at an AS vertex; _frame_facts lists its edges."""
+    return [("marking", str(i), G.markings[i].xi) for i in G._marks_at[vid] if G.markings[i].lam == G.p]
 
 
-def _frobenius_orders(G: LevelGraph, vid):
-    """Plain orders of the component form at the special points of a Frobenius vertex."""
-    p = G.p
-    orders = [e.slope + (p - 1) for e in G._out[vid]]
-    orders += [(p - 1) - e.slope for e in G._in[vid]]
-    return orders + [G.markings[i].xi + (p - 1) for i in G._marks_at[vid]]
+def _marking_orders(G: LevelGraph, vid):
+    """Plain orders of the component form at a Frobenius vertex's markings; _frame_facts lists its edges'."""
+    return [G.markings[i].xi + (G.p - 1) for i in G._marks_at[vid]]
 
 
-def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
-    report = ValidationReport()
+def _frame_facts(G: LevelGraph, A: HurwitzData):
+    """What validate and stratum_dimension read off G's frame before its markings, under the datum A.
+
+    G._facts, which the frame's classes share, is filled on the first call with A and refilled for another
+    datum; the ledger's target counts and canonical_form's vertex signatures need no datum and stay.
+    """
+    F = G._facts
+    if F.datum is A:
+        return F
+    head, edges, etale = ValidationReport(), ValidationReport(), ValidationReport()
     p = A.p
     if G.p != A.p:
-        report.add("datum", f"graph p={G.p} differs from datum p={A.p}")
+        head.add("datum", f"graph p={G.p} differs from datum p={A.p}")
     if G.regime != A.regime:
-        report.add("datum", f"graph regime {G.regime} differs from datum {A.regime}")
+        head.add("datum", f"graph regime {G.regime} differs from datum {A.regime}")
     for err in A.errors():
-        report.add("riemann-hurwitz", err)
+        head.add("riemann-hurwitz", err)
 
     # level structure
     levels = G.levels()
     if not levels or levels[0] != 0 or levels != list(range(0, min(levels) - 1, -1)):
-        report.add("levels", f"levels {levels} are not a contiguous set {{0,...,-L}}")
+        head.add("levels", f"levels {levels} are not a contiguous set {{0,...,-L}}")
     tlevels = sorted({v.level for v in G.target_vertices}, reverse=True)
     if tlevels != levels:
-        report.add("levels", f"target levels {tlevels} differ from source levels {levels}")
+        head.add("levels", f"target levels {tlevels} differ from source levels {levels}")
     for v in G.source_vertices:
         if G._tv[v.image].level != v.level:
-            report.add("levels", f"vertex {v.id} and its image are on different levels")
+            head.add("levels", f"vertex {v.id} and its image are on different levels")
 
     # cover types; loops that read three or more fields of a record unpack
     # it, as a named-tuple field read costs about twice a slots-class one
     for vid, _, level, cover_type, _ in G.source_vertices:
         if cover_type not in (AS, FROB, ETALE):
-            report.add("cover-type", f"unknown cover type {cover_type} at {vid}")
+            head.add("cover-type", f"unknown cover type {cover_type} at {vid}")
         elif level == 0 and cover_type == FROB:
-            report.add("cover-type", f"frobenius vertex {vid} at the top level")
+            head.add("cover-type", f"frobenius vertex {vid} at the top level")
         elif level < 0 and cover_type != FROB:
-            report.add("cover-type", f"separable vertex {vid} below the top level")
+            head.add("cover-type", f"separable vertex {vid} below the top level")
 
     # connectivity
     b1, comps = G.source_betti()
     if comps != 1:
-        report.add("connectivity", f"source graph has {comps} components")
+        head.add("connectivity", f"source graph has {comps} components")
     g, tcomps = G.target_betti()  # target components have genus 0, so g is b1
     if tcomps != 1:
-        report.add("connectivity", f"target graph has {tcomps} components")
+        head.add("connectivity", f"target graph has {tcomps} components")
 
     # genus bookkeeping
     h = sum(v.genus for v in G.source_vertices) + b1
     if h != A.h:
-        report.add("genus", f"source arithmetic genus {h} differs from datum h={A.h}")
+        head.add("genus", f"source arithmetic genus {h} differs from datum h={A.h}")
     if g != A.g:
-        report.add("genus", f"target arithmetic genus {g} differs from datum g={A.g}")
+        head.add("genus", f"target arithmetic genus {g} differs from datum g={A.g}")
+
+    # edges: slopes, images, horizontality
+    for eid, v1, v2, slope, image in G.source_edges:
+        if slope < 0:
+            edges.add("slope", f"edge {eid} has negative slope")
+        _, t1, t2 = G._te[image]
+        _, _, level1, type1, image1 = G._sv[v1]
+        _, _, level2, type2, image2 = G._sv[v2]
+        if {image1, image2} != {t1, t2}:
+            edges.add("edge-image", f"edge {eid} endpoints do not map onto its image edge")
+        if level1 == level2:  # horizontal
+            if slope != 0:
+                edges.add("slope", f"horizontal edge {eid} has nonzero slope {slope}")
+            if level1 != 0:
+                edges.add("slope", f"horizontal edge {eid} below the top level")
+        else:
+            if slope == 0:
+                edges.add("slope", f"level-crossing edge {eid} has slope 0")
+            down_type, up_type = (type1, type2) if level1 < level2 else (type2, type1)
+            if down_type == FROB and slope % p == 0:
+                edges.add("slope", f"edge {eid}: slope {slope} is 0 mod p at a Frobenius vertex")
+            if up_type == FROB and slope % p == 0:
+                edges.add("slope", f"edge {eid}: slope {slope} is 0 mod p at a Frobenius vertex")
+            if up_type == AS and slope % (p - 1) != 0:
+                edges.add("slope", f"edge {eid}: top-level outgoing slope {slope} not divisible by p-1")
+
+    # etale sheets
+    for tv_id in G.etale_target_vertices():
+        sheets = [v for v in G.source_vertices if v.image == tv_id]
+        if len(sheets) != p or any(v.cover_type != ETALE for v in sheets):
+            etale.add("etale", f"target vertex {tv_id} is not covered by exactly p degree-1 sheets")
+        for v in sheets:
+            for e in G.edges_at(v.id):
+                if not G.is_horizontal(e):
+                    etale.add("etale", f"etale sheet {v.id} has a level-crossing edge {e.id}")
+
+    F.head, F.edges, F.etale = head.errors, edges.errors, etale.errors
+    # per AS vertex its ramified edges as (kind, ident, slope), per Frobenius vertex its edges' plain orders
+    q = G.p  # the graph's p; a datum with another is reported in head
+    F.ramified = [(v, [("edge", e.id, e.slope) for e in G._out[v.id]]) for v in G.source_vertices if v.cover_type == AS]
+    F.orders = [(v, [e.slope + (q - 1) for e in G._out[v.id]] + [(q - 1) - e.slope for e in G._in[v.id]])
+                for v in G.source_vertices if v.cover_type == FROB]
+    F.degrees = [(vid, genus, len(G._edges_at[vid])) for vid, genus, _, _, _ in G.source_vertices]
+    F.datum = A
+    return F
+
+
+def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
+    F = _frame_facts(G, A)  # each section below that reads no marking is done there, once per frame and datum
+    report = ValidationReport()
+    p = A.p
+    for err in F.head:
+        report.add(**err)
 
     # markings against the datum
     if len(G.markings) != A.b:
@@ -419,41 +476,17 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
         if len({G._sv[G.markings[i].vertex].image for i in idxs}) != 1:
             report.add("markings", f"target marking {label} spread over several target vertices")
 
-    # edges: slopes, images, horizontality
-    for eid, v1, v2, slope, image in G.source_edges:
-        if slope < 0:
-            report.add("slope", f"edge {eid} has negative slope")
-        _, t1, t2 = G._te[image]
-        _, _, level1, type1, image1 = G._sv[v1]
-        _, _, level2, type2, image2 = G._sv[v2]
-        if {image1, image2} != {t1, t2}:
-            report.add("edge-image", f"edge {eid} endpoints do not map onto its image edge")
-        if level1 == level2:  # horizontal
-            if slope != 0:
-                report.add("slope", f"horizontal edge {eid} has nonzero slope {slope}")
-            if level1 != 0:
-                report.add("slope", f"horizontal edge {eid} below the top level")
-        else:
-            if slope == 0:
-                report.add("slope", f"level-crossing edge {eid} has slope 0")
-            down_type, up_type = (type1, type2) if level1 < level2 else (type2, type1)
-            if down_type == FROB and slope % p == 0:
-                report.add("slope", f"edge {eid}: slope {slope} is 0 mod p at a Frobenius vertex")
-            if up_type == FROB and slope % p == 0:
-                report.add("slope", f"edge {eid}: slope {slope} is 0 mod p at a Frobenius vertex")
-            if up_type == AS and slope % (p - 1) != 0:
-                report.add("slope", f"edge {eid}: top-level outgoing slope {slope} not divisible by p-1")
+    for err in F.edges:
+        report.add(**err)
 
     # per-AS-vertex conductor balance
-    for v in G.source_vertices:
-        if v.cover_type != AS:
-            continue
+    for v, edge_points in F.ramified:
         if 2 * v.genus % (p - 1) != 0:
             report.add("as-balance", f"2g({v.id}) not divisible by p-1")
             continue
         conductors = []
         bad = False
-        for kind, ident, val in _ramified_points(G, v.id):
+        for kind, ident, val in edge_points + _ramified_markings(G, v.id):
             if val % (p - 1) != 0:
                 report.add("as-balance", f"ramified {kind} {ident} at {v.id}: value {val} not divisible by p-1")
                 bad = True
@@ -471,10 +504,8 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
             )
 
     # per-Frobenius-vertex degree balance of the component form
-    for v in G.source_vertices:
-        if v.cover_type != FROB:
-            continue
-        total = sum(_frobenius_orders(G, v.id))
+    for v, edge_orders in F.orders:
+        total = sum(edge_orders) + sum(_marking_orders(G, v.id))
         expected = (2 * v.genus - 2) * (1 - p)
         if total != expected:
             report.add(
@@ -482,20 +513,13 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
                 f"vertex {v.id}: plain orders sum to {total}, expected {expected}",
             )
 
-    # etale sheets
-    for tv_id in G.etale_target_vertices():
-        sheets = [v for v in G.source_vertices if v.image == tv_id]
-        if len(sheets) != p or any(v.cover_type != ETALE for v in sheets):
-            report.add("etale", f"target vertex {tv_id} is not covered by exactly p degree-1 sheets")
-        for v in sheets:
-            for e in G.edges_at(v.id):
-                if not G.is_horizontal(e):
-                    report.add("etale", f"etale sheet {v.id} has a level-crossing edge {e.id}")
+    for err in F.etale:
+        report.add(**err)
 
     # stability of the source curve
-    edges_at, marks_at = G._edges_at, G._marks_at
-    for vid, genus, _, _, _ in G.source_vertices:
-        special = len(edges_at[vid]) + len(marks_at[vid])
+    marks_at = G._marks_at
+    for vid, genus, degree in F.degrees:
+        special = degree + len(marks_at[vid])
         if special < 3 - 2 * genus:
             report.add("stability", f"vertex {vid} (genus {genus}) has only {special} special points")
 
@@ -537,15 +561,20 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
     if not report.ok:
         raise GraphError(f"invalid level graph: {report.errors}")
     p = A.p
-    hor = G.horizontal_target_edges()
-    # per target vertex: its half-edges (target edge ends and target markings)
-    # and, among them, its etale special points (ends of horizontal target
-    # edges and unramified target markings); a loop counts twice
-    half_edges, etale_points = Counter(), Counter()
-    for te in G.target_edges:
-        for end in (te.v1, te.v2):
-            half_edges[end] += 1
-            etale_points[end] += te.id in hor
+    F = _frame_facts(G, A)
+    if F.ledger is None:  # the frame's target counts, taken once it has passed validation
+        hor = G.horizontal_target_edges()
+        # per target vertex: its half-edges (target edge ends and target markings)
+        # and, among them, its etale special points (ends of horizontal target
+        # edges and unramified target markings); a loop counts twice
+        half_edges, etale_points = dict.fromkeys(G._tv, 0), dict.fromkeys(G._tv, 0)
+        for te in G.target_edges:
+            for end in (te.v1, te.v2):
+                half_edges[end] += 1
+                etale_points[end] += te.id in hor
+        F.ledger = hor, half_edges, etale_points, sorted(G.etale_target_vertices()), G.min_level
+    hor, half_edges, etale_points, etale_targets, lmin = F.ledger
+    half_edges, etale_points = half_edges.copy(), etale_points.copy()
     for idxs in G.marking_groups().values():
         end = G._sv[G.markings[idxs[0]].vertex].image
         half_edges[end] += 1
@@ -553,31 +582,28 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
 
     contributions = []
     mod_as = mod_ex = mod_quex = v_c_ex = 0
-    for v in G.source_vertices:
-        if v.cover_type == AS:
-            ram = sum(s // (p * (p - 1)) for _, _, s in _ramified_points(G, v.id))
-            val = 2 * v.genus // (p - 1) + etale_points[v.image] - 1 - ram
-            mod_as += val
-            contributions.append((f"AS:{v.id}", val))
-    for tv_id in sorted(G.etale_target_vertices()):
+    for v, edge_points in F.ramified:
+        ram = sum(s // (p * (p - 1)) for _, _, s in edge_points + _ramified_markings(G, v.id))
+        val = 2 * v.genus // (p - 1) + etale_points[v.image] - 1 - ram
+        mod_as += val
+        contributions.append((f"AS:{v.id}", val))
+    for tv_id in etale_targets:
         val = half_edges[tv_id] - 3
         mod_as += val
         contributions.append((f"etale-target:{tv_id}", val))
 
-    # below the top level: quasi-exact on the bottom level in the mixed
-    # regime, exact everywhere else (see LevelGraph.exact_vertices)
-    lmin = G.min_level
-    for v in G.source_vertices:
-        if v.level < 0:
-            orders = _frobenius_orders(G, v.id)
-            val = len(orders) + sum(o // p for o in orders)
-            if G.regime == "mixed" and v.level == lmin:
-                mod_quex += val - 3
-                contributions.append((f"quasi-exact:{v.id}", val - 3))
-            else:
-                mod_ex += val - 4
-                v_c_ex += 1
-                contributions.append((f"exact:{v.id}", val - 4))
+    # below the top level (Frobenius vertices, once validated): quasi-exact on the bottom
+    # level in the mixed regime, exact everywhere else (see LevelGraph.exact_vertices)
+    for v, edge_orders in F.orders:
+        orders = edge_orders + _marking_orders(G, v.id)
+        val = len(orders) + sum(o // p for o in orders)
+        if G.regime == "mixed" and v.level == lmin:
+            mod_quex += val - 3
+            contributions.append((f"quasi-exact:{v.id}", val - 3))
+        else:
+            mod_ex += val - 4
+            v_c_ex += 1
+            contributions.append((f"exact:{v.id}", val - 4))
 
     total = mod_as + mod_ex + mod_quex
     e_d_hor = len(hor)
@@ -623,18 +649,18 @@ def canonical_form(G: LevelGraph):
     themselves, which leaves the minimum as it is.  Trying more than
     MAX_CANON_ORDERINGS orderings raises GraphError.
     """
-    invariants = {}
-    for vid, genus, level, cover_type, _ in G.source_vertices:
-        slopes = []
-        for e in G._edges_at[vid]:
-            if G.is_horizontal(e):
-                slopes.append((0, 0))
-            else:
-                slopes.append((1 if G.edge_down_up(e)[1].id == vid else -1, e.slope))
-        invariants[vid] = (-level, genus, cover_type, tuple(sorted(slopes)), G._marks_at[vid])
+    sigs = G._facts.signatures
+    if sigs is None:  # the frame's part of each vertex invariant
+        sigs = G._facts.signatures = {}
+        for vid, genus, level, cover_type, _ in G.source_vertices:
+            slopes = []
+            for e in G._edges_at[vid]:  # (0, 0) if horizontal, else (+1 from above or -1 from below, slope)
+                other = G._sv[e.v2 if e.v1 == vid else e.v1].level
+                slopes.append((0, 0) if other == level else (1 if level > other else -1, e.slope))
+            sigs[vid] = (-level, genus, cover_type, tuple(sorted(slopes)))
     classes = {}
-    for vid, inv in invariants.items():  # in source_vertices order
-        classes.setdefault(inv, []).append(vid)
+    for vid, sig in sigs.items():  # in source_vertices order; the invariant is (sig, marking positions)
+        classes.setdefault((sig, G._marks_at[vid]), []).append(vid)
     class_lists = [ids for _, ids in sorted(classes.items())]
     sigma = {vid: i for i, vid in enumerate(itertools.chain.from_iterable(class_lists))}
     base = _encode(G, sigma)

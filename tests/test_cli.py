@@ -322,6 +322,16 @@ def test_validate_invalid_graph_exit(capsys, tmp_path):
     assert code == EXIT_DOMAIN and rep["ok"] is False
 
 
+def test_validate_negative_datum_field_fails_validation(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(example_graphs()[0].to_json())
+    code, out = run(capsys, "strata", "validate", "--file", str(path), "--datum", "2,-1,0,4", "--lambda", "2,2,2,2")
+    assert code == EXIT_DOMAIN and out.count("\n") == 1
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    assert {"rule": "riemann-hurwitz", "detail": "h = -1 must be at least 0"} in rep["errors"]
+
+
 def test_monoid_subcommand(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_text(example_graphs()[2].to_json())

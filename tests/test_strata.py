@@ -4,6 +4,7 @@ import json
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from loghurwitz import strata
 from loghurwitz.cli import example_graphs
 from loghurwitz.strata import (
     AS,
+    ETALE,
     FROB,
     GraphError,
     HurwitzData,
@@ -18,8 +20,11 @@ from loghurwitz.strata import (
     Marking,
     SourceEdge,
     SourceVertex,
+    StratumLedger,
     TargetEdge,
     TargetVertex,
+    ValidationReport,
+    _monoid,
     canonical_form,
     enumerate_components,
     generic_dimension,
@@ -684,3 +689,368 @@ def test_canonical_form_ordering_bound(monkeypatch):
         canonical_form(G)
     monkeypatch.setattr(strata, "MAX_CANON_ORDERINGS", 6)
     assert canonical_form(G) == brute_force_canonical_form(G)
+
+
+# -- validate and stratum_dimension against the per-class code they replaced ----
+#
+# validate and stratum_dimension take the marking-free part of their work from
+# facts their frame computes once per datum.  The per-class code they replaced
+# is kept below unchanged as their oracle, with LevelGraph._components' former
+# union-find, whose closure the inline loop replaced.
+
+
+def reference_components(vertices, edges):
+    parent = {v.id: v.id for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in edges:
+        a, b = find(e.v1), find(e.v2)
+        if a != b:
+            parent[a] = b
+    return len({find(v.id) for v in vertices})
+
+
+def reference_ramified_points(G: LevelGraph, vid):
+    """(kind, slope-or-xi) for the ramified points of an AS vertex."""
+    pts = [("edge", e.id, e.slope) for e in G._out[vid]]
+    return pts + [("marking", str(i), G.markings[i].xi) for i in G._marks_at[vid] if G.markings[i].lam == G.p]
+
+
+def reference_frobenius_orders(G: LevelGraph, vid):
+    """Plain orders of the component form at the special points of a Frobenius vertex."""
+    p = G.p
+    orders = [e.slope + (p - 1) for e in G._out[vid]]
+    orders += [(p - 1) - e.slope for e in G._in[vid]]
+    return orders + [G.markings[i].xi + (p - 1) for i in G._marks_at[vid]]
+
+
+def reference_validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
+    report = ValidationReport()
+    p = A.p
+    if G.p != A.p:
+        report.add("datum", f"graph p={G.p} differs from datum p={A.p}")
+    if G.regime != A.regime:
+        report.add("datum", f"graph regime {G.regime} differs from datum {A.regime}")
+    for err in A.errors():
+        report.add("riemann-hurwitz", err)
+
+    # level structure
+    levels = G.levels()
+    if not levels or levels[0] != 0 or levels != list(range(0, min(levels) - 1, -1)):
+        report.add("levels", f"levels {levels} are not a contiguous set {{0,...,-L}}")
+    tlevels = sorted({v.level for v in G.target_vertices}, reverse=True)
+    if tlevels != levels:
+        report.add("levels", f"target levels {tlevels} differ from source levels {levels}")
+    for v in G.source_vertices:
+        if G._tv[v.image].level != v.level:
+            report.add("levels", f"vertex {v.id} and its image are on different levels")
+
+    # cover types; loops that read three or more fields of a record unpack
+    # it, as a named-tuple field read costs about twice a slots-class one
+    for vid, _, level, cover_type, _ in G.source_vertices:
+        if cover_type not in (AS, FROB, ETALE):
+            report.add("cover-type", f"unknown cover type {cover_type} at {vid}")
+        elif level == 0 and cover_type == FROB:
+            report.add("cover-type", f"frobenius vertex {vid} at the top level")
+        elif level < 0 and cover_type != FROB:
+            report.add("cover-type", f"separable vertex {vid} below the top level")
+
+    # connectivity
+    b1, comps = G.source_betti()
+    if comps != 1:
+        report.add("connectivity", f"source graph has {comps} components")
+    g, tcomps = G.target_betti()  # target components have genus 0, so g is b1
+    if tcomps != 1:
+        report.add("connectivity", f"target graph has {tcomps} components")
+
+    # genus bookkeeping
+    h = sum(v.genus for v in G.source_vertices) + b1
+    if h != A.h:
+        report.add("genus", f"source arithmetic genus {h} differs from datum h={A.h}")
+    if g != A.g:
+        report.add("genus", f"target arithmetic genus {g} differs from datum g={A.g}")
+
+    # markings against the datum
+    if len(G.markings) != A.b:
+        report.add("markings", f"{len(G.markings)} markings, datum has b={A.b}")
+    else:
+        for i, m in enumerate(G.markings):
+            if m.lam != A.Lam[i] or m.xi != A.Xi[i]:
+                report.add("markings", f"marking {i} carries ({m.lam},{m.xi}), datum says ({A.Lam[i]},{A.Xi[i]})")
+    groups = G.marking_groups()
+    if len(groups) != A.N:
+        report.add("markings", f"{len(groups)} target markings, datum has N={A.N}")
+    for label, idxs in groups.items():
+        if sum(G.markings[i].lam for i in idxs) != p:
+            report.add("markings", f"target marking {label} has fiber multiplicities summing to != p")
+        if len({G._sv[G.markings[i].vertex].image for i in idxs}) != 1:
+            report.add("markings", f"target marking {label} spread over several target vertices")
+
+    # edges: slopes, images, horizontality
+    for eid, v1, v2, slope, image in G.source_edges:
+        if slope < 0:
+            report.add("slope", f"edge {eid} has negative slope")
+        _, t1, t2 = G._te[image]
+        _, _, level1, type1, image1 = G._sv[v1]
+        _, _, level2, type2, image2 = G._sv[v2]
+        if {image1, image2} != {t1, t2}:
+            report.add("edge-image", f"edge {eid} endpoints do not map onto its image edge")
+        if level1 == level2:  # horizontal
+            if slope != 0:
+                report.add("slope", f"horizontal edge {eid} has nonzero slope {slope}")
+            if level1 != 0:
+                report.add("slope", f"horizontal edge {eid} below the top level")
+        else:
+            if slope == 0:
+                report.add("slope", f"level-crossing edge {eid} has slope 0")
+            down_type, up_type = (type1, type2) if level1 < level2 else (type2, type1)
+            if down_type == FROB and slope % p == 0:
+                report.add("slope", f"edge {eid}: slope {slope} is 0 mod p at a Frobenius vertex")
+            if up_type == FROB and slope % p == 0:
+                report.add("slope", f"edge {eid}: slope {slope} is 0 mod p at a Frobenius vertex")
+            if up_type == AS and slope % (p - 1) != 0:
+                report.add("slope", f"edge {eid}: top-level outgoing slope {slope} not divisible by p-1")
+
+    # per-AS-vertex conductor balance
+    for v in G.source_vertices:
+        if v.cover_type != AS:
+            continue
+        if 2 * v.genus % (p - 1) != 0:
+            report.add("as-balance", f"2g({v.id}) not divisible by p-1")
+            continue
+        conductors = []
+        bad = False
+        for kind, ident, val in reference_ramified_points(G, v.id):
+            if val % (p - 1) != 0:
+                report.add("as-balance", f"ramified {kind} {ident} at {v.id}: value {val} not divisible by p-1")
+                bad = True
+                continue
+            e = val // (p - 1) + 1
+            if e % p == 1:
+                report.add("as-balance", f"ramified {kind} {ident} at {v.id}: conductor {e} is 1 mod p")
+                bad = True
+            conductors.append(e)
+        if not bad and sum(conductors) != 2 * v.genus // (p - 1) + 2:
+            report.add(
+                "as-balance",
+                f"vertex {v.id}: conductors {conductors} sum to {sum(conductors)}, "
+                f"expected {2 * v.genus // (p - 1) + 2}",
+            )
+
+    # per-Frobenius-vertex degree balance of the component form
+    for v in G.source_vertices:
+        if v.cover_type != FROB:
+            continue
+        total = sum(reference_frobenius_orders(G, v.id))
+        expected = (2 * v.genus - 2) * (1 - p)
+        if total != expected:
+            report.add(
+                "frobenius-balance",
+                f"vertex {v.id}: plain orders sum to {total}, expected {expected}",
+            )
+
+    # etale sheets
+    for tv_id in G.etale_target_vertices():
+        sheets = [v for v in G.source_vertices if v.image == tv_id]
+        if len(sheets) != p or any(v.cover_type != ETALE for v in sheets):
+            report.add("etale", f"target vertex {tv_id} is not covered by exactly p degree-1 sheets")
+        for v in sheets:
+            for e in G.edges_at(v.id):
+                if not G.is_horizontal(e):
+                    report.add("etale", f"etale sheet {v.id} has a level-crossing edge {e.id}")
+
+    # stability of the source curve
+    edges_at, marks_at = G._edges_at, G._marks_at
+    for vid, genus, _, _, _ in G.source_vertices:
+        special = len(edges_at[vid]) + len(marks_at[vid])
+        if special < 3 - 2 * genus:
+            report.add("stability", f"vertex {vid} (genus {genus}) has only {special} special points")
+
+    # mixed regime needs no check: levels are contiguous, so nothing lies below log(p)
+    return report
+
+
+def reference_stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
+    report = reference_validate(G, A)
+    if not report.ok:
+        raise GraphError(f"invalid level graph: {report.errors}")
+    p = A.p
+    hor = G.horizontal_target_edges()
+    # per target vertex: its half-edges (target edge ends and target markings)
+    # and, among them, its etale special points (ends of horizontal target
+    # edges and unramified target markings); a loop counts twice
+    half_edges, etale_points = Counter(), Counter()
+    for te in G.target_edges:
+        for end in (te.v1, te.v2):
+            half_edges[end] += 1
+            etale_points[end] += te.id in hor
+    for idxs in G.marking_groups().values():
+        end = G._sv[G.markings[idxs[0]].vertex].image
+        half_edges[end] += 1
+        etale_points[end] += all(G.markings[i].lam == 1 for i in idxs)
+
+    contributions = []
+    mod_as = mod_ex = mod_quex = v_c_ex = 0
+    for v in G.source_vertices:
+        if v.cover_type == AS:
+            ram = sum(s // (p * (p - 1)) for _, _, s in reference_ramified_points(G, v.id))
+            val = 2 * v.genus // (p - 1) + etale_points[v.image] - 1 - ram
+            mod_as += val
+            contributions.append((f"AS:{v.id}", val))
+    for tv_id in sorted(G.etale_target_vertices()):
+        val = half_edges[tv_id] - 3
+        mod_as += val
+        contributions.append((f"etale-target:{tv_id}", val))
+
+    # below the top level: quasi-exact on the bottom level in the mixed
+    # regime, exact everywhere else (see LevelGraph.exact_vertices)
+    lmin = G.min_level
+    for v in G.source_vertices:
+        if v.level < 0:
+            orders = reference_frobenius_orders(G, v.id)
+            val = len(orders) + sum(o // p for o in orders)
+            if G.regime == "mixed" and v.level == lmin:
+                mod_quex += val - 3
+                contributions.append((f"quasi-exact:{v.id}", val - 3))
+            else:
+                mod_ex += val - 4
+                v_c_ex += 1
+                contributions.append((f"exact:{v.id}", val - 4))
+
+    total = mod_as + mod_ex + mod_quex
+    e_d_hor = len(hor)
+    closed = None
+    if A.g == 0 and A.regime == "mixed":
+        closed = A.N - 3 - e_d_hor - v_c_ex
+        if total != closed:
+            raise GraphError(f"ledger total {total} != closed form {closed}")
+    rank, free = _monoid(A, e_d_hor, v_c_ex)
+    return StratumLedger(
+        contributions=contributions, mod_as=mod_as, mod_ex=mod_ex, mod_quex=mod_quex, total=total,
+        closed_form=closed, e_d_hor=e_d_hor, v_c_ex=v_c_ex, monoid_rank=rank, monoid_free=free,
+    )
+
+
+def _same_answers(G, A):
+    """validate and stratum_dimension on G agree with the oracle: errors in order, and the ledger or its error."""
+    report, expected = validate(G, A), reference_validate(G, A)
+    assert (report.ok, report.errors) == (expected.ok, expected.errors)
+    if expected.ok:
+        assert vars(stratum_dimension(G, A)) == vars(reference_stratum_dimension(G, A))
+    else:
+        with pytest.raises(GraphError) as got:
+            stratum_dimension(G, A)
+        with pytest.raises(GraphError) as want:
+            reference_stratum_dimension(G, A)
+        assert str(got.value) == str(want.value)
+    return expected.errors
+
+
+@pytest.mark.parametrize("b", [4, 6, 8])
+def test_validate_and_ledger_equal_the_reference_on_every_class(b):
+    """Every class at 6 vertices, on its shared frame, and a relabelled copy that computes its own facts."""
+    A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
+    rng = random.Random(b)
+    for G in enumerate_components(A, 6):
+        assert _same_answers(G, A) == []
+        assert _same_answers(relabel(G, rng), A) == []
+
+
+def _frames(A):
+    """The enumerated classes of A grouped by the frame they share, in enumeration order."""
+    frames = {}
+    for G in enumerate_components(A, 6):
+        frames.setdefault(id(G._facts), []).append(G)
+    return list(frames.values())
+
+
+def test_frame_facts_follow_the_datum():
+    """One shared frame checked against A, a mismatched datum, an equal copy of A, then A again."""
+    A = HurwitzData(2, 3, 0, 8, (2,) * 8)
+    mismatched = HurwitzData(2, A.h + 1, 0, 8, (2,) * 7 + (1,))
+    equicharacteristic = HurwitzData(2, 3, 0, 8, (2,) * 8, regime="equicharacteristic")
+    for classes in _frames(A)[::3]:
+        for datum in (A, mismatched, equicharacteristic, HurwitzData(*A), A):
+            for G in classes[:5]:
+                assert bool(_same_answers(G, datum)) == (datum != A)
+
+
+def test_changed_markings_on_a_shared_frame_equal_the_reference():
+    """A changed xi, lambda = 1, a marking moved to another bottom and too few markings, between valid siblings.
+
+    Two unramified markings over one target marking, on a top vertex, keep a class valid under a datum with
+    them; its ledger reads the frame's etale-point counts, which a class must not change.
+    """
+    A = HurwitzData(2, 2, 0, 6, (2,) * 6)
+    unramified = A._replace(N=7, Lam=A.Lam + (1, 1), Xi=A.Xi + (0, 0))
+    moved = 0
+    for classes in _frames(A):
+        G = classes[0]
+        marks = list(G.markings)
+        top = G.source_vertices[0].id
+        H = G._with_markings(marks + [Marking(top, 1, 0, "q6"), Marking(top, 1, 0, "q6")])
+        for _ in range(2):
+            assert _same_answers(H, unramified) == []
+        bottoms = [v.id for v in G.source_vertices if v.level < 0]
+        other = next((w for w in bottoms if w != marks[0].vertex), None)
+        variants = [
+            [marks[0]._replace(xi=1), *marks[1:]],
+            [marks[0]._replace(lam=1), *marks[1:]],
+            marks[:-1],
+        ]
+        if other is not None:
+            variants.append([marks[0]._replace(vertex=other), *marks[1:]])
+            moved += 1
+        for markings in variants:
+            assert _same_answers(G._with_markings(markings), A)
+            assert _same_answers(classes[-1], A) == []
+    assert moved > 0
+
+
+def test_validate_and_ledger_equal_the_reference_on_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    data = [A4, HurwitzData(3, 1, 0, 2, (3, 3)), HurwitzData(2, 1, 0, 1, (2,)),
+            HurwitzData(2, 3, 0, 4, (2, 2, 2, 2), (1, 1, 1, 1), "equicharacteristic")]
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(0, 2**32), st.sampled_from(data))
+    def check(seed, A):
+        G = random_graph(random.Random(seed))
+        for B in (A, A4, A):  # the graph's facts follow each datum
+            _same_answers(G, B)
+        for vertices, edges in ((G.source_vertices, G.source_edges), (G.target_vertices, G.target_edges)):
+            assert LevelGraph._components(vertices, edges) == reference_components(vertices, edges)
+
+    check()
+
+
+def test_frame_facts_are_built_once_per_frame(monkeypatch):
+    """At b = 8, 3,510 classes on 18 frames: 18 fills of the frame facts and one validate call per class."""
+    fills, calls = [], []
+    source_betti, validate_ = LevelGraph.source_betti, strata.validate
+    monkeypatch.setattr(LevelGraph, "source_betti", lambda G: fills.append(G) or source_betti(G))
+    monkeypatch.setattr(strata, "validate", lambda G, A: calls.append(G) or validate_(G, A))
+    A = HurwitzData(2, 3, 0, 8, (2,) * 8)
+    comps = enumerate_components(A, 6)
+    assert len(comps) == len(calls) == 3510 and len({id(G._facts) for G in comps}) == len(fills) == 18
+    for G in comps:
+        strata.validate(G, A)
+        strata.stratum_dimension(G, A)
+    assert len(calls) == 3 * 3510 and len(fills) == 18
+
+
+@pytest.mark.parametrize("field, args", [("h", (2, -1, 0, 0, ())), ("g", (2, 1, -1, 4, (2,) * 4)),
+                                         ("N", (2, 1, 0, -2, (2,) * 4))])
+def test_negative_datum_fields_are_errors(field, args):
+    A = HurwitzData(*args)
+    message = f"{field} = {args['hgN'.index(field) + 1]} must be at least 0"
+    assert message in A.errors()
+    with pytest.raises(GraphError, match=message):
+        generic_dimension(A)
+    assert {"rule": "riemann-hurwitz", "detail": message} in validate(example_graphs()[0], A).errors
