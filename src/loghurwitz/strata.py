@@ -349,7 +349,7 @@ def _ramified_markings(G: LevelGraph, vid):
 
 
 def _marking_orders(G: LevelGraph, vid):
-    """Plain orders of the component form at a Frobenius vertex's markings; _frame_facts lists its edges'."""
+    """Plain orders of the component form at a Frobenius vertex's markings; _frame_facts lists its edges' orders."""
     return [G.markings[i].xi + (G.p - 1) for i in G._marks_at[vid]]
 
 
@@ -654,7 +654,7 @@ def canonical_form(G: LevelGraph):
         sigs = G._facts.signatures = {}
         for vid, genus, level, cover_type, _ in G.source_vertices:
             slopes = []
-            for e in G._edges_at[vid]:  # (0, 0) if horizontal, else (+1 from above or -1 from below, slope)
+            for e in G._edges_at[vid]:  # (0, 0) if horizontal, else (+1 at the upper end or -1 at the lower, slope)
                 other = G._sv[e.v2 if e.v1 == vid else e.v1].level
                 slopes.append((0, 0) if other == level else (1 if level > other else -1, e.slope))
             sigs[vid] = (-level, genus, cover_type, tuple(sorted(slopes)))
