@@ -92,7 +92,7 @@ _compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 class LevelGraph:
     """Enhanced level graph of a degree-p cover.
 
-    Instances are read-only: enumerated classes share their shape's tuples and dicts.
+    Instances are read-only: enumerated classes share their shape's tuples, dicts and _facts (see _frame_facts).
     """
 
     _FRAME = ("p", "regime", "source_vertices", "source_edges", "target_vertices", "target_edges",
