@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 expression/argument parse error, 3 field
 designator error, 4 graph schema error, 5 domain error (an operation
-rejected mathematically valid-looking input).  `main` maps library
-errors to codes in one place.  JSON output is emitted with sorted keys
-so identical inputs yield byte-identical bytes.  The handlers import
+rejected mathematically valid-looking input), 1 standard output closed
+by its reader.  `main` maps library errors to codes in one place.  JSON
+output is emitted with sorted keys so identical inputs yield
+byte-identical bytes.  The handlers import
 ascover, loci and strata themselves, so a call loads only the layers
 its subcommand uses.
 """
@@ -23,6 +24,7 @@ from .ffield import FieldSpec, field as make_field, parse_field
 from .ratfunc import INFINITY, Place, RationalFunction
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_PARSE = 2
 EXIT_FIELD = 3
 EXIT_SCHEMA = 4
@@ -498,6 +500,16 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # so that a closed pipe raises here, not in the interpreter's flush at exit
+    except BrokenPipeError:  # the reader closed stdout (`| head`): write nothing more, as the signal docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
+
+
+def _run(argv):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

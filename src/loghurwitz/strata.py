@@ -93,11 +93,12 @@ class LevelGraph:
     """Enhanced level graph of a degree-p cover.
 
     Instances are read-only: enumerated classes share their shape's tuples, dicts and _facts (see _frame_facts).
+    A class remembers in _valid_for the datum it last passed validate with.
     """
 
     _FRAME = ("p", "regime", "source_vertices", "source_edges", "target_vertices", "target_edges",
               "_sv", "_tv", "_te", "_edges_at", "_out", "_in", "_frame_json", "_facts")
-    __slots__ = _FRAME + ("markings", "_marks_at")
+    __slots__ = _FRAME + ("markings", "_marks_at", "_valid_for")
 
     def __init__(self, p, regime, source_vertices, source_edges, target_vertices, target_edges, markings):
         if p < 2:  # as in HurwitzData
@@ -139,7 +140,7 @@ class LevelGraph:
                 inc[down.id].append(e)
         self._edges_at, self._out, self._in = ({v: tuple(xs) for v, xs in d.items()} for d in (edges_at, out, inc))
         self._frame_json = _compact_json(self._frame_obj())
-        self._facts = SimpleNamespace(datum=None, ledger=None, signatures=None)  # see _frame_facts
+        self._facts = SimpleNamespace(datum=None, ledger=None, signatures=None, encodings={})  # see _frame_facts
         self._set_markings(markings)
 
     def _set_markings(self, markings):
@@ -151,6 +152,7 @@ class LevelGraph:
                 raise GraphError(f"marking on unknown vertex {m.vertex}")
             marks_at[m.vertex].append(i)
         self._marks_at = {vid: tuple(xs) for vid, xs in marks_at.items()}
+        self._valid_for = None
 
     def _with_markings(self, markings):
         """This graph with other markings, sharing every tuple and dict of its frame."""
@@ -454,6 +456,8 @@ def _frame_facts(G: LevelGraph, A: HurwitzData):
 
 
 def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
+    if G._valid_for is A:  # passed with this datum object (identity, as in _frame_facts); a failure is re-checked
+        return ValidationReport()
     F = _frame_facts(G, A)  # each section below that reads no marking is done there, once per frame and datum
     report = ValidationReport()
     p = A.p
@@ -524,6 +528,8 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
             report.add("stability", f"vertex {vid} (genus {genus}) has only {special} special points")
 
     # mixed regime needs no check: levels are contiguous, so nothing lies below log(p)
+    if report.ok:
+        G._valid_for = A
     return report
 
 
@@ -662,8 +668,12 @@ def canonical_form(G: LevelGraph):
     for vid, sig in sigs.items():  # in source_vertices order; the invariant is (sig, marking positions)
         classes.setdefault((sig, G._marks_at[vid]), []).append(vid)
     class_lists = [ids for _, ids in sorted(classes.items())]
-    sigma = {vid: i for i, vid in enumerate(itertools.chain.from_iterable(class_lists))}
-    base = _encode(G, sigma)
+    order = tuple(itertools.chain.from_iterable(class_lists))
+    sigma = {vid: i for i, vid in enumerate(order)}
+    frame = G._facts.encodings.get(order)  # the frame's classes share one per base order, and so do their keys
+    if frame is None:
+        frame = G._facts.encodings[order] = _encode_frame(G, sigma)
+    base = frame + _encode_markings(G, sigma)
     per_class, orderings = [], 1  # (twin classes, splits of the class's positions among them)
     for ids in class_lists:
         if len(ids) == 1:
@@ -707,9 +717,13 @@ def _neighbours(G: LevelGraph, vid, swap):
 
 
 def _encode(G: LevelGraph, sigma):
+    return _encode_frame(G, sigma) + _encode_markings(G, sigma)
+
+
+def _encode_frame(G: LevelGraph, sigma):
+    """The vertices, the edges and (target identifications) the source vertices and edges grouped by image."""
     verts = tuple(sorted((sigma[vid], -level, genus, ctype) for vid, genus, level, ctype, _ in G.source_vertices))
-    # target identifications: group source vertices / edges / markings by image
-    vgroups, egroups, mgroups = {}, {}, {}
+    vgroups, egroups = {}, {}
     edge_reps = []
     for _, v1, v2, slope, image in G.source_edges:
         a, b = sigma[v1], sigma[v2]
@@ -718,13 +732,17 @@ def _encode(G: LevelGraph, sigma):
         egroups.setdefault(image, []).append(rep)
     for vid, _, _, _, image in G.source_vertices:
         vgroups.setdefault(image, []).append(sigma[vid])
+    vgrouping, egrouping = (tuple(sorted(tuple(sorted(g)) for g in groups.values())) for groups in (vgroups, egroups))
+    return (verts, tuple(sorted(edge_reps)), vgrouping, egrouping)
+
+
+def _encode_markings(G: LevelGraph, sigma):
+    """The markings, and their positions grouped by image."""
+    mgroups = {}
     for i, m in enumerate(G.markings):
         mgroups.setdefault(m.image, []).append(i)
-    vgrouping, egrouping, mgrouping = (
-        tuple(sorted(tuple(sorted(g)) for g in groups.values())) for groups in (vgroups, egroups, mgroups)
-    )
     marks = tuple((sigma[vertex], lam, xi) for vertex, lam, xi, _ in G.markings)
-    return (verts, tuple(sorted(edge_reps)), vgrouping, egrouping, marks, mgrouping)
+    return (marks, tuple(sorted(tuple(g) for g in mgroups.values())))
 
 
 # ---------------------------------------------------------------------------
