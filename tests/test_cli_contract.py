@@ -2,13 +2,17 @@
 
 --format text or dot print plain text by design, so the grammar leaves
 them out; every other argv, -h and --help included, must exit 0, 2, 3, 4
-or 5 and print exactly one JSON line.
+or 5 and print exactly one JSON line.  A call whose standard output its
+reader closes exits 1 with nothing on standard error.
 """
 
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,6 +27,7 @@ from loghurwitz.cli import (  # noqa: E402
     EXIT_FIELD,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_PIPE,
     EXIT_SCHEMA,
     example_graphs,
     main,
@@ -118,3 +123,39 @@ def test_cli_contract_on_generated_argv(graph_files, argv, stdin):
     argv = [graph_files.get(a, a) for a in argv]
     code, _ = _run(argv, stdin)
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_FIELD, EXIT_SCHEMA, EXIT_DOMAIN), argv
+
+
+# -- a reader that closes standard output early ----------------------------------
+
+
+def _cli(argv, **kwargs):
+    """A fresh `python -m loghurwitz.cli` process with the package on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("LOGHURWITZ_FIELD", None)
+    return subprocess.Popen([sys.executable, "-m", "loghurwitz.cli", *argv], env=env, stderr=subprocess.PIPE,
+                            **kwargs)
+
+
+def test_reader_closing_a_large_output_early_gets_no_traceback():
+    """`strata enumerate ... | head -c 100`: about 5 MB, so the writer is still writing when the pipe closes."""
+    proc = _cli(["strata", "enumerate", "--datum", "2,3,0,8", "--lambda", ",".join(["2"] * 8),
+                 "--max-vertices", "6"], stdout=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    assert len(head) == 100 and head.startswith(b'{"components":[{"markings":['), head
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_PIPE and stderr == b"", stderr.decode()[-2000:]
+
+
+@pytest.mark.parametrize("argv", [["tc", "--field", "2^2", "--expr", "y"], ["strata", "monoid", "--file", "GOOD"],
+                                  ["loci", "formula", "--pattern", "1,1,1,-3", "--kind", "exact"],
+                                  ["strata", "bogus"], ["-h"]])
+def test_closed_stdout_gets_no_traceback(graph_files, argv):
+    """stdout closed before the call starts: one-line outputs fail in main's flush, not at interpreter exit."""
+    read, write = os.pipe()
+    os.close(read)
+    proc = _cli([graph_files.get(a, a) for a in argv], stdout=write)
+    os.close(write)
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_PIPE and stderr == b"", stderr.decode()[-2000:]

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -582,8 +583,8 @@ def reference_encode(G, sigma):
     return (verts, edges, vgrouping, egrouping, marks, mgrouping)
 
 
-def brute_force_canonical_form(G):
-    """The minimum of reference_encode over every permutation within every invariant class."""
+def invariant_classes(G):
+    """The vertex ids grouped by invariant, in invariant order, each group in source_vertices order."""
     invariants = {}
     for v in G.source_vertices:
         slopes = []
@@ -597,7 +598,12 @@ def brute_force_canonical_form(G):
     classes = {}
     for v in G.source_vertices:
         classes.setdefault(invariants[v.id], []).append(v.id)
-    perms = [list(itertools.permutations(ids)) for _, ids in sorted(classes.items())]
+    return [ids for _, ids in sorted(classes.items())]
+
+
+def brute_force_canonical_form(G):
+    """The minimum of reference_encode over every permutation within every invariant class."""
+    perms = [list(itertools.permutations(ids)) for ids in invariant_classes(G)]
     return min(
         reference_encode(G, {vid: i for i, vid in enumerate(itertools.chain.from_iterable(combo))})
         for combo in itertools.product(*perms)
@@ -1054,3 +1060,202 @@ def test_negative_datum_fields_are_errors(field, args):
     with pytest.raises(GraphError, match=message):
         generic_dimension(A)
     assert {"rule": "riemann-hurwitz", "detail": message} in validate(example_graphs()[0], A).errors
+
+
+# -- a class validated once per datum -------------------------------------------
+#
+# validate remembers, on the class, the datum object it last passed, and
+# answers a repeat call with that object at once; a failure is never
+# remembered.
+
+
+def _data_and_graphs():
+    """A, a mismatched B and an equal but distinct copy of A; classes, relabelled copies and failing graphs."""
+    A = HurwitzData(2, 2, 0, 6, (2,) * 6)
+    B = HurwitzData(2, 3, 0, 6, (2,) * 5 + (1,))
+    rng = random.Random(6)
+    graphs = []
+    for classes in _frames(A):
+        G = classes[0]
+        graphs += [*classes[:3], relabel(G, rng), G._with_markings(G.markings[:-1]),
+                   G._with_markings([G.markings[0]._replace(xi=1), *G.markings[1:]])]
+    return A, B, HurwitzData(*A), graphs + list(example_graphs())
+
+
+def test_remembered_validation_equals_the_reference():
+    """Every report equals the reference's across A, then B, then an equal copy of A, then A again."""
+    A, B, A_copy, graphs = _data_and_graphs()
+    assert A_copy == A and A_copy is not A
+    passed = 0
+    for G in graphs:
+        for datum in (A, B, A_copy, A):
+            report, expected = validate(G, datum), reference_validate(G, datum)
+            assert (report.ok, report.errors) == (expected.ok, expected.errors)
+            passed += report.ok
+    assert passed > len(graphs)  # most graphs pass A, and A_copy, and A again
+
+
+def test_failing_graph_and_equal_datum_are_checked_again(monkeypatch):
+    A, B, A_copy, graphs = _data_and_graphs()
+    fills = []
+    frame_facts = strata._frame_facts
+    monkeypatch.setattr(strata, "_frame_facts", lambda G, A: fills.append(G) or frame_facts(G, A))
+    G = graphs[0]
+    bad = G._with_markings(G.markings[:-1])
+    first = validate(bad, A).errors
+    for datum in (A, A, B, A):
+        assert validate(bad, datum).errors == reference_validate(bad, datum).errors
+    assert first and len(fills) == 5 and bad._valid_for is None
+    validate(G, A)
+    assert G._valid_for is A
+    validate(G, B)  # fails; the datum it passed stays remembered
+    assert G._valid_for is A and len(fills) == 6
+    assert validate(G, A_copy).ok and G._valid_for is A_copy and len(fills) == 7  # identity, not equality
+
+
+def test_each_call_returns_a_new_report():
+    A, _, _, graphs = _data_and_graphs()
+    G = graphs[0]
+    first = validate(G, A)
+    assert G._valid_for is A
+    first.add("test", "changed by the caller")
+    second = validate(G, A)
+    assert second is not first and (second.ok, second.errors) == (True, [])
+    second.errors.append("also changed")
+    assert validate(G, A).errors == []
+
+
+def test_with_markings_starts_unvalidated():
+    A, _, _, graphs = _data_and_graphs()
+    G = graphs[0]
+    assert validate(G, A).ok and G._valid_for is A
+    same, bad = G._with_markings(G.markings), G._with_markings(G.markings[:-1])
+    assert same._valid_for is None and bad._valid_for is None
+    assert validate(bad, A).errors == reference_validate(bad, A).errors != []
+    assert validate(same, A).ok and same._valid_for is A
+
+
+# -- each frame's encoding shared by its classes ---------------------------------
+#
+# canonical_form builds the frame's part of the encoding of its base ordering
+# once per frame and base order.  The parent's canonical_form and _encode are
+# kept below unchanged as its oracle.
+
+
+def reference_canonical_form(G: LevelGraph):
+    sigs = G._facts.signatures
+    if sigs is None:  # the frame's part of each vertex invariant
+        sigs = G._facts.signatures = {}
+        for vid, genus, level, cover_type, _ in G.source_vertices:
+            slopes = []
+            for e in G._edges_at[vid]:  # (0, 0) if horizontal, else (+1 at the upper end or -1 at the lower, slope)
+                other = G._sv[e.v2 if e.v1 == vid else e.v1].level
+                slopes.append((0, 0) if other == level else (1 if level > other else -1, e.slope))
+            sigs[vid] = (-level, genus, cover_type, tuple(sorted(slopes)))
+    classes = {}
+    for vid, sig in sigs.items():  # in source_vertices order; the invariant is (sig, marking positions)
+        classes.setdefault((sig, G._marks_at[vid]), []).append(vid)
+    class_lists = [ids for _, ids in sorted(classes.items())]
+    sigma = {vid: i for i, vid in enumerate(itertools.chain.from_iterable(class_lists))}
+    base = reference_unsplit_encode(G, sigma)
+    per_class, orderings = [], 1  # (twin classes, splits of the class's positions among them)
+    for ids in class_lists:
+        if len(ids) == 1:
+            continue
+        twins = []
+        for vid in ids:
+            for tw in twins:
+                a = tw[0]
+                if strata._neighbours(G, a, {a: vid, vid: a}) == strata._neighbours(G, vid, {}) and (
+                    reference_unsplit_encode(G, {**sigma, a: sigma[vid], vid: sigma[a]}) == base
+                ):
+                    tw.append(vid)
+                    break
+            else:
+                twins.append([vid])
+        sizes = [len(tw) for tw in twins]
+        orderings *= math.factorial(len(ids)) // math.prod(map(math.factorial, sizes))
+        start = sigma[ids[0]]
+        per_class.append((twins, strata._partitions_into_sizes(range(start, start + len(ids)), sizes)))
+    if orderings > strata.MAX_CANON_ORDERINGS:
+        raise GraphError(
+            f"canonical_form would try more than MAX_CANON_ORDERINGS = {strata.MAX_CANON_ORDERINGS} orderings")
+    if orderings == 1:
+        return base
+    best = base
+    for combo in itertools.product(*(splits for _, splits in per_class)):
+        order = dict(sigma)
+        for (twins, _), split in zip(per_class, combo):
+            for tw, box in zip(twins, split):
+                order.update(zip(tw, box))
+        if order != sigma:  # the base ordering is encoded already
+            best = min(best, reference_unsplit_encode(G, order))
+    return best
+
+
+def reference_unsplit_encode(G: LevelGraph, sigma):
+    verts = tuple(sorted((sigma[vid], -level, genus, ctype) for vid, genus, level, ctype, _ in G.source_vertices))
+    # target identifications: group source vertices / edges / markings by image
+    vgroups, egroups, mgroups = {}, {}, {}
+    edge_reps = []
+    for _, v1, v2, slope, image in G.source_edges:
+        a, b = sigma[v1], sigma[v2]
+        rep = (a, b, slope) if a < b else (b, a, slope)
+        edge_reps.append(rep)
+        egroups.setdefault(image, []).append(rep)
+    for vid, _, _, _, image in G.source_vertices:
+        vgroups.setdefault(image, []).append(sigma[vid])
+    for i, m in enumerate(G.markings):
+        mgroups.setdefault(m.image, []).append(i)
+    vgrouping, egrouping, mgrouping = (
+        tuple(sorted(tuple(sorted(g)) for g in groups.values())) for groups in (vgroups, egroups, mgroups)
+    )
+    marks = tuple((sigma[vertex], lam, xi) for vertex, lam, xi, _ in G.markings)
+    return (verts, tuple(sorted(edge_reps)), vgrouping, egrouping, marks, mgrouping)
+
+
+def base_order(G):
+    return tuple(itertools.chain.from_iterable(invariant_classes(G)))
+
+
+@pytest.mark.parametrize("b", [4, 6, 8])
+def test_canonical_form_equals_the_reference(b):
+    """Every class at 6 vertices, with its frame's shared encodings, and a relabelled copy with its own."""
+    A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
+    rng = random.Random(b)
+    comps = enumerate_components(A, 6)
+    assert comps == sorted(comps, key=reference_canonical_form)
+    for G in comps:
+        H = relabel(G, rng)
+        assert canonical_form(G) == reference_canonical_form(G)
+        assert canonical_form(H) == reference_canonical_form(H)
+        assert list(H._facts.encodings) == [base_order(H)]
+
+
+def test_classes_of_one_frame_share_its_encodings():
+    """At b = 8 each frame holds one encoding per distinct base order of its classes, and their keys share it."""
+    A = HurwitzData(2, 3, 0, 8, (2,) * 8)
+    shared = 0
+    for classes in _frames(A):
+        encodings = classes[0]._facts.encodings
+        assert set(encodings) == {base_order(G) for G in classes}
+        keys = [canonical_form(G) for G in classes]  # all taken before any is compared
+        for G, key in zip(classes, keys):
+            order = base_order(G)
+            frame = encodings[order]
+            if key == reference_unsplit_encode(G, {vid: i for i, vid in enumerate(order)}):  # the base is least
+                assert all(part is own for part, own in zip(key, frame))
+                shared += 1
+    assert shared == 3090  # the other 420 classes have a least ordering other than their base one
+
+
+def test_orderings_loop_adds_no_encoding():
+    """Three equal tops with distinct markings below try 3! orderings and keep one encoding, of the base order."""
+    A = HurwitzData(2, 3, 0, 12, (2,) * 12)
+    G = _build_two_level(A, 3, (1, 1, 1), 6, [(0, 3), (1, 4), (2, 5)], [3, 3, 3],
+                         ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)))
+    for H in (G, star(5)):
+        assert canonical_form(H) == reference_canonical_form(H) == brute_force_canonical_form(H)
+        assert list(H._facts.encodings) == [base_order(H)]
+        canonical_form(H)
+        assert len(H._facts.encodings) == 1
