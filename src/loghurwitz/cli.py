@@ -5,9 +5,8 @@ designator error, 4 graph schema error, 5 domain error (an operation
 rejected mathematically valid-looking input), 1 standard output closed
 by its reader.  `main` maps library errors to codes in one place.  JSON
 output is emitted with sorted keys so identical inputs yield
-byte-identical bytes.  The handlers import
-ascover, loci and strata themselves, so a call loads only the layers
-its subcommand uses.
+byte-identical bytes.  The handlers import ascover, loci and strata
+themselves, so a call loads only the layers its subcommand uses.
 """
 
 from __future__ import annotations

@@ -93,7 +93,7 @@ class LevelGraph:
     """Enhanced level graph of a degree-p cover.
 
     Instances are read-only: enumerated classes share their shape's tuples, dicts and _facts (see _frame_facts).
-    A class remembers in _valid_for the datum it last passed validate with.
+    Only _valid_for changes: validate records there the datum a class last passed with.
     """
 
     _FRAME = ("p", "regime", "source_vertices", "source_edges", "target_vertices", "target_edges",
