@@ -30,7 +30,7 @@ from .ratfunc import (
 
 
 class _Form:
-    """f times a frame on the projective line; a subclass names the frame."""
+    """f times a frame on the projective line; a subclass names the frame in _basis."""
 
     __slots__ = ("f",)
 
@@ -52,21 +52,21 @@ class _Form:
         return isinstance(other, type(self)) and self.f == other.f
 
     def __repr__(self):
-        return f"({self.f}) {self._frame}"
+        return f"({self.f}) {self._basis}"
 
 
 class Differential(_Form):
     """omega = f dy on the projective line."""
 
     __slots__ = ()
-    _frame, _dx_dual = "dy", 0
+    _basis, _dx_dual = "dy", 0
 
 
 class BivariantForm(_Form):
     """psi = f (dx)^v (x) dy for the relative Frobenius x = y^p."""
 
     __slots__ = ()
-    _frame, _dx_dual = "dy/dx", 1  # x = y^p has a pole of order p at infinity, so (dx)^v adds 2p
+    _basis, _dx_dual = "dy/dx", 1  # x = y^p has a pole of order p at infinity, so (dx)^v adds 2p
 
 
 class PPowerDecomposition:

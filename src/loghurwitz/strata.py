@@ -27,6 +27,7 @@ import itertools
 from collections import namedtuple
 import json
 import math
+from operator import attrgetter
 from types import SimpleNamespace
 
 AS = "artin_schreier"
@@ -89,64 +90,69 @@ Marking = namedtuple("Marking", "vertex lam xi image")
 _compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-class LevelGraph:
-    """Enhanced level graph of a degree-p cover.
+def _integer(value):
+    """int(value), refusing what int() would read as an integer but JSON does not: a bool, and a fraction."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
-    Instances are read-only: enumerated classes share their shape's tuples, dicts and _facts (see _frame_facts).
+
+class _Frame(SimpleNamespace):
+    """A level graph but its markings: records, id and incidence dicts, JSON text, and facts (see _frame_facts)."""
+
+
+class LevelGraph:
+    """Enhanced level graph of a degree-p cover: a _Frame and its markings.
+
+    Instances are read-only: enumerated classes share their shape's frame (see _frame_facts).
     Only _valid_for changes: validate records there the datum a class last passed with.
     """
 
-    _FRAME = ("p", "regime", "source_vertices", "source_edges", "target_vertices", "target_edges",
-              "_sv", "_tv", "_te", "_edges_at", "_out", "_in", "_frame_json", "_facts")
-    __slots__ = _FRAME + ("markings", "_marks_at", "_valid_for")
+    __slots__ = ("_frame", "markings", "_marks_at", "_valid_for")
+    p, regime, source_vertices, source_edges, target_vertices, target_edges = (
+        property(attrgetter("_frame." + name), doc=f"The frame's {name}, read-only.")
+        for name in ("p", "regime", "source_vertices", "source_edges", "target_vertices", "target_edges"))
 
     def __init__(self, p, regime, source_vertices, source_edges, target_vertices, target_edges, markings):
         if p < 2:  # as in HurwitzData
             raise GraphError(f"p = {p} must be at least 2")
-        self.p = p
-        self.regime = regime
-        self.source_vertices = tuple(source_vertices)
-        self.source_edges = tuple(source_edges)
-        self.target_vertices = tuple(target_vertices)
-        self.target_edges = tuple(target_edges)
-        self._sv = {v.id: v for v in self.source_vertices}
-        self._tv = {v.id: v for v in self.target_vertices}
-        self._te = {e.id: e for e in self.target_edges}
+        F = self._frame = _Frame(p=p, regime=regime, datum=None, ledger=None, signatures=None, encodings={})
+        F.source_vertices, F.source_edges, F.target_vertices, F.target_edges = map(
+            tuple, (source_vertices, source_edges, target_vertices, target_edges))
+        F.sv, F.tv, F.te = ({x.id: x for x in xs} for xs in (F.source_vertices, F.target_vertices, F.target_edges))
         for what, items in zip(("source vertex", "target vertex", "source edge", "target edge"),
-                               (self.source_vertices, self.target_vertices, self.source_edges, self.target_edges)):
+                               (F.source_vertices, F.target_vertices, F.source_edges, F.target_edges)):
             if len({x.id for x in items}) != len(items):
                 raise GraphError(f"duplicate {what} id")
-        for e in self.source_edges:
-            if e.v1 not in self._sv or e.v2 not in self._sv:
+        for e in F.source_edges:
+            if e.v1 not in F.sv or e.v2 not in F.sv:
                 raise GraphError(f"edge {e.id} has unknown endpoint")
-            if e.image not in self._te:
+            if e.image not in F.te:
                 raise GraphError(f"edge {e.id} has unknown image edge")
-        for e in self.target_edges:
-            if e.v1 not in self._tv or e.v2 not in self._tv:
+        for e in F.target_edges:
+            if e.v1 not in F.tv or e.v2 not in F.tv:
                 raise GraphError(f"target edge {e.id} has unknown endpoint")
-        for v in self.source_vertices:
-            if v.image not in self._tv:
+        for v in F.source_vertices:
+            if v.image not in F.tv:
                 raise GraphError(f"vertex {v.id} has unknown image vertex")
-        # per-vertex incidence (_out/_in: level-crossing edges whose upper/lower
-        # endpoint is the vertex), each in source_edges order; tuples, since
-        # enumeration keeps thousands of graphs alive
-        edges_at, out, inc = ({vid: [] for vid in self._sv} for _ in range(3))
-        for e in self.source_edges:
+        # per-vertex incidence (out/inc: level-crossing edges whose upper/lower endpoint is the vertex), each
+        # in source_edges order; tuples, since enumeration keeps thousands of graphs alive
+        edges_at, out, inc = ({vid: [] for vid in F.sv} for _ in range(3))
+        for e in F.source_edges:
             edges_at[e.v1].append(e)
             edges_at[e.v2].append(e)  # loops appear twice
             if not self.is_horizontal(e):
                 down, up = self.edge_down_up(e)
                 out[up.id].append(e)
                 inc[down.id].append(e)
-        self._edges_at, self._out, self._in = ({v: tuple(xs) for v, xs in d.items()} for d in (edges_at, out, inc))
-        self._frame_json = _compact_json(self._frame_obj())
-        self._facts = SimpleNamespace(datum=None, ledger=None, signatures=None, encodings={})  # see _frame_facts
+        F.edges_at, F.out, F.inc = ({v: tuple(xs) for v, xs in d.items()} for d in (edges_at, out, inc))
+        F.json = _compact_json(self._frame_obj())
         self._set_markings(markings)
 
     def _set_markings(self, markings):
         """Check the markings against the source vertices and index them by vertex, in markings order."""
         self.markings = tuple(markings)
-        marks_at = {vid: [] for vid in self._sv}
+        marks_at = {vid: [] for vid in self._frame.sv}
         for i, m in enumerate(self.markings):
             if m.vertex not in marks_at:
                 raise GraphError(f"marking on unknown vertex {m.vertex}")
@@ -155,10 +161,9 @@ class LevelGraph:
         self._valid_for = None
 
     def _with_markings(self, markings):
-        """This graph with other markings, sharing every tuple and dict of its frame."""
+        """This graph with other markings, sharing its frame."""
         G = object.__new__(type(self))
-        for name in self._FRAME:
-            setattr(G, name, getattr(self, name))
+        G._frame = self._frame
         G._set_markings(markings)
         return G
 
@@ -174,15 +179,15 @@ class LevelGraph:
         return min(v.level for v in self.source_vertices)
 
     def is_horizontal(self, e: SourceEdge) -> bool:
-        return self._sv[e.v1].level == self._sv[e.v2].level
+        return self._frame.sv[e.v1].level == self._frame.sv[e.v2].level
 
     def edge_down_up(self, e: SourceEdge):
         """(lower endpoint, upper endpoint) of a level-crossing edge."""
-        a, b = self._sv[e.v1], self._sv[e.v2]
+        a, b = self._frame.sv[e.v1], self._frame.sv[e.v2]
         return (a, b) if a.level < b.level else (b, a)
 
     def edges_at(self, vid):
-        return list(self._edges_at.get(vid, ()))
+        return list(self._frame.edges_at.get(vid, ()))
 
     def horizontal_target_edges(self):
         """Target edges that are images of horizontal source edges."""
@@ -269,7 +274,7 @@ class LevelGraph:
 
     def to_json(self) -> str:
         # "markings" sorts before the frame's keys, whose text the frame's classes share
-        return '{"markings":' + _compact_json(self._markings_obj()) + "," + self._frame_json[1:]
+        return '{"markings":' + _compact_json(self._markings_obj()) + "," + self._frame.json[1:]
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -277,22 +282,22 @@ class LevelGraph:
             src = obj["source"]
             tgt = obj["target"]
             return cls(
-                int(obj["p"]),
+                _integer(obj["p"]),
                 obj.get("regime", "mixed"),
                 [
-                    SourceVertex(str(v["id"]), int(v["genus"]), int(v["level"]),
+                    SourceVertex(str(v["id"]), _integer(v["genus"]), _integer(v["level"]),
                                  v["cover_type"], str(v["image"]))
                     for v in src["vertices"]
                 ],
                 [
                     SourceEdge(str(e["id"]), str(e["v1"]), str(e["v2"]),
-                               int(e["slope"]), str(e["image"]))
+                               _integer(e["slope"]), str(e["image"]))
                     for e in src["edges"]
                 ],
-                [TargetVertex(str(v["id"]), int(v["level"])) for v in tgt["vertices"]],
+                [TargetVertex(str(v["id"]), _integer(v["level"])) for v in tgt["vertices"]],
                 [TargetEdge(str(e["id"]), str(e["v1"]), str(e["v2"])) for e in tgt["edges"]],
                 [
-                    Marking(str(m["vertex"]), int(m["lambda"]), int(m["xi"]), str(m["image"]))
+                    Marking(str(m["vertex"]), _integer(m["lambda"]), _integer(m["xi"]), str(m["image"]))
                     for m in obj.get("markings", [])
                 ],
             )
@@ -355,38 +360,37 @@ def _marking_orders(G: LevelGraph, vid):
     return [G.markings[i].xi + (G.p - 1) for i in G._marks_at[vid]]
 
 
-def _frame_facts(G: LevelGraph, A: HurwitzData):
-    """What validate and stratum_dimension read off G's frame before its markings, under the datum A.
+def _frame_facts(F: _Frame, A: HurwitzData):
+    """What validate and stratum_dimension read off the frame F before the markings, under the datum A.
 
-    G._facts, which the frame's classes share, is filled on the first call with A and refilled for another
+    The facts, on F and so shared by its classes, are filled on the first call with A and refilled for another
     datum; the ledger's target counts and canonical_form's vertex signatures need no datum and stay.
     """
-    F = G._facts
     if F.datum is A:
         return F
     head, edges, etale = ValidationReport(), ValidationReport(), ValidationReport()
     p = A.p
-    if G.p != A.p:
-        head.add("datum", f"graph p={G.p} differs from datum p={A.p}")
-    if G.regime != A.regime:
-        head.add("datum", f"graph regime {G.regime} differs from datum {A.regime}")
+    if F.p != A.p:
+        head.add("datum", f"graph p={F.p} differs from datum p={A.p}")
+    if F.regime != A.regime:
+        head.add("datum", f"graph regime {F.regime} differs from datum {A.regime}")
     for err in A.errors():
         head.add("riemann-hurwitz", err)
 
     # level structure
-    levels = G.levels()
+    levels = sorted({v.level for v in F.source_vertices}, reverse=True)
     if not levels or levels[0] != 0 or levels != list(range(0, min(levels) - 1, -1)):
         head.add("levels", f"levels {levels} are not a contiguous set {{0,...,-L}}")
-    tlevels = sorted({v.level for v in G.target_vertices}, reverse=True)
+    tlevels = sorted({v.level for v in F.target_vertices}, reverse=True)
     if tlevels != levels:
         head.add("levels", f"target levels {tlevels} differ from source levels {levels}")
-    for v in G.source_vertices:
-        if G._tv[v.image].level != v.level:
+    for v in F.source_vertices:
+        if F.tv[v.image].level != v.level:
             head.add("levels", f"vertex {v.id} and its image are on different levels")
 
     # cover types; loops that read three or more fields of a record unpack
     # it, as a named-tuple field read costs about twice a slots-class one
-    for vid, _, level, cover_type, _ in G.source_vertices:
+    for vid, _, level, cover_type, _ in F.source_vertices:
         if cover_type not in (AS, FROB, ETALE):
             head.add("cover-type", f"unknown cover type {cover_type} at {vid}")
         elif level == 0 and cover_type == FROB:
@@ -395,27 +399,28 @@ def _frame_facts(G: LevelGraph, A: HurwitzData):
             head.add("cover-type", f"separable vertex {vid} below the top level")
 
     # connectivity
-    b1, comps = G.source_betti()
+    comps = LevelGraph._components(F.source_vertices, F.source_edges)
     if comps != 1:
         head.add("connectivity", f"source graph has {comps} components")
-    g, tcomps = G.target_betti()  # target components have genus 0, so g is b1
+    tcomps = LevelGraph._components(F.target_vertices, F.target_edges)
     if tcomps != 1:
         head.add("connectivity", f"target graph has {tcomps} components")
 
-    # genus bookkeeping
-    h = sum(v.genus for v in G.source_vertices) + b1
+    # genus bookkeeping, by the first Betti numbers; target components have genus 0
+    h = sum(v.genus for v in F.source_vertices) + len(F.source_edges) - len(F.source_vertices) + comps
+    g = len(F.target_edges) - len(F.target_vertices) + tcomps
     if h != A.h:
         head.add("genus", f"source arithmetic genus {h} differs from datum h={A.h}")
     if g != A.g:
         head.add("genus", f"target arithmetic genus {g} differs from datum g={A.g}")
 
     # edges: slopes, images, horizontality
-    for eid, v1, v2, slope, image in G.source_edges:
+    for eid, v1, v2, slope, image in F.source_edges:
         if slope < 0:
             edges.add("slope", f"edge {eid} has negative slope")
-        _, t1, t2 = G._te[image]
-        _, _, level1, type1, image1 = G._sv[v1]
-        _, _, level2, type2, image2 = G._sv[v2]
+        _, t1, t2 = F.te[image]
+        _, _, level1, type1, image1 = F.sv[v1]
+        _, _, level2, type2, image2 = F.sv[v2]
         if {image1, image2} != {t1, t2}:
             edges.add("edge-image", f"edge {eid} endpoints do not map onto its image edge")
         if level1 == level2:  # horizontal
@@ -435,22 +440,22 @@ def _frame_facts(G: LevelGraph, A: HurwitzData):
                 edges.add("slope", f"edge {eid}: top-level outgoing slope {slope} not divisible by p-1")
 
     # etale sheets
-    for tv_id in G.etale_target_vertices():
-        sheets = [v for v in G.source_vertices if v.image == tv_id]
+    for tv_id in {v.image for v in F.source_vertices if v.cover_type == ETALE}:
+        sheets = [v for v in F.source_vertices if v.image == tv_id]
         if len(sheets) != p or any(v.cover_type != ETALE for v in sheets):
             etale.add("etale", f"target vertex {tv_id} is not covered by exactly p degree-1 sheets")
         for v in sheets:
-            for e in G.edges_at(v.id):
-                if not G.is_horizontal(e):
+            for e in F.edges_at[v.id]:
+                if F.sv[e.v1].level != F.sv[e.v2].level:
                     etale.add("etale", f"etale sheet {v.id} has a level-crossing edge {e.id}")
 
-    F.head, F.edges, F.etale = head.errors, edges.errors, etale.errors
+    F.head_errors, F.edge_errors, F.etale_errors = head.errors, edges.errors, etale.errors
     # per AS vertex its ramified edges as (kind, ident, slope), per Frobenius vertex its edges' plain orders
-    q = G.p  # the graph's p; a datum with another is reported in head
-    F.ramified = [(v, [("edge", e.id, e.slope) for e in G._out[v.id]]) for v in G.source_vertices if v.cover_type == AS]
-    F.orders = [(v, [e.slope + (q - 1) for e in G._out[v.id]] + [(q - 1) - e.slope for e in G._in[v.id]])
-                for v in G.source_vertices if v.cover_type == FROB]
-    F.degrees = [(vid, genus, len(G._edges_at[vid])) for vid, genus, _, _, _ in G.source_vertices]
+    q = F.p  # the graph's p; a datum with another is reported in head
+    F.ramified = [(v, [("edge", e.id, e.slope) for e in F.out[v.id]]) for v in F.source_vertices if v.cover_type == AS]
+    F.orders = [(v, [e.slope + (q - 1) for e in F.out[v.id]] + [(q - 1) - e.slope for e in F.inc[v.id]])
+                for v in F.source_vertices if v.cover_type == FROB]
+    F.degrees = [(vid, genus, len(F.edges_at[vid])) for vid, genus, _, _, _ in F.source_vertices]
     F.datum = A
     return F
 
@@ -458,10 +463,10 @@ def _frame_facts(G: LevelGraph, A: HurwitzData):
 def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
     if G._valid_for is A:  # passed with this datum object (identity, as in _frame_facts); a failure is re-checked
         return ValidationReport()
-    F = _frame_facts(G, A)  # each section below that reads no marking is done there, once per frame and datum
+    F = _frame_facts(G._frame, A)  # each section below that reads no marking is done there, once per frame and datum
     report = ValidationReport()
     p = A.p
-    for err in F.head:
+    for err in F.head_errors:
         report.add(**err)
 
     # markings against the datum
@@ -477,10 +482,10 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
     for label, idxs in groups.items():
         if sum(G.markings[i].lam for i in idxs) != p:
             report.add("markings", f"target marking {label} has fiber multiplicities summing to != p")
-        if len({G._sv[G.markings[i].vertex].image for i in idxs}) != 1:
+        if len({F.sv[G.markings[i].vertex].image for i in idxs}) != 1:
             report.add("markings", f"target marking {label} spread over several target vertices")
 
-    for err in F.edges:
+    for err in F.edge_errors:
         report.add(**err)
 
     # per-AS-vertex conductor balance
@@ -517,7 +522,7 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
                 f"vertex {v.id}: plain orders sum to {total}, expected {expected}",
             )
 
-    for err in F.etale:
+    for err in F.etale_errors:
         report.add(**err)
 
     # stability of the source curve
@@ -567,14 +572,14 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
     if not report.ok:
         raise GraphError(f"invalid level graph: {report.errors}")
     p = A.p
-    F = _frame_facts(G, A)
+    F = _frame_facts(G._frame, A)
     if F.ledger is None:  # the frame's target counts, taken once it has passed validation
         hor = G.horizontal_target_edges()
         # per target vertex: its half-edges (target edge ends and target markings)
         # and, among them, its etale special points (ends of horizontal target
         # edges and unramified target markings); a loop counts twice
-        half_edges, etale_points = dict.fromkeys(G._tv, 0), dict.fromkeys(G._tv, 0)
-        for te in G.target_edges:
+        half_edges, etale_points = dict.fromkeys(F.tv, 0), dict.fromkeys(F.tv, 0)
+        for te in F.target_edges:
             for end in (te.v1, te.v2):
                 half_edges[end] += 1
                 etale_points[end] += te.id in hor
@@ -582,7 +587,7 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
     hor, half_edges, etale_points, etale_targets, lmin = F.ledger
     half_edges, etale_points = half_edges.copy(), etale_points.copy()
     for idxs in G.marking_groups().values():
-        end = G._sv[G.markings[idxs[0]].vertex].image
+        end = F.sv[G.markings[idxs[0]].vertex].image
         half_edges[end] += 1
         etale_points[end] += all(G.markings[i].lam == 1 for i in idxs)
 
@@ -603,7 +608,7 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
     for v, edge_orders in F.orders:
         orders = edge_orders + _marking_orders(G, v.id)
         val = len(orders) + sum(o // p for o in orders)
-        if G.regime == "mixed" and v.level == lmin:
+        if F.regime == "mixed" and v.level == lmin:
             mod_quex += val - 3
             contributions.append((f"quasi-exact:{v.id}", val - 3))
         else:
@@ -655,13 +660,14 @@ def canonical_form(G: LevelGraph):
     themselves, which leaves the minimum as it is.  Trying more than
     MAX_CANON_ORDERINGS orderings raises GraphError.
     """
-    sigs = G._facts.signatures
+    F = G._frame
+    sigs = F.signatures
     if sigs is None:  # the frame's part of each vertex invariant
-        sigs = G._facts.signatures = {}
-        for vid, genus, level, cover_type, _ in G.source_vertices:
+        sigs = F.signatures = {}
+        for vid, genus, level, cover_type, _ in F.source_vertices:
             slopes = []
-            for e in G._edges_at[vid]:  # (0, 0) if horizontal, else (+1 at the upper end or -1 at the lower, slope)
-                other = G._sv[e.v2 if e.v1 == vid else e.v1].level
+            for e in F.edges_at[vid]:  # (0, 0) if horizontal, else (+1 at the upper end or -1 at the lower, slope)
+                other = F.sv[e.v2 if e.v1 == vid else e.v1].level
                 slopes.append((0, 0) if other == level else (1 if level > other else -1, e.slope))
             sigs[vid] = (-level, genus, cover_type, tuple(sorted(slopes)))
     classes = {}
@@ -670,9 +676,9 @@ def canonical_form(G: LevelGraph):
     class_lists = [ids for _, ids in sorted(classes.items())]
     order = tuple(itertools.chain.from_iterable(class_lists))
     sigma = {vid: i for i, vid in enumerate(order)}
-    frame = G._facts.encodings.get(order)  # the frame's classes share one per base order, and so do their keys
+    frame = F.encodings.get(order)  # the frame's classes share one per base order, and so do their keys
     if frame is None:
-        frame = G._facts.encodings[order] = _encode_frame(G, sigma)
+        frame = F.encodings[order] = _encode_frame(F, sigma)
     base = frame + _encode_markings(G, sigma)
     per_class, orderings = [], 1  # (twin classes, splits of the class's positions among them)
     for ids in class_lists:
@@ -682,7 +688,7 @@ def canonical_form(G: LevelGraph):
         for vid in ids:
             for tw in twins:
                 a = tw[0]
-                if _neighbours(G, a, {a: vid, vid: a}) == _neighbours(G, vid, {}) and (
+                if _neighbours(F, a, {a: vid, vid: a}) == _neighbours(F, vid, {}) and (
                     _encode(G, {**sigma, a: sigma[vid], vid: sigma[a]}) == base
                 ):
                     tw.append(vid)
@@ -708,29 +714,29 @@ def canonical_form(G: LevelGraph):
     return best
 
 
-def _neighbours(G: LevelGraph, vid, swap):
+def _neighbours(F: _Frame, vid, swap):
     """Sorted (other end, slope) over the edges at vid, other ends renamed by swap.
 
     Twins agree once swapped: a first test, it rejects 710 of 741 pairs at b = 4-8 (canonical_form 8-12 % faster).
     """
-    return sorted((swap.get(w, w), e.slope) for e in G._edges_at[vid] for w in [e.v2 if e.v1 == vid else e.v1])
+    return sorted((swap.get(w, w), e.slope) for e in F.edges_at[vid] for w in [e.v2 if e.v1 == vid else e.v1])
 
 
 def _encode(G: LevelGraph, sigma):
-    return _encode_frame(G, sigma) + _encode_markings(G, sigma)
+    return _encode_frame(G._frame, sigma) + _encode_markings(G, sigma)
 
 
-def _encode_frame(G: LevelGraph, sigma):
+def _encode_frame(F: _Frame, sigma):
     """The vertices, the edges and (target identifications) the source vertices and edges grouped by image."""
-    verts = tuple(sorted((sigma[vid], -level, genus, ctype) for vid, genus, level, ctype, _ in G.source_vertices))
+    verts = tuple(sorted((sigma[vid], -level, genus, ctype) for vid, genus, level, ctype, _ in F.source_vertices))
     vgroups, egroups = {}, {}
     edge_reps = []
-    for _, v1, v2, slope, image in G.source_edges:
+    for _, v1, v2, slope, image in F.source_edges:
         a, b = sigma[v1], sigma[v2]
         rep = (a, b, slope) if a < b else (b, a, slope)
         edge_reps.append(rep)
         egroups.setdefault(image, []).append(rep)
-    for vid, _, _, _, image in G.source_vertices:
+    for vid, _, _, _, image in F.source_vertices:
         vgroups.setdefault(image, []).append(sigma[vid])
     vgrouping, egrouping = (tuple(sorted(tuple(sorted(g)) for g in groups.values())) for groups in (vgroups, egroups))
     return (verts, tuple(sorted(edge_reps)), vgrouping, egrouping)

@@ -185,9 +185,24 @@ def test_short_datum_is_parse_error(capsys):
     assert code == EXIT_PARSE and obj["error"] == "parse"
 
 
-def test_non_integer_graph_field_is_schema_error(capsys, tmp_path):
+# each integer field of a graph file: its path in the JSON object
+INTEGER_FIELDS = {
+    "p": ("p",), "genus": ("source", "vertices", 0, "genus"), "level": ("source", "vertices", 0, "level"),
+    "target-level": ("target", "vertices", 0, "level"), "slope": ("source", "edges", 0, "slope"),
+    "lambda": ("markings", 0, "lambda"), "xi": ("markings", 0, "xi"),
+}
+
+
+@pytest.mark.parametrize("field, value", [("p", "x"), ("p", 2.5), ("p", float("inf")), ("p", float("nan"))] + [
+    (field, value) for field in INTEGER_FIELDS for value in (True, False, 3.9) if (field, value) != ("p", 2.5)])
+def test_non_integer_graph_field_is_schema_error(capsys, tmp_path, field, value):
+    """A bool or a fraction, which int() would take, is refused as "x" is; so are the JSON extensions inf and nan."""
     obj = example_graphs()[0].to_json_obj()
-    obj["p"] = "x"
+    *parents, key = INTEGER_FIELDS[field]
+    target = obj
+    for part in parents:
+        target = target[part]
+    target[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     code, out = run(capsys, "strata", "validate", "--file", str(path))

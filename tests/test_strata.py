@@ -112,6 +112,29 @@ def test_json_schema_errors():
         LevelGraph.from_json_obj(obj)
 
 
+def test_integral_numbers_in_graph_fields_are_read_as_integers():
+    """A number with no fractional part reads as that integer, and a numeric string as before; see test_cli."""
+    G = example_graphs()[0]
+    obj = G.to_json_obj()
+    obj["p"], obj["source"]["edges"][0]["slope"], obj["markings"][0]["xi"] = 2.0, float(G.source_edges[0].slope), "0"
+    assert LevelGraph.from_json_obj(obj).to_json() == G.to_json()
+
+
+@pytest.mark.parametrize("name", ["p", "regime", "source_vertices", "source_edges", "target_vertices", "target_edges"])
+def test_frame_records_are_read_only(name):
+    """A class shares its frame's records with its siblings, so none can be set or deleted through it."""
+    G = example_graphs()[0]
+    assert validate(G, A4).ok
+    before = G.to_json(), G.to_dot(), getattr(G, name)
+    changed = {"p": 3, "regime": "equicharacteristic", "source_edges": (G.source_edges[0]._replace(slope=4),)}
+    with pytest.raises(AttributeError):
+        setattr(G, name, changed.get(name, ()))
+    with pytest.raises(AttributeError):
+        delattr(G, name)
+    assert (G.to_json(), G.to_dot(), getattr(G, name)) == before
+    assert validate(G, A4).ok and validate(LevelGraph.from_json(G.to_json()), A4).ok
+
+
 def test_duplicate_ids_raise_in_order():
     """Each kind of duplicate id has its message; of several kinds, the first in this order is reported."""
     kinds = [("source", "vertices", "source vertex"), ("target", "vertices", "target vertex"),
@@ -326,7 +349,7 @@ def test_with_markings_checks_markings_as_init_does():
     assert str(by_frame.value) == str(by_init.value) == "marking on unknown vertex v9"
     moved = [G.markings[0]._replace(vertex="v0"), *G.markings[1:]]
     H = G._with_markings(moved)
-    assert all(getattr(H, name) is getattr(G, name) for name in LevelGraph._FRAME)
+    assert H._frame is G._frame
     fresh = LevelGraph(G.p, G.regime, G.source_vertices, G.source_edges, G.target_vertices, G.target_edges, moved)
     assert (H.markings, H._marks_at) == (fresh.markings, fresh._marks_at)
     assert H._marks_at == {"v0": (0,), "v1": (1, 2, 3)}
@@ -723,15 +746,15 @@ def reference_components(vertices, edges):
 
 def reference_ramified_points(G: LevelGraph, vid):
     """(kind, slope-or-xi) for the ramified points of an AS vertex."""
-    pts = [("edge", e.id, e.slope) for e in G._out[vid]]
+    pts = [("edge", e.id, e.slope) for e in G._frame.out[vid]]
     return pts + [("marking", str(i), G.markings[i].xi) for i in G._marks_at[vid] if G.markings[i].lam == G.p]
 
 
 def reference_frobenius_orders(G: LevelGraph, vid):
     """Plain orders of the component form at the special points of a Frobenius vertex."""
     p = G.p
-    orders = [e.slope + (p - 1) for e in G._out[vid]]
-    orders += [(p - 1) - e.slope for e in G._in[vid]]
+    orders = [e.slope + (p - 1) for e in G._frame.out[vid]]
+    orders += [(p - 1) - e.slope for e in G._frame.inc[vid]]
     return orders + [G.markings[i].xi + (p - 1) for i in G._marks_at[vid]]
 
 
@@ -753,7 +776,7 @@ def reference_validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
     if tlevels != levels:
         report.add("levels", f"target levels {tlevels} differ from source levels {levels}")
     for v in G.source_vertices:
-        if G._tv[v.image].level != v.level:
+        if G._frame.tv[v.image].level != v.level:
             report.add("levels", f"vertex {v.id} and its image are on different levels")
 
     # cover types; loops that read three or more fields of a record unpack
@@ -794,16 +817,16 @@ def reference_validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
     for label, idxs in groups.items():
         if sum(G.markings[i].lam for i in idxs) != p:
             report.add("markings", f"target marking {label} has fiber multiplicities summing to != p")
-        if len({G._sv[G.markings[i].vertex].image for i in idxs}) != 1:
+        if len({G._frame.sv[G.markings[i].vertex].image for i in idxs}) != 1:
             report.add("markings", f"target marking {label} spread over several target vertices")
 
     # edges: slopes, images, horizontality
     for eid, v1, v2, slope, image in G.source_edges:
         if slope < 0:
             report.add("slope", f"edge {eid} has negative slope")
-        _, t1, t2 = G._te[image]
-        _, _, level1, type1, image1 = G._sv[v1]
-        _, _, level2, type2, image2 = G._sv[v2]
+        _, t1, t2 = G._frame.te[image]
+        _, _, level1, type1, image1 = G._frame.sv[v1]
+        _, _, level2, type2, image2 = G._frame.sv[v2]
         if {image1, image2} != {t1, t2}:
             report.add("edge-image", f"edge {eid} endpoints do not map onto its image edge")
         if level1 == level2:  # horizontal
@@ -871,7 +894,7 @@ def reference_validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
                     report.add("etale", f"etale sheet {v.id} has a level-crossing edge {e.id}")
 
     # stability of the source curve
-    edges_at, marks_at = G._edges_at, G._marks_at
+    edges_at, marks_at = G._frame.edges_at, G._marks_at
     for vid, genus, _, _, _ in G.source_vertices:
         special = len(edges_at[vid]) + len(marks_at[vid])
         if special < 3 - 2 * genus:
@@ -896,7 +919,7 @@ def reference_stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
             half_edges[end] += 1
             etale_points[end] += te.id in hor
     for idxs in G.marking_groups().values():
-        end = G._sv[G.markings[idxs[0]].vertex].image
+        end = G._frame.sv[G.markings[idxs[0]].vertex].image
         half_edges[end] += 1
         etale_points[end] += all(G.markings[i].lam == 1 for i in idxs)
 
@@ -971,7 +994,7 @@ def _frames(A):
     """The enumerated classes of A grouped by the frame they share, in enumeration order."""
     frames = {}
     for G in enumerate_components(A, 6):
-        frames.setdefault(id(G._facts), []).append(G)
+        frames.setdefault(id(G._frame), []).append(G)
     return list(frames.values())
 
 
@@ -1037,18 +1060,21 @@ def test_validate_and_ledger_equal_the_reference_on_random_graphs():
 
 
 def test_frame_facts_are_built_once_per_frame(monkeypatch):
-    """At b = 8, 3,510 classes on 18 frames: 18 fills of the frame facts and one validate call per class."""
+    """At b = 8, 3,510 classes on 18 frames: 18 fills of the frame facts and one validate call per class.
+
+    A fill counts the components of the source graph and of the target graph, and nothing else does.
+    """
     fills, calls = [], []
-    source_betti, validate_ = LevelGraph.source_betti, strata.validate
-    monkeypatch.setattr(LevelGraph, "source_betti", lambda G: fills.append(G) or source_betti(G))
+    components, validate_ = LevelGraph._components, strata.validate
+    monkeypatch.setattr(LevelGraph, "_components", staticmethod(lambda vs, es: fills.append(vs) or components(vs, es)))
     monkeypatch.setattr(strata, "validate", lambda G, A: calls.append(G) or validate_(G, A))
     A = HurwitzData(2, 3, 0, 8, (2,) * 8)
     comps = enumerate_components(A, 6)
-    assert len(comps) == len(calls) == 3510 and len({id(G._facts) for G in comps}) == len(fills) == 18
+    assert len(comps) == len(calls) == 3510 and len({id(G._frame) for G in comps}) == len(fills) // 2 == 18
     for G in comps:
         strata.validate(G, A)
         strata.stratum_dimension(G, A)
-    assert len(calls) == 3 * 3510 and len(fills) == 18
+    assert len(calls) == 3 * 3510 and len(fills) == 2 * 18
 
 
 @pytest.mark.parametrize("field, args", [("h", (2, -1, 0, 0, ())), ("g", (2, 1, -1, 4, (2,) * 4)),
@@ -1138,23 +1164,22 @@ def test_with_markings_starts_unvalidated():
 # -- each frame's encoding shared by its classes ---------------------------------
 #
 # canonical_form builds the frame's part of the encoding of its base ordering
-# once per frame and base order.  The parent's canonical_form and _encode are
-# kept below unchanged as its oracle.
+# once per frame and base order.  The canonical_form and _encode it replaced
+# are kept below as its oracle, reading only public attributes: they compute
+# the vertex signatures and neighbours afresh, sharing no cache with the package.
 
 
 def reference_canonical_form(G: LevelGraph):
-    sigs = G._facts.signatures
-    if sigs is None:  # the frame's part of each vertex invariant
-        sigs = G._facts.signatures = {}
-        for vid, genus, level, cover_type, _ in G.source_vertices:
-            slopes = []
-            for e in G._edges_at[vid]:  # (0, 0) if horizontal, else (+1 at the upper end or -1 at the lower, slope)
-                other = G._sv[e.v2 if e.v1 == vid else e.v1].level
-                slopes.append((0, 0) if other == level else (1 if level > other else -1, e.slope))
-            sigs[vid] = (-level, genus, cover_type, tuple(sorted(slopes)))
+    sigs, levels = {}, {v.id: v.level for v in G.source_vertices}  # the vertex signatures, from public attributes
+    for vid, genus, level, cover_type, _ in G.source_vertices:
+        slopes = []
+        for e in G.edges_at(vid):  # (0, 0) if horizontal, else (+1 at the upper end or -1 at the lower, slope)
+            other = levels[e.v2 if e.v1 == vid else e.v1]
+            slopes.append((0, 0) if other == level else (1 if level > other else -1, e.slope))
+        sigs[vid] = (-level, genus, cover_type, tuple(sorted(slopes)))
     classes = {}
     for vid, sig in sigs.items():  # in source_vertices order; the invariant is (sig, marking positions)
-        classes.setdefault((sig, G._marks_at[vid]), []).append(vid)
+        classes.setdefault((sig, tuple(i for i, m in enumerate(G.markings) if m.vertex == vid)), []).append(vid)
     class_lists = [ids for _, ids in sorted(classes.items())]
     sigma = {vid: i for i, vid in enumerate(itertools.chain.from_iterable(class_lists))}
     base = reference_unsplit_encode(G, sigma)
@@ -1166,7 +1191,7 @@ def reference_canonical_form(G: LevelGraph):
         for vid in ids:
             for tw in twins:
                 a = tw[0]
-                if strata._neighbours(G, a, {a: vid, vid: a}) == strata._neighbours(G, vid, {}) and (
+                if reference_neighbours(G, a, {a: vid, vid: a}) == reference_neighbours(G, vid, {}) and (
                     reference_unsplit_encode(G, {**sigma, a: sigma[vid], vid: sigma[a]}) == base
                 ):
                     tw.append(vid)
@@ -1191,6 +1216,10 @@ def reference_canonical_form(G: LevelGraph):
         if order != sigma:  # the base ordering is encoded already
             best = min(best, reference_unsplit_encode(G, order))
     return best
+
+
+def reference_neighbours(G: LevelGraph, vid, swap):
+    return sorted((swap.get(w, w), e.slope) for e in G.edges_at(vid) for w in [e.v2 if e.v1 == vid else e.v1])
 
 
 def reference_unsplit_encode(G: LevelGraph, sigma):
@@ -1229,7 +1258,7 @@ def test_canonical_form_equals_the_reference(b):
         H = relabel(G, rng)
         assert canonical_form(G) == reference_canonical_form(G)
         assert canonical_form(H) == reference_canonical_form(H)
-        assert list(H._facts.encodings) == [base_order(H)]
+        assert list(H._frame.encodings) == [base_order(H)]
 
 
 def test_classes_of_one_frame_share_its_encodings():
@@ -1237,7 +1266,7 @@ def test_classes_of_one_frame_share_its_encodings():
     A = HurwitzData(2, 3, 0, 8, (2,) * 8)
     shared = 0
     for classes in _frames(A):
-        encodings = classes[0]._facts.encodings
+        encodings = classes[0]._frame.encodings
         assert set(encodings) == {base_order(G) for G in classes}
         keys = [canonical_form(G) for G in classes]  # all taken before any is compared
         for G, key in zip(classes, keys):
@@ -1256,6 +1285,6 @@ def test_orderings_loop_adds_no_encoding():
                          ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)))
     for H in (G, star(5)):
         assert canonical_form(H) == reference_canonical_form(H) == brute_force_canonical_form(H)
-        assert list(H._facts.encodings) == [base_order(H)]
+        assert list(H._frame.encodings) == [base_order(H)]
         canonical_form(H)
-        assert len(H._facts.encodings) == 1
+        assert len(H._frame.encodings) == 1
