@@ -212,15 +212,14 @@ class LevelGraph:
         return out
 
     def source_betti(self):
-        comps = self._components(self.source_vertices, self.source_edges)
-        return len(self.source_edges) - len(self.source_vertices) + comps, comps
+        return self._betti(self.source_vertices, self.source_edges)
 
     def target_betti(self):
-        comps = self._components(self.target_vertices, self.target_edges)
-        return len(self.target_edges) - len(self.target_vertices) + comps, comps
+        return self._betti(self.target_vertices, self.target_edges)
 
     @staticmethod
-    def _components(vertices, edges):
+    def _betti(vertices, edges):
+        """(first Betti number, number of components) of a graph."""
         parent = {v.id: v.id for v in vertices}
         count = len(parent)  # ids are unique; each union joins two components
         for e in edges:
@@ -232,7 +231,7 @@ class LevelGraph:
             if a != b:
                 parent[a] = b
                 count -= 1
-        return count
+        return len(edges) - len(vertices) + count, count
 
     def total_source_genus(self):
         b1, _ = self.source_betti()
@@ -399,16 +398,15 @@ def _frame_facts(F: _Frame, A: HurwitzData):
             head.add("cover-type", f"separable vertex {vid} below the top level")
 
     # connectivity
-    comps = LevelGraph._components(F.source_vertices, F.source_edges)
+    b1, comps = LevelGraph._betti(F.source_vertices, F.source_edges)
     if comps != 1:
         head.add("connectivity", f"source graph has {comps} components")
-    tcomps = LevelGraph._components(F.target_vertices, F.target_edges)
+    g, tcomps = LevelGraph._betti(F.target_vertices, F.target_edges)  # target components have genus 0, so g is b1
     if tcomps != 1:
         head.add("connectivity", f"target graph has {tcomps} components")
 
-    # genus bookkeeping, by the first Betti numbers; target components have genus 0
-    h = sum(v.genus for v in F.source_vertices) + len(F.source_edges) - len(F.source_vertices) + comps
-    g = len(F.target_edges) - len(F.target_vertices) + tcomps
+    # genus bookkeeping
+    h = sum(v.genus for v in F.source_vertices) + b1
     if h != A.h:
         head.add("genus", f"source arithmetic genus {h} differs from datum h={A.h}")
     if g != A.g:

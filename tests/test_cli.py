@@ -193,8 +193,8 @@ INTEGER_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("field, value", [("p", "x"), ("p", 2.5), ("p", float("inf")), ("p", float("nan"))] + [
-    (field, value) for field in INTEGER_FIELDS for value in (True, False, 3.9) if (field, value) != ("p", 2.5)])
+@pytest.mark.parametrize("field, value", [("p", "x"), ("p", float("inf")), ("p", float("nan"))] + [
+    (field, value) for field in INTEGER_FIELDS for value in (True, False, 3.9)])
 def test_non_integer_graph_field_is_schema_error(capsys, tmp_path, field, value):
     """A bool or a fraction, which int() would take, is refused as "x" is; so are the JSON extensions inf and nan."""
     obj = example_graphs()[0].to_json_obj()

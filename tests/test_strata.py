@@ -724,7 +724,7 @@ def test_canonical_form_ordering_bound(monkeypatch):
 #
 # validate and stratum_dimension take the marking-free part of their work from
 # facts their frame computes once per datum.  The per-class code they replaced
-# is kept below unchanged as their oracle, with LevelGraph._components' former
+# is kept below unchanged as their oracle, with LevelGraph._betti's former
 # union-find, whose closure the inline loop replaced.
 
 
@@ -1054,7 +1054,7 @@ def test_validate_and_ledger_equal_the_reference_on_random_graphs():
         for B in (A, A4, A):  # the graph's facts follow each datum
             _same_answers(G, B)
         for vertices, edges in ((G.source_vertices, G.source_edges), (G.target_vertices, G.target_edges)):
-            assert LevelGraph._components(vertices, edges) == reference_components(vertices, edges)
+            assert LevelGraph._betti(vertices, edges)[1] == reference_components(vertices, edges)
 
     check()
 
@@ -1065,8 +1065,8 @@ def test_frame_facts_are_built_once_per_frame(monkeypatch):
     A fill counts the components of the source graph and of the target graph, and nothing else does.
     """
     fills, calls = [], []
-    components, validate_ = LevelGraph._components, strata.validate
-    monkeypatch.setattr(LevelGraph, "_components", staticmethod(lambda vs, es: fills.append(vs) or components(vs, es)))
+    betti, validate_ = LevelGraph._betti, strata.validate
+    monkeypatch.setattr(LevelGraph, "_betti", staticmethod(lambda vs, es: fills.append(vs) or betti(vs, es)))
     monkeypatch.setattr(strata, "validate", lambda G, A: calls.append(G) or validate_(G, A))
     A = HurwitzData(2, 3, 0, 8, (2,) * 8)
     comps = enumerate_components(A, 6)
