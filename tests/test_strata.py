@@ -113,10 +113,10 @@ def test_json_schema_errors():
 
 
 def test_integral_numbers_in_graph_fields_are_read_as_integers():
-    """A number with no fractional part reads as that integer, and a numeric string as before; see test_cli."""
+    """A number with no fractional part reads as that integer; test_cli refuses a fraction and a bool."""
     G = example_graphs()[0]
     obj = G.to_json_obj()
-    obj["p"], obj["source"]["edges"][0]["slope"], obj["markings"][0]["xi"] = 2.0, float(G.source_edges[0].slope), "0"
+    obj["p"], obj["source"]["edges"][0]["slope"], obj["markings"][0]["xi"] = 2.0, float(G.source_edges[0].slope), 0.0
     assert LevelGraph.from_json_obj(obj).to_json() == G.to_json()
 
 
