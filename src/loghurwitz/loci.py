@@ -147,7 +147,14 @@ def locus_membership(config: MarkingConfig, pattern: ZeroPolePattern, kind: str)
 
 
 def dimension_formula(pattern: ZeroPolePattern, kind: str) -> int:
-    """Closed-form locus dimension; negative values signal emptiness."""
+    """Closed-form locus dimension; negative values signal emptiness.
+
+    A nonnegative value does not signal a point: a pattern with some
+    m_i = -1 mod p has an empty exact locus, and an empty quasi-exact one
+    unless m_i = p - 1 (see locus_search), yet the formula is nonnegative
+    on 7,276 of the 7,450 such (pattern, kind) pairs with p <= 5, n = 3..6
+    and entries in [-2p, 2p].
+    """
     base = sum(v // pattern.p for v in pattern.m)
     if kind == EXACT:
         return pattern.n - 4 + base
@@ -240,9 +247,17 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
     low <= top is decided before the search: top - low + p - 1 is the sum
     of m_i over the finite markings, so it holds iff a marking at infinity
     has m_i <= p - 1.  A pinned infinity that fails returns [], and no
-    free slot that fails holds infinity.  A search of more than
-    MAX_SEARCH_CONFIGS free-slot permutations raises ValueError before
-    visiting any.
+    free slot that fails holds infinity.  The pattern alone decides more:
+    for f = prod (y - p_i)^{m_i} over the finite markings, the (p-1)-th
+    derivative is f^(p-1) = -tc(f)^p.  At a marking with m_i = -1 mod p
+    the falling factorial m_i (m_i - 1) ... (m_i - p + 2) is (p-1)! = -1
+    mod p, a unit, so f^(p-1), and with it tc(f)^p, has order exactly
+    m_i - p + 1 there (at infinity through the degree sum of the finite
+    m_i, which is then -1 mod p too).  So tc(f) is not zero, and it is a
+    constant only if m_i = p - 1: such a pattern returns [] for the exact
+    kind, and for the quasi-exact kind unless m_i = p - 1.  A search of
+    more than MAX_SEARCH_CONFIGS free-slot permutations raises ValueError
+    before either decision, and before visiting any.
     """
     if spec.p != pattern.p:
         raise ValueError("field characteristic and pattern characteristic differ")
@@ -266,6 +281,8 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
             f"search would visit {visits} configurations, above MAX_SEARCH_CONFIGS = {MAX_SEARCH_CONFIGS}"
         )
     quasi = kind == QUASI_EXACT
+    if any(mi % p == p - 1 and not (quasi and mi == p - 1) for mi in m):
+        return []
     if quasi and any(q.is_infinity and mi >= p for q, mi in zip(pinned, m[free:])):
         return []
     slots = [[r for r in candidates if r is not None or not quasi or mi < p] for mi in m[:free]]

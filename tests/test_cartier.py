@@ -57,6 +57,19 @@ def test_decompose_uniqueness_on_monomials():
     assert dec.parts[0].is_zero() and dec.parts[2].is_zero()
 
 
+@pytest.mark.parametrize("spec", [F16, F9, F5, field(7, 1)], ids=["2^4", "3^2", "5", "7"])
+def test_tc_to_the_p_is_minus_the_p_minus_1st_derivative(spec):
+    # f^(p-1) = -tc(f)^p, on which locus_search's pattern decision rests; the
+    # derivatives are taken one at a time, apart from the tc kernel's buckets
+    rng = random.Random(71 + spec.p)
+    for _ in range(40):
+        f = rand_rational(spec, rng)
+        d = f
+        for _ in range(spec.p - 1):
+            d = d.derivative()
+        assert twisted_cartier(BivariantForm(f)) ** spec.p == -d
+
+
 # -- worked golden identity --------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +327,31 @@ def test_degree_decided_search_near_the_work_bound():
     assert time.monotonic() - start < 2.0
 
 
+def test_degree_test_alone_decides_a_search_near_the_work_bound():
+    # no entry is 2 mod 3, so only the quasi-exact degree test (infinity
+    # pinned under m = 3 >= p) returns before the DFS
+    F27 = field(3, 3)
+    pat = ZeroPolePattern(3, (1, 1, 1, 1, 1, -2, -2, 3))
+    assert all(mi % 3 != 2 for mi in pat.m)
+    visits = math.perm(F27.q - 2, 5)
+    assert MAX_SEARCH_CONFIGS // 2 < visits <= MAX_SEARCH_CONFIGS
+    start = time.monotonic()
+    assert locus_search(pat, QUASI_EXACT, F27) == []
+    assert time.monotonic() - start < 2.0
+
+
+def test_pattern_decides_an_exact_search_near_the_work_bound():
+    # m_1 = 2 = -1 mod 3 makes the exact locus empty; the exact kind has no
+    # degree test, and the DFS visited 6.4 * 10^6 leaves in 10.5 s
+    F27 = field(3, 3)
+    pat = ZeroPolePattern(3, (2, 1, 1, 1, 1, 1, 1, -4))
+    visits = math.perm(F27.q - 2, 5)
+    assert MAX_SEARCH_CONFIGS // 2 < visits <= MAX_SEARCH_CONFIGS
+    start = time.monotonic()
+    assert locus_search(pat, EXACT, F27) == []
+    assert time.monotonic() - start < 2.0
+
+
 def test_search_deterministic():
     pat = ZeroPolePattern(2, (1, 1, 1, 1, -2))
     a = [c.points for c in locus_search(pat, QUASI_EXACT, F16)]
@@ -380,10 +407,12 @@ def _patterns(p, n_max):
 MIXED_FREE = {
     2: [(2, 1, -1, 1, -1), (1, 2, -1, 1, -1), (4, -1, 1, -1, -1), (-1, 4, 1, -1, -1)],
     3: [(3, 1, -1, 2, -1), (1, 3, -1, 2, -1), (-2, 5, 1, 1, -1), (5, -2, 1, 1, -1)],
+    # no entry = -1 mod 5, so the pattern does not decide these
+    5: [(5, 3, 1, 1, -2), (3, 5, 1, 1, -2), (7, -2, 1, 1, 1), (-2, 7, 1, 1, 1)],
 }
 
 
-@pytest.mark.parametrize("spec", [F4, F8, field(3, 1), F9], ids=["2^2", "2^3", "3", "3^2"])
+@pytest.mark.parametrize("spec", [F4, F8, field(3, 1), F9, field(5, 1)], ids=["2^2", "2^3", "3", "3^2", "5"])
 @pytest.mark.parametrize("pins", ["default", "finite"])
 def test_search_matches_permutation_reference(spec, pins):
     # the finite pin leaves infinity among the free candidates; n = 3 has no
@@ -392,7 +421,8 @@ def test_search_matches_permutation_reference(spec, pins):
     if pins == "finite":
         pinned = (Place.finite(spec.element(spec.q - 1)), pt(spec, 0), pt(spec, 1))
     searched = hits = mixed = 0
-    patterns = [*_patterns(spec.p, 5), *(ZeroPolePattern(spec.p, m) for m in MIXED_FREE[spec.p])]
+    n_max = 4 if spec.p == 5 else 5  # n = 5 at p = 5 would take about 9 s more
+    patterns = [*_patterns(spec.p, n_max), *(ZeroPolePattern(spec.p, m) for m in MIXED_FREE[spec.p])]
     for pattern in patterns:
         for kind in (EXACT, QUASI_EXACT):
             visited, want = _reference_search(pattern, kind, spec, pinned)
@@ -483,6 +513,25 @@ def _grid_cells():
                 if sum(m) == 2 * p - 2:
                     for kind in (EXACT, QUASI_EXACT):
                         yield spec, ZeroPolePattern(p, m), kind
+
+
+def test_recorded_grid_counts_are_zero_where_the_pattern_decides():
+    # perfbench/loci_counts.json was written by the search before it decided
+    # patterns: a cell with some m_i = -1 mod p (quasi-exact: m_i != p - 1)
+    # must have count 0, and the search must give every recorded count
+    counts = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "loci_counts.json").read_text())
+    decided = {EXACT: 0, QUASI_EXACT: 0}
+    keys = set()
+    for spec, pattern, kind in _grid_cells():
+        p = spec.p
+        key = f"{p}^{spec.k}|{','.join(map(str, pattern.m))}|{kind}"
+        keys.add(key)
+        if any(mi % p == p - 1 and not (kind == QUASI_EXACT and mi == p - 1) for mi in pattern.m):
+            decided[kind] += 1
+            assert counts[key] == 0, key
+        assert len(locus_search(pattern, kind, spec)) == counts[key], key
+    assert keys == set(counts)
+    assert decided == {EXACT: 424, QUASI_EXACT: 362}
 
 
 @pytest.mark.parametrize("pins", ["default", "finite"])
