@@ -149,11 +149,9 @@ def locus_membership(config: MarkingConfig, pattern: ZeroPolePattern, kind: str)
 def dimension_formula(pattern: ZeroPolePattern, kind: str) -> int:
     """Closed-form locus dimension; negative values signal emptiness.
 
-    A nonnegative value does not signal a point: a pattern with some
-    m_i = -1 mod p has an empty exact locus, and an empty quasi-exact one
-    unless m_i = p - 1 (see locus_search), yet the formula is nonnegative
-    on 7,276 of the 7,450 such (pattern, kind) pairs with p <= 5, n = 3..6
-    and entries in [-2p, 2p].
+    Nonnegative values do not signal a point: the value is nonnegative on
+    7,276 of the 7,450 loci that locus_search finds empty from the pattern
+    alone, with p <= 5, n = 3..6 and entries in [-2p, 2p].
     """
     base = sum(v // pattern.p for v in pattern.m)
     if kind == EXACT:

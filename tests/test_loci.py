@@ -342,7 +342,7 @@ def test_degree_test_alone_decides_a_search_near_the_work_bound():
 
 def test_pattern_decides_an_exact_search_near_the_work_bound():
     # m_1 = 2 = -1 mod 3 makes the exact locus empty; the exact kind has no
-    # degree test, and the DFS visited 6.4 * 10^6 leaves in 10.5 s
+    # degree test, so only the pattern decides this search
     F27 = field(3, 3)
     pat = ZeroPolePattern(3, (2, 1, 1, 1, 1, 1, 1, -4))
     visits = math.perm(F27.q - 2, 5)
@@ -516,9 +516,9 @@ def _grid_cells():
 
 
 def test_recorded_grid_counts_are_zero_where_the_pattern_decides():
-    # perfbench/loci_counts.json was written by the search before it decided
-    # patterns: a cell with some m_i = -1 mod p (quasi-exact: m_i != p - 1)
-    # must have count 0, and the search must give every recorded count
+    # perfbench/loci_counts.json holds the counts of full searches: a cell with
+    # some m_i = -1 mod p (quasi-exact: m_i != p - 1) must have count 0, and
+    # the search must give every recorded count
     counts = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "loci_counts.json").read_text())
     decided = {EXACT: 0, QUASI_EXACT: 0}
     keys = set()
