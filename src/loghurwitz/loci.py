@@ -1,18 +1,26 @@
 """Exact and quasi-exact loci of marked configurations on the line.
 
 A zero/pole pattern m = (m_1, ..., m_n) with sum 2p-2 attaches to each
-configuration of n distinct marked points the bivariant form
-psi = prod (y - p_i)^{m_i} dy/dx (the product over the finite markings;
-the order at a marking at infinity is then automatic).  The exact locus
-is where the twisted Cartier operator kills psi, the quasi-exact locus
-is where it gives a nonzero constant.
+configuration of n distinct marked points the bivariant form f dy/dx,
+f = prod (y - p_i)^{m_i} (the product over the finite markings; the
+order at a marking at infinity is then automatic).  The exact locus is
+where the twisted Cartier operator kills it, the quasi-exact locus is
+where it gives a nonzero constant.
+
+Everything here works on the reduced pattern (ZeroPolePattern.reduced):
+m_i = p a_i + b_i with 0 <= b_i < p splits f as g^p h, with
+g = prod (y - p_i)^{a_i} and the polynomial h = prod (y - p_i)^{b_i} of
+degree at most n (p - 1).  tc is p^{-1}-semilinear, so tc(f) = g tc(h),
+and tc(h) is the coefficientwise p-th root of bucket p - 1 of h.  Write
+g = g+ / E with g+ = prod (y - p_i)^{a_i} over a_i > 0 and
+E = prod (y - p_i)^{-a_i} over a_i < 0.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cartier import _coordinates, _form_parts, _root_indices, _tc_kernel, matrix_rank
+from .cartier import _root_indices, _tc_kernel, matrix_rank
 from .ffield import FieldSpec
 from .ratfunc import INFINITY, Place, Polynomial, _coeff_log, _log_mul
 
@@ -98,43 +106,61 @@ def _check_kind(kind: str):
 _ONE = [0]  # log list of the constant polynomial 1 (see ratfunc._from_logs)
 
 
-def _in_locus(spec: FieldSpec, kind: str, big, big_f, den, den_f) -> bool:
-    """The locus condition, for N D^(p-1) = big * big_f and D = den * den_f.
+def _reduced_roots(roots, m, p):
+    """Root lists of h, E and g+ for the finite markings at element indices `roots` (None at infinity)."""
+    h, E, g_plus = [], [], []
+    for r, mi in zip(roots, m):
+        if r is not None:
+            a, b = divmod(mi, p)
+            h += [r] * b
+            (E if a < 0 else g_plus).extend([r] * abs(a))
+    return h, E, g_plus
 
-    All four are discrete-log lists.  tc(N/D dy/dx) = T/D, where T_j is the
-    p-th root of the coefficient B_{p-1+pj} of y^(p-1+pj) in N D^(p-1).
-    Exact: T = 0, i.e. bucket p - 1 of N D^(p-1) vanishes.  Quasi-exact:
-    T = c D with c != 0, i.e. B_{p-1+pj} = 0 above j = deg D, C = B_{p-1+p deg D}
-    is nonzero and B_{p-1+pj} = C D_j^p below it.  The coefficients of
+
+def _in_locus(spec: FieldSpec, kind: str, h, h_f, E, E_f) -> bool:
+    """The locus condition on h = h * h_f and E = E * E_f, the quasi-exact kind for g+ = 1.
+
+    All four are discrete-log lists.  tc(f) = g T, where T_j is the
+    p-th root of the coefficient B_{p-1+pj} of y^(p-1+pj) in h.
+    Exact: T = 0, i.e. bucket p - 1 of h vanishes.  Quasi-exact, g = 1 / E:
+    T = c E with c != 0, i.e. B_{p-1+pj} = 0 above j = deg E, C = B_{p-1+p deg E}
+    is nonzero and B_{p-1+pj} = C E_j^p below it.  The coefficients of
     bucket p - 1 are computed one at a time from the top down, and the
     test stops at the first one that fails.
     """
     p, q1, zech = spec.p, spec.q - 1, spec._zech
-    top = len(big) + len(big_f) - 2
+    top = len(h) + len(h_f) - 2
     bucket = range(top - (top + 1) % p, -1, -p)  # degrees = p - 1 mod p, top down
     if kind == EXACT:
         for d in bucket:
-            if _coeff_log(big, big_f, d, zech, q1) >= 0:
+            if _coeff_log(h, h_f, d, zech, q1) >= 0:
                 return False
         return True
-    low = p - 1 + p * (len(den) + len(den_f) - 2)  # degree of C
+    low = p - 1 + p * (len(E) + len(E_f) - 2)  # degree of C
     if low > top:
         return False
     lead = None
     for d in bucket:
-        b = _coeff_log(big, big_f, d, zech, q1)
+        b = _coeff_log(h, h_f, d, zech, q1)
         if d > low:
-            if b >= 0:  # T has a term above deg D
+            if b >= 0:  # T has a term above deg E
                 return False
         elif lead is None:
             if b < 0:  # c = 0
                 return False
             lead = b
         else:
-            dj = _coeff_log(den, den_f, (d - p + 1) // p, zech, q1)
-            if (b < 0) != (dj < 0) or (dj >= 0 and (b - lead - p * dj) % q1):
+            ej = _coeff_log(E, E_f, (d - p + 1) // p, zech, q1)
+            if (b < 0) != (ej < 0) or (ej >= 0 and (b - lead - p * ej) % q1):
                 return False
     return True
+
+
+def _member(spec: FieldSpec, kind: str, pattern: ZeroPolePattern, h: Polynomial, E: Polynomial) -> bool:
+    """Membership from h and E: g tc(h) = c forces g+ = 1, and with the degree test at infinity max(m) < p."""
+    if kind == QUASI_EXACT and max(pattern.m) >= pattern.p:
+        return False
+    return _in_locus(spec, kind, h.logs, _ONE, E.logs, _ONE)
 
 
 def locus_membership(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -> bool:
@@ -142,16 +168,16 @@ def locus_membership(config: MarkingConfig, pattern: ZeroPolePattern, kind: str)
     _check_compatible(config, pattern)
     _check_kind(kind)
     spec = config.spec
-    big, den = _form_parts(spec, _root_indices(spec, config.points), pattern.m, pattern.p - 1)
-    return _in_locus(spec, kind, big.logs, _ONE, den.logs, _ONE)
+    h, E, _ = _reduced_roots(_root_indices(spec, config.points), pattern.m, pattern.p)
+    return _member(spec, kind, pattern, Polynomial._from_root_indices(spec, h), Polynomial._from_root_indices(spec, E))
 
 
 def dimension_formula(pattern: ZeroPolePattern, kind: str) -> int:
     """Closed-form locus dimension; negative values signal emptiness.
 
     Nonnegative values do not signal a point: the value is nonnegative on
-    7,276 of the 7,450 loci that locus_search finds empty from the pattern
-    alone, with p <= 5, n = 3..6 and entries in [-2p, 2p].
+    9,484 of the 9,658 loci that locus_search finds empty from the pattern
+    alone, with p <= 5, n = 3..6 and entries in [-2p, 2p] taken as multisets.
     """
     base = sum(v // pattern.p for v in pattern.m)
     if kind == EXACT:
@@ -167,11 +193,13 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     The last three markings are pinned; the i-th unit deformation of a
     free marking contributes r_i = tc of the eps-part of the deformed
     product, and the tangent space is the kernel of a -> sum a_i^{1/p} r_i
-    (quasi-exact kind: composed with the quotient by the constants).  One
-    product N D^(p-1) serves both the membership guard (_in_locus) and
-    every response: N / (D (y - p_i)) is N D^(p-1) / (y - p_i) over the
-    p-th power D^p, so its tc is T / (D (y - p_i)) with
-    T = _tc_kernel(N D^(p-1), y - p_i).
+    (quasi-exact kind: composed with the quotient by the constants).  The
+    eps-part is -m_i f / (y - p_i) = -m_i g^p h / (y - p_i), which vanishes
+    when b_i = 0; otherwise h / (y - p_i) is a polynomial and
+    r_i = -m_i g tc(h / (y - p_i)).  A nonzero scalar factor does not
+    change the ranks below, so over the common denominator E, which
+    clears every pole the twisted operator can produce, r_i has the
+    coefficients of g+ tc(h / (y - p_i)), and the constants those of E.
     """
     _check_compatible(config, pattern)
     if pattern.n < 3:
@@ -179,41 +207,34 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     _check_kind(kind)
     spec, p = config.spec, pattern.p
     roots = _root_indices(spec, config.points)
-    big, D = _form_parts(spec, roots, pattern.m, p - 1)
-    if not _in_locus(spec, kind, big.logs, _ONE, D.logs, _ONE):
+    h_roots, E_roots, g_roots = _reduced_roots(roots, pattern.m, p)
+    E = Polynomial._from_root_indices(spec, E_roots)
+    if not _member(spec, kind, pattern, Polynomial._from_root_indices(spec, h_roots), E):
         raise ValueError("configuration is not in the locus")
     free = pattern.n - 3
     if any(q.is_infinity for q in config.points[:free]):
         raise ValueError("the marking at infinity must be among the three pinned ones")
 
-    # the eps-part of the i-th unit deformation is -m_i * (N/D) / (y - p_i),
-    # so it vanishes exactly when p divides m_i; a nonzero scalar factor
-    # does not change the rank computed below.  Its tc is T_i / (D (y - p_i)).
+    g_plus, one = Polynomial._from_root_indices(spec, g_roots), Polynomial.constant(spec, 1)
     responses = []
     for r, mi in zip(roots[:free], pattern.m):
         if mi % p:
-            lin = Polynomial._from_root_indices(spec, [r])
-            responses.append((_tc_kernel(big, lin)[0], D * lin))
+            rest = list(h_roots)
+            rest.remove(r)
+            responses.append(_tc_kernel(Polynomial._from_root_indices(spec, rest), one)[0] * g_plus)
     ker_alpha = free - len(responses)
 
-    # coefficient vectors over the common denominator
-    # prod (y - p_i)^{max(0, ceil(m_i / p))}, which clears every pole the
-    # twisted operator can produce.
+    # the target width: the deg E + 1 coefficients and the pole allowance at infinity
     m_inf = sum(mi for r, mi in zip(roots, pattern.m) if r is None)
-    clear_roots = [r for r, mi in zip(roots, pattern.m) if r is not None for _ in range(-(mi // p))]
-    clear = Polynomial._from_root_indices(spec, clear_roots)  # pole allowance ceil(-m_i / p) at each
-    inf_allowance = max(0, (3 * p - 3 - m_inf) // p)
-    width = clear.degree + 1 + inf_allowance
-    rows = [_coordinates(T, clear, den, width) for T, den in responses]
+    width = E.degree + 1 + max(0, (3 * p - 3 - m_inf) // p)
+    rows = [list(R.coeffs) + [0] * (width - len(R.logs)) for R in [*responses, E]]
     # absorb the p^{-1}-semilinearity: substituting a_i -> a_i^p makes the
     # map linear without changing the kernel dimension over a finite field
-    rank = matrix_rank(spec, rows) if rows else 0
+    rank = matrix_rank(spec, rows[:-1]) if responses else 0
     if kind == EXACT:
         dim = free - rank
     else:
-        one = Polynomial.constant(spec, 1)
-        aug = rows + [_coordinates(one, clear, one, width)]
-        dim = free - (matrix_rank(spec, aug) - 1)
+        dim = free - (matrix_rank(spec, rows) - 1)
     return {"kind": kind, "free": free, "ker_alpha": ker_alpha, "rank": rank, "dimension": dim}
 
 
@@ -233,29 +254,27 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
     symmetry; the free slots range over the remaining places in the order
     of itertools.permutations, as a depth-first search that fills the free
     slots one at a time, each in candidate order.  Along a branch the
-    search carries the log list (Polynomial.logs) of the prefix product
-    base * prod (y - a_i)^{e_i}, with e_i = m_i at a zero and (p - 1)|m_i|
-    at a pole, so that the full product is the N D^(p-1) of the tc
-    kernel; base is the product over the pinned points and a free slot at
-    infinity contributes 1.  The log lists of the factors (y - a)^{e} are
-    cached for the call.  At the last free slot the full product is never
-    formed: the coefficients of its bucket p - 1 are computed one at a
-    time and the first that fails rules the candidate out (_in_locus,
-    shared with locus_membership).  Its quasi-exact degree test
-    low <= top is decided before the search: top - low + p - 1 is the sum
-    of m_i over the finite markings, so it holds iff a marking at infinity
-    has m_i <= p - 1.  A pinned infinity that fails returns [], and no
-    free slot that fails holds infinity.  The pattern alone decides more:
-    for f = prod (y - p_i)^{m_i} over the finite markings, the (p-1)-th
-    derivative is f^(p-1) = -tc(f)^p.  At a marking with m_i = -1 mod p
-    the falling factorial m_i (m_i - 1) ... (m_i - p + 2) is (p-1)! = -1
-    mod p, a unit, so f^(p-1), and with it tc(f)^p, has order exactly
-    m_i - p + 1 there (at infinity through the degree sum of the finite
-    m_i, which is then -1 mod p too).  So tc(f) is not zero, and it is a
-    constant only if m_i = p - 1: such a pattern returns [] for the exact
-    kind, and for the quasi-exact kind unless m_i = p - 1.  A search of
-    more than MAX_SEARCH_CONFIGS free-slot permutations raises ValueError
-    before either decision, and before visiting any.
+    search carries the log lists (Polynomial.logs) of the prefix products
+    of h and, for the quasi-exact kind, of E, starting from the pinned
+    points; a free slot at infinity contributes 1.  Every factor
+    (y - a)^{b_i} of h has degree < p, and the log lists of the factors are
+    cached for the call.  At the last free slot h is never formed: the
+    coefficients of its bucket p - 1 are computed one at a time and the
+    first that fails rules the candidate out (_in_locus).
+
+    The pattern alone decides two cases before the search:
+    - the quasi-exact kind with some m_i >= p: g tc(h) = c != 0 forces
+      g+ = 1, as tc(h) is a polynomial, and at infinity the degree test of
+      _in_locus, deg h >= p - 1 + p deg E, says m_i <= p - 1;
+    - some m_i = -1 mod p, for the quasi-exact kind other than m_i = p - 1.
+      The (p-1)-th derivative is f^(p-1) = -tc(f)^p, and at such a marking
+      the falling factorial m_i (m_i - 1) ... (m_i - p + 2) is (p-1)! = -1
+      mod p, a unit, so tc(f)^p has order exactly m_i - p + 1 there (at
+      infinity through the degree sum of the finite m_i, which is then
+      -1 mod p too).  So tc(f) is not zero, and a constant only if
+      m_i = p - 1.
+    A search of more than MAX_SEARCH_CONFIGS free-slot permutations raises
+    ValueError before either decision, and before visiting any.
     """
     if spec.p != pattern.p:
         raise ValueError("field characteristic and pattern characteristic differ")
@@ -279,56 +298,37 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
             f"search would visit {visits} configurations, above MAX_SEARCH_CONFIGS = {MAX_SEARCH_CONFIGS}"
         )
     quasi = kind == QUASI_EXACT
-    if any(mi % p == p - 1 and not (quasi and mi == p - 1) for mi in m):
+    if quasi and max(m) >= p or any(mi % p == p - 1 and not (quasi and mi == p - 1) for mi in m):
         return []
-    if quasi and any(q.is_infinity and mi >= p for q, mi in zip(pinned, m[free:])):
-        return []
-    slots = [[r for r in candidates if r is not None or not quasi or mi < p] for mi in m[:free]]
-    base, base_den = _form_parts(spec, pinned_roots, m[free:], p - 1)
+
+    def parts(roots, ms):
+        """Log lists of h and E over the places of index `roots`."""
+        h, E, _ = _reduced_roots(roots, ms, p)
+        return Polynomial._from_root_indices(spec, h).logs, Polynomial._from_root_indices(spec, E).logs
+
+    h, E = parts(pinned_roots, m[free:])
     if free == 0:
-        found = _in_locus(spec, kind, base.logs, _ONE, base_den.logs, _ONE)
-        return [MarkingConfig(spec, pinned)] if found else []
+        return [MarkingConfig(spec, pinned)] if _in_locus(spec, kind, h, _ONE, E, _ONE) else []
     if not visits:
         return []
+    factors = {(r, mi): parts([r], [mi]) for mi in set(m[:free]) for r in candidates}  # for the call
+    zech, q1 = spec._zech, spec.q - 1
 
-    log, zech, q1 = spec._log, spec._zech, spec.q - 1
-    templates, cache = {}, {}
-
-    def factor(r, mi):
-        """Logs of (y - r)^{e_i} and of (y - r)^{|m_i|} at a pole, cached for the call.
-
-        For r != 0 both are r^n f(y / r), f the same power of y - 1, so the
-        coefficient of y^t is that of f times r^(n - t).
-        """
-        key = (r, mi)
-        if key not in cache:
-            if not r:  # infinity (None) contributes 1, and 0 powers of y
-                cache[key] = [f.logs for f in _form_parts(spec, [r], [mi], p - 1)]
-            else:
-                if mi not in templates:
-                    templates[mi] = [f.logs for f in _form_parts(spec, [1], [mi], p - 1)]
-                lr = log[r]
-                cache[key] = [
-                    [c if c < 0 else (c + (len(f) - 1 - t) * lr) % q1 for t, c in enumerate(f)]
-                    for f in templates[mi]
-                ]
-        return cache[key]
-
-    def hits(chosen, big, den):
-        """Completions of the prefix `chosen`, with log lists big of its N D^(p-1) and den of its D."""
+    def hits(chosen, h, E):
+        """Completions of the prefix `chosen`, with log lists h and E of its products."""
         mi, last = m[len(chosen)], len(chosen) == free - 1
-        for r in slots[len(chosen)]:
+        for r in candidates:
             if r in chosen:
                 continue
-            fl, gl = factor(r, mi)
+            hl, el = factors[r, mi]
             if last:
-                if _in_locus(spec, kind, big, fl, den, gl):
+                if _in_locus(spec, kind, h, hl, E, el):
                     yield chosen + (r,)
             else:
-                den_r = _log_mul(den, gl, zech, q1) if quasi and mi < 0 else den  # only quasi-exact reads D
-                yield from hits(chosen + (r,), _log_mul(big, fl, zech, q1), den_r)
+                E_r = _log_mul(E, el, zech, q1) if quasi and mi < 0 else E  # only quasi-exact reads E
+                yield from hits(chosen + (r,), _log_mul(h, hl, zech, q1), E_r)
 
     return [
         MarkingConfig(spec, tuple(INFINITY if a is None else Place.finite(spec.element(a)) for a in chosen) + pinned)
-        for chosen in hits((), base.logs, base_den.logs)
+        for chosen in hits((), h, E)
     ]

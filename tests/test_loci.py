@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+import random
 import time
 from pathlib import Path
 
 import pytest
 
-from loghurwitz.cartier import _tc_kernel, matrix_rank
+from loghurwitz.cartier import _form_parts, _root_indices, _tc_kernel, matrix_rank
 from loghurwitz.ffield import FieldSpec, field
 from loghurwitz.loci import (
     EXACT,
@@ -15,8 +16,6 @@ from loghurwitz.loci import (
     MarkingConfig,
     ZeroPolePattern,
     _check_compatible,
-    _form_parts,
-    _root_indices,
     dimension_formula,
     locus_membership,
     locus_search,
@@ -402,6 +401,13 @@ def _patterns(p, n_max):
                     yield ZeroPolePattern(p, perm)
 
 
+def _pins(spec, pins):
+    """The pinned places of a pins parameter: None (the default), (q - 1, 0, 1) or (0, infinity, 1)."""
+    return {"default": None,
+            "finite": (Place.finite(spec.element(spec.q - 1)), pt(spec, 0), pt(spec, 1)),
+            "middle": (pt(spec, 0), INFINITY, pt(spec, 1))}[pins]
+
+
 # patterns whose free slots (the first two of five) mix m_i >= p, where the
 # degree test bars infinity, with m_i < p, where infinity may sit
 MIXED_FREE = {
@@ -413,13 +419,12 @@ MIXED_FREE = {
 
 
 @pytest.mark.parametrize("spec", [F4, F8, field(3, 1), F9, field(5, 1)], ids=["2^2", "2^3", "3", "3^2", "5"])
-@pytest.mark.parametrize("pins", ["default", "finite"])
+@pytest.mark.parametrize("pins", ["default", "finite", "middle"])
 def test_search_matches_permutation_reference(spec, pins):
-    # the finite pin leaves infinity among the free candidates; n = 3 has no
-    # free slot and n <= 2 truncates the pin
-    pinned = (pt(spec, 0), pt(spec, 1), INFINITY)
-    if pins == "finite":
-        pinned = (Place.finite(spec.element(spec.q - 1)), pt(spec, 0), pt(spec, 1))
+    # the finite pin leaves infinity among the free candidates, the middle
+    # one pins it between two finite places; n = 3 has no free slot and
+    # n <= 2 truncates the pin
+    pinned = _pins(spec, pins) or (pt(spec, 0), pt(spec, 1), INFINITY)
     searched = hits = mixed = 0
     n_max = 4 if spec.p == 5 else 5  # n = 5 at p = 5 would take about 9 s more
     patterns = [*_patterns(spec.p, n_max), *(ZeroPolePattern(spec.p, m) for m in MIXED_FREE[spec.p])]
@@ -446,11 +451,17 @@ def test_search_matches_permutation_reference(spec, pins):
 
 
 def _reference_tangent_report(config, pattern, kind):
-    """tangent_report as it was: the membership guard, then N and D again and one tc kernel per response."""
+    """tangent_report as it was: the membership guard, then N and D again and one tc kernel per response.
+
+    The guard is _reference_membership, after the argument and kind checks
+    that locus_membership made, so it shares no code with the package's test.
+    """
     _check_compatible(config, pattern)
     if pattern.n < 3:
         raise ValueError("need at least three markings to rigidify the line")
-    if not locus_membership(config, pattern, kind):
+    if kind not in (EXACT, QUASI_EXACT):
+        raise ValueError(f"unknown kind {kind!r}")
+    if not _reference_membership(config, pattern, kind):
         raise ValueError("configuration is not in the locus")
     spec = config.spec
     free = pattern.n - 3
@@ -534,14 +545,31 @@ def test_recorded_grid_counts_are_zero_where_the_pattern_decides():
     assert decided == {EXACT: 424, QUASI_EXACT: 362}
 
 
-@pytest.mark.parametrize("pins", ["default", "finite"])
+def test_recorded_quasi_exact_counts_are_zero_where_some_m_reaches_p():
+    # g tc(h) = c != 0 forces a_i <= 0 at every finite marking, and the degree
+    # test at infinity m_i <= p - 1: a quasi-exact cell with max(m) >= p has
+    # count 0, and membership agrees with the reference at random places
+    counts = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "loci_counts.json").read_text())
+    rng = random.Random(23)
+    decided = tested = 0
+    for spec, pattern, kind in _grid_cells():
+        if kind != QUASI_EXACT or max(pattern.m) < spec.p:
+            continue
+        decided += 1
+        assert counts[f"{spec.p}^{spec.k}|{','.join(map(str, pattern.m))}|{kind}"] == 0, pattern
+        places = [Place.finite(e) for e in spec.elements()] + [INFINITY]
+        for _ in range(12 if spec.q < 27 else 2):
+            config = MarkingConfig(spec, rng.sample(places, pattern.n))
+            assert locus_membership(config, pattern, kind) == _reference_membership(config, pattern, kind), config
+            tested += 1
+    assert decided == 493 and tested > 2000
+
+
+@pytest.mark.parametrize("pins", ["default", "finite", "middle"])
 def test_tangent_report_matches_reference_on_grid(pins):
     reports = 0
     for spec, pattern, kind in _grid_cells():
-        pinned = None
-        if pins == "finite":
-            pinned = (Place.finite(spec.element(spec.q - 1)), pt(spec, 0), pt(spec, 1))
-        for config in locus_search(pattern, kind, spec, pinned):
+        for config in locus_search(pattern, kind, spec, _pins(spec, pins)):
             want = _outcome(_reference_tangent_report, config, pattern, kind)
             assert _outcome(tangent_report, config, pattern, kind) == want, (config, pattern, kind)
             reports += isinstance(want, dict)
