@@ -91,8 +91,8 @@ _compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _integer(value):
-    """int(value), refusing what int() would read as an integer but JSON does not: a bool, and a fraction."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value), refusing what int() would read as an integer but JSON does not: a bool, a string and a fraction."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

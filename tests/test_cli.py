@@ -194,9 +194,12 @@ INTEGER_FIELDS = {
 
 
 @pytest.mark.parametrize("field, value", [("p", "x"), ("p", float("inf")), ("p", float("nan"))] + [
-    (field, value) for field in INTEGER_FIELDS for value in (True, False, 3.9)])
+    (field, value) for field in INTEGER_FIELDS for value in (True, False, 3.9, "3", " 3 ", "\uff13")])
 def test_non_integer_graph_field_is_schema_error(capsys, tmp_path, field, value):
-    """A bool or a fraction, which int() would take, is refused as "x" is; so are the JSON extensions inf and nan."""
+    """A bool, a fraction or a string of digits (full-width ones too), which int() would take, is refused as "x" is.
+
+    So are the JSON extensions inf and nan.
+    """
     obj = example_graphs()[0].to_json_obj()
     *parents, key = INTEGER_FIELDS[field]
     target = obj
