@@ -194,12 +194,10 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     free marking contributes r_i = tc of the eps-part of the deformed
     product, and the tangent space is the kernel of a -> sum a_i^{1/p} r_i
     (quasi-exact kind: composed with the quotient by the constants).  The
-    eps-part is -m_i f / (y - p_i) = -m_i g^p h / (y - p_i), which vanishes
-    when b_i = 0; otherwise h / (y - p_i) is a polynomial and
-    r_i = -m_i g tc(h / (y - p_i)).  A nonzero scalar factor does not
-    change the ranks below, so over the common denominator E, which
-    clears every pole the twisted operator can produce, r_i has the
-    coefficients of g+ tc(h / (y - p_i)), and the constants those of E.
+    eps-part is -m_i g^p h / (y - p_i), zero when b_i = 0; otherwise
+    r_i = -m_i g tc(h / (y - p_i)).  Up to that nonzero scalar, which
+    leaves the ranks below alone, r_i E has the coefficients of
+    g+ tc(h / (y - p_i)), and a constant c those of c E.
     """
     _check_compatible(config, pattern)
     if pattern.n < 3:
@@ -215,7 +213,8 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     if any(q.is_infinity for q in config.points[:free]):
         raise ValueError("the marking at infinity must be among the three pinned ones")
 
-    g_plus, one = Polynomial._from_root_indices(spec, g_roots), Polynomial.constant(spec, 1)
+    g_plus = Polynomial._from_root_indices(spec, g_roots)
+    one = Polynomial._from_root_indices(spec, [])  # the empty product: 1 without a coefficient to coerce
     responses = []
     for r, mi in zip(roots[:free], pattern.m):
         if mi % p:
