@@ -11,6 +11,10 @@ The decomposition is computed without partial fractions: f = a/b is
 rewritten as (a b^{p-1}) / b^p, the numerator is split by exponent
 residue mod p, and coefficientwise p-th roots (unique in GF(p^k)) give
 the parts.  This is total on rational functions over a finite field.
+
+A product of powers of linear factors is g^p h with h = prod (y - r)^b a
+polynomial (exponents m = p a + b, 0 <= b < p), and tc(g^p h) = g tc(h) as tc
+is p^{-1}-semilinear: global_tc_matrix and loci run the tc kernel on h alone.
 """
 
 from __future__ import annotations
@@ -92,38 +96,23 @@ def _root_indices(spec: FieldSpec, places):
     return [None if q.is_infinity else _coefficient_index(spec, q.value) for q in places]
 
 
-def _form_parts(spec: FieldSpec, roots, m, weight: int):
-    """(N D^weight, D) for markings at element indices `roots` (None at infinity).
+def _reduced_roots(roots, m, p):
+    """Root list of h = prod (y - r)^{m_i mod p} over the markings at element indices `roots` (None at infinity)."""
+    return [r for r, mi in zip(roots, m) if r is not None for _ in range(mi % p)]
 
-    N and D are the monic products of (y - r)^{|m_i|} over the finite zeros
-    and poles, so N / D is the product over the finite markings.  A zero
-    contributes (y - r)^{m_i} to the first polynomial and a pole
-    (y - r)^{weight |m_i|}; weight p - 1 gives N D^(p-1), whose bucket
-    p - 1 is the twisted Cartier numerator (see _tc_kernel).
+
+def _tc_kernel(P: Polynomial, shifts=(0,)):
+    """tc(y^j P dy/dx) for the polynomial P, one per j in `shifts`.
+
+    It is the coefficientwise p-th root of bucket p-1 of y^j P: the slice of
+    P in degrees = p-1-j mod p, shifted by floor(j/p).  A rational N/D is
+    N D^(p-1) / D^p, so it goes in as P = N D^(p-1) and comes out over D.
+    On logs the p-th root is s -> s p^(k-1) mod q - 1.
     """
-    first, den = [], []
-    for r, mi in zip(roots, m):
-        if r is not None:
-            first += [r] * (mi if mi > 0 else -weight * mi)
-            if mi < 0:
-                den += [r] * -mi
-    return Polynomial._from_root_indices(spec, first), Polynomial._from_root_indices(spec, den)
-
-
-def _tc_kernel(N: Polynomial, D: Polynomial, shifts=(0,)):
-    """Numerators T_j with tc(y^j N/D dy/dx) = T_j / D, one per j in `shifts`.
-
-    y^j N/D = y^j N D^(p-1) / D^p with D^p a p-th power, so T_j is the
-    coefficientwise p-th root of bucket p-1 of y^j N D^(p-1): the slice
-    of N D^(p-1) in degrees = p-1-j mod p, shifted by floor(j/p).  One
-    product serves every shift; N/D need not be reduced.  On logs the
-    p-th root is s -> s p^(k-1) mod q - 1.
-    """
-    spec = N.spec
+    spec = P.spec
     p, e, q1 = spec.p, spec.p ** (spec.k - 1), spec.q - 1
-    big = (N * D ** (p - 1)).logs
     return [
-        _from_logs(spec, [-1] * (j // p) + [s * e % q1 if s >= 0 else -1 for s in big[p - 1 - j % p :: p]])
+        _from_logs(spec, [-1] * (j // p) + [s * e % q1 if s >= 0 else -1 for s in P.logs[p - 1 - j % p :: p]])
         for j in shifts
     ]
 
@@ -134,7 +123,7 @@ def ppower_decompose(f: RationalFunction) -> PPowerDecomposition:
     The part f_i is tc(y^(p-1-i) f).
     """
     p = f.spec.p
-    numerators = _tc_kernel(f.num, f.den, range(p - 1, -1, -1))
+    numerators = _tc_kernel(f.num * f.den ** (p - 1), range(p - 1, -1, -1))
     return PPowerDecomposition(RationalFunction(T, f.den) for T in numerators)
 
 
@@ -144,7 +133,7 @@ def cartier(omega: Differential) -> Differential:
 
 def twisted_cartier(psi: BivariantForm) -> RationalFunction:
     f = psi.f
-    return RationalFunction(_tc_kernel(f.num, f.den)[0], f.den)
+    return RationalFunction(_tc_kernel(f.num * f.den ** (f.spec.p - 1))[0], f.den)
 
 
 def is_exact(psi: BivariantForm) -> bool:
@@ -214,8 +203,8 @@ class TcMatrix:
     """Matrix of the twisted Cartier operator on global sections.
 
     Source: H^0 of the relative dualizing sheaf twisted by sum m_i p_i;
-    basis y^j * prod (y-q)^{-m_q} for 0 <= j <= deg(source divisor).
-    Target: H^0 of O(sum ceil(m_i/p) p_i); analogous monomial basis.
+    basis y^j * prod (y-q)^{-m_q} = y^j g^p h for 0 <= j <= deg(source divisor).
+    Target: H^0 of O(sum ceil(m_i/p) p_i); basis y^i g (see global_tc_matrix).
     The map is p^{-1}-semilinear; entries are stored raw.  Frobenius is a
     field automorphism, so the rank of the raw entries is the rank of the
     linearised map.
@@ -236,18 +225,17 @@ class TcMatrix:
         return self.rank == self.target_dim
 
 
-def _coordinates(T: Polynomial, mult: Polynomial, den: Polynomial, width: int):
-    """Coefficients of T mult / den, padded to `width`: a tc image in a monomial basis."""
-    coords, rest = (T * mult).divmod(den)
-    if rest or len(coords.logs) > width:
-        raise AssertionError("tc image escapes the target space")
-    return list(coords.coeffs) + [0] * (width - len(coords.logs))
-
-
 def global_tc_matrix(spec: FieldSpec, marked) -> TcMatrix:
     """Matrix of tc on global sections for marked points with multiplicities.
 
     `marked` is a sequence of (Place, integer) pairs with distinct places.
+    Write -m_q = p a_q + b_q (0 <= b_q < p) at each finite q, g = prod
+    (y-q)^{a_q} and h = prod (y-q)^{b_q}; the target basis is y^i g, as
+    a_q = -ceil(m_q/p).  tc(y^j g^p h) = g tc(y^j h), so column j is the
+    coefficient vector of tc(y^j h), padded to target_dim.  It fits:
+    deg h = p sum_fin ceil(m_q/p) - sum_fin m_q and j <= deg_src
+    = sum_fin m_q + m_inf + 2p - 2 give deg tc(y^j h) <= floor((j + deg h
+    - p + 1)/p) <= sum_fin ceil(m_q/p) + ceil(m_inf/p) = deg_tgt.
     """
     p = spec.p
     places = [q for q, _ in marked]
@@ -262,12 +250,6 @@ def global_tc_matrix(spec: FieldSpec, marked) -> TcMatrix:
     if source_dim == 0 or target_dim == 0:
         return TcMatrix(spec, [[0] * source_dim for _ in range(target_dim)], source_dim, target_dim)
 
-    # the source basis is y^j N/D = y^j prod (y - q)^(-m_q), the target
-    # basis is y^i G/H = y^i prod (y - q)^(-ceil(m_q / p))
-    roots = _root_indices(spec, places)
-    N, D = _form_parts(spec, roots, [-m for _, m in marked], 0)
-    G, H = _form_parts(spec, roots, [-m // p for _, m in marked], 0)
-    DG = D * G
-    columns = [_coordinates(T, H, DG, target_dim) for T in _tc_kernel(N, D, range(source_dim))]
-    entries = [[columns[j][i] for j in range(source_dim)] for i in range(target_dim)]
-    return TcMatrix(spec, entries, source_dim, target_dim)
+    h = Polynomial._from_root_indices(spec, _reduced_roots(_root_indices(spec, places), [-m for _, m in marked], p))
+    columns = [list(T.coeffs) + [0] * (target_dim - len(T.logs)) for T in _tc_kernel(h, range(source_dim))]
+    return TcMatrix(spec, [list(row) for row in zip(*columns)], source_dim, target_dim)

@@ -11,16 +11,15 @@ Everything here works on the reduced pattern (ZeroPolePattern.reduced):
 m_i = p a_i + b_i with 0 <= b_i < p splits f as g^p h, with
 g = prod (y - p_i)^{a_i} and the polynomial h = prod (y - p_i)^{b_i} of
 degree at most n (p - 1).  tc is p^{-1}-semilinear, so tc(f) = g tc(h),
-and tc(h) is the coefficientwise p-th root of bucket p - 1 of h.  Write
-g = g+ / E with g+ = prod (y - p_i)^{a_i} over a_i > 0 and
-E = prod (y - p_i)^{-a_i} over a_i < 0.
+and tc(h) is the coefficientwise p-th root of bucket p - 1 of h.  The
+quasi-exact kind also reads E = prod (y - p_i)^{-a_i} over a_i < 0.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cartier import _root_indices, _tc_kernel, matrix_rank
+from .cartier import _reduced_roots, _root_indices, _tc_kernel, matrix_rank
 from .ffield import FieldSpec
 from .ratfunc import INFINITY, Place, Polynomial, _coeff_log, _log_mul
 
@@ -106,19 +105,14 @@ def _check_kind(kind: str):
 _ONE = [0]  # log list of the constant polynomial 1 (see ratfunc._from_logs)
 
 
-def _reduced_roots(roots, m, p):
-    """Root lists of h, E and g+ for the finite markings at element indices `roots` (None at infinity)."""
-    h, E, g_plus = [], [], []
-    for r, mi in zip(roots, m):
-        if r is not None:
-            a, b = divmod(mi, p)
-            h += [r] * b
-            (E if a < 0 else g_plus).extend([r] * abs(a))
-    return h, E, g_plus
+def _E(spec: FieldSpec, roots, m, p):
+    """Log list of E at the places of index `roots`, for the quasi-exact kind once max(m) < p makes each a_i <= 0."""
+    E = [r for r, mi in zip(roots, m) if r is not None for _ in range(-(mi // p))]
+    return Polynomial._from_root_indices(spec, E).logs
 
 
 def _in_locus(spec: FieldSpec, kind: str, h, h_f, E, E_f) -> bool:
-    """The locus condition on h = h * h_f and E = E * E_f, the quasi-exact kind for g+ = 1.
+    """The locus condition on h = h * h_f and E = E * E_f, the quasi-exact kind for max(m) < p.
 
     All four are discrete-log lists.  tc(f) = g T, where T_j is the
     p-th root of the coefficient B_{p-1+pj} of y^(p-1+pj) in h.
@@ -156,20 +150,24 @@ def _in_locus(spec: FieldSpec, kind: str, h, h_f, E, E_f) -> bool:
     return True
 
 
-def _member(spec: FieldSpec, kind: str, pattern: ZeroPolePattern, h: Polynomial, E: Polynomial) -> bool:
-    """Membership from h and E: g tc(h) = c forces g+ = 1, and with the degree test at infinity max(m) < p."""
-    if kind == QUASI_EXACT and max(pattern.m) >= pattern.p:
-        return False
-    return _in_locus(spec, kind, h.logs, _ONE, E.logs, _ONE)
+def _member(spec: FieldSpec, kind: str, pattern: ZeroPolePattern, roots):
+    """(h's roots, E's log list) if the places of index `roots` lie in the locus, else None.
+
+    g tc(h) = c forces every a_i <= 0, and with the degree test at infinity
+    max(m) < p: only then is E built.  The exact kind reads no E and gets None.
+    """
+    m, p = pattern.m, pattern.p
+    if kind == QUASI_EXACT and max(m) >= p:
+        return None
+    h, E = _reduced_roots(roots, m, p), _E(spec, roots, m, p) if kind == QUASI_EXACT else None
+    return (h, E) if _in_locus(spec, kind, Polynomial._from_root_indices(spec, h).logs, _ONE, E, _ONE) else None
 
 
 def locus_membership(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -> bool:
     """Whether the configuration lies in the exact or quasi-exact locus."""
     _check_compatible(config, pattern)
     _check_kind(kind)
-    spec = config.spec
-    h, E, _ = _reduced_roots(_root_indices(spec, config.points), pattern.m, pattern.p)
-    return _member(spec, kind, pattern, Polynomial._from_root_indices(spec, h), Polynomial._from_root_indices(spec, E))
+    return _member(config.spec, kind, pattern, _root_indices(config.spec, config.points)) is not None
 
 
 def dimension_formula(pattern: ZeroPolePattern, kind: str) -> int:
@@ -195,9 +193,10 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     product, and the tangent space is the kernel of a -> sum a_i^{1/p} r_i
     (quasi-exact kind: composed with the quotient by the constants).  The
     eps-part is -m_i g^p h / (y - p_i), zero when b_i = 0; otherwise
-    r_i = -m_i g tc(h / (y - p_i)).  Up to that nonzero scalar, which
-    leaves the ranks below alone, r_i E has the coefficients of
-    g+ tc(h / (y - p_i)), and a constant c those of c E.
+    r_i = -m_i g tc(h / (y - p_i)).  Dividing by that nonzero scalar and
+    by g, an injective linear map, leaves the ranks below alone: row i
+    holds the coefficients of tc(h / (y - p_i)), and in the quasi-exact
+    kind, where g = 1 / E, a constant c has those of c E.
     """
     _check_compatible(config, pattern)
     if pattern.n < 3:
@@ -205,36 +204,34 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     _check_kind(kind)
     spec, p = config.spec, pattern.p
     roots = _root_indices(spec, config.points)
-    h_roots, E_roots, g_roots = _reduced_roots(roots, pattern.m, p)
-    E = Polynomial._from_root_indices(spec, E_roots)
-    if not _member(spec, kind, pattern, Polynomial._from_root_indices(spec, h_roots), E):
+    found = _member(spec, kind, pattern, roots)
+    if found is None:
         raise ValueError("configuration is not in the locus")
     free = pattern.n - 3
     if any(q.is_infinity for q in config.points[:free]):
         raise ValueError("the marking at infinity must be among the three pinned ones")
 
-    g_plus = Polynomial._from_root_indices(spec, g_roots)
-    one = Polynomial._from_root_indices(spec, [])  # the empty product: 1 without a coefficient to coerce
-    responses = []
+    h_roots, E = found
+    rows = []
     for r, mi in zip(roots[:free], pattern.m):
         if mi % p:
             rest = list(h_roots)
             rest.remove(r)
-            responses.append(_tc_kernel(Polynomial._from_root_indices(spec, rest), one)[0] * g_plus)
-    ker_alpha = free - len(responses)
-
-    # the target width: the deg E + 1 coefficients and the pole allowance at infinity
-    m_inf = sum(mi for r, mi in zip(roots, pattern.m) if r is None)
-    width = E.degree + 1 + max(0, (3 * p - 3 - m_inf) // p)
-    rows = [list(R.coeffs) + [0] * (width - len(R.logs)) for R in [*responses, E]]
+            rows.append(_tc_kernel(Polynomial._from_root_indices(spec, rest))[0].logs)
+    responses = len(rows)
+    if kind == QUASI_EXACT:
+        rows.append(E)
+    # coefficient rows padded to the longest, as zero columns change no rank
+    width, exp = max(map(len, rows), default=0), spec._exp
+    rows = [[exp[s] if s >= 0 else 0 for s in R] + [0] * (width - len(R)) for R in rows]
     # absorb the p^{-1}-semilinearity: substituting a_i -> a_i^p makes the
     # map linear without changing the kernel dimension over a finite field
-    rank = matrix_rank(spec, rows[:-1]) if responses else 0
+    rank = matrix_rank(spec, rows[:responses]) if responses else 0
     if kind == EXACT:
         dim = free - rank
     else:
         dim = free - (matrix_rank(spec, rows) - 1)
-    return {"kind": kind, "free": free, "ker_alpha": ker_alpha, "rank": rank, "dimension": dim}
+    return {"kind": kind, "free": free, "ker_alpha": free - responses, "rank": rank, "dimension": dim}
 
 
 def tangent_dimension(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -> int:
@@ -301,9 +298,9 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
         return []
 
     def parts(roots, ms):
-        """Log lists of h and E over the places of index `roots`."""
-        h, E, _ = _reduced_roots(roots, ms, p)
-        return Polynomial._from_root_indices(spec, h).logs, Polynomial._from_root_indices(spec, E).logs
+        """Log lists of h and, for the quasi-exact kind, E over the places of index `roots`."""
+        h = Polynomial._from_root_indices(spec, _reduced_roots(roots, ms, p)).logs
+        return h, _E(spec, roots, ms, p) if quasi else None
 
     h, E = parts(pinned_roots, m[free:])
     if free == 0:

@@ -315,7 +315,7 @@ def _reference_tc_matrix(spec, marked):
     return entries, source_dim, target_dim
 
 
-@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 1), (7, 1)])
+@pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 1), (7, 1)])
 def test_global_tc_matrix_matches_reference(p, k):
     spec = field(p, k)
     rng = random.Random(53 + p)
@@ -328,9 +328,21 @@ def test_global_tc_matrix_matches_reference(p, k):
     for _ in range(10):
         n = rng.randrange(1, 5)
         samples.append(list(zip(rng.sample(places, n), (rng.choice(values) for _ in range(n)))))
+    # every finite m <= -p, so each finite a_q = floor(-m_q / p) >= 1, and |m| up to 3p at infinity
+    samples += [
+        [(places[0], -p), (places[1], -p), (INFINITY, 3 * p)],
+        [(places[0], -2 * p + 1), (INFINITY, 3 * p)],
+        [(places[0], -3 * p), (INFINITY, -3 * p)],
+    ]
+    for _ in range(10):
+        finite = [(q, rng.randint(-3 * p, -p)) for q in rng.sample(places[:-1], rng.randrange(1, 3))]
+        samples.append([*finite, (INFINITY, rng.choice([v for v in range(-3 * p, 3 * p + 1) if v]))])
+    nontrivial = 0
     for marked in samples:
         M = global_tc_matrix(spec, marked)
         assert (M.entries, M.source_dim, M.target_dim) == _reference_tc_matrix(spec, marked), marked
+        nontrivial += M.source_dim > 0 and M.target_dim > 0
+    assert nontrivial >= 8
 
 
 

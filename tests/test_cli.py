@@ -392,6 +392,17 @@ def test_loci_tangent(capsys):
     assert code == EXIT_OK and obj["dimension"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--pattern", "99999999999999999999999,-99999999999999999999995"),
+    ("tangent", "--pattern", "99999999999999999999999,1,-99999999999999999999996", "--config", "0,1,inf"),
+])
+def test_loci_takes_pattern_entries_beyond_an_index_sized_int(capsys, argv):
+    code, out = run(capsys, "loci", argv[0], "--field", "3", *argv[1:], "--kind", "exact")
+    assert code == EXIT_OK
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert json.loads(out)["pattern"][0] == 10**23 - 1
+
+
 def test_loci_bad_pattern(capsys):
     code, obj = run_json(
         capsys, "loci", "formula", "--field", "2^1", "--pattern", "1,1,1", "--kind", "exact"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from loghurwitz.cartier import _form_parts, _root_indices, _tc_kernel, matrix_rank
+from loghurwitz.cartier import _root_indices, _tc_kernel, matrix_rank
 from loghurwitz.ffield import FieldSpec, field
 from loghurwitz.loci import (
     EXACT,
@@ -351,6 +351,26 @@ def test_pattern_decides_an_exact_search_near_the_work_bound():
     assert time.monotonic() - start < 2.0
 
 
+def test_pattern_entries_far_above_p_build_nothing_of_their_size():
+    # m_i = p a_i + b_i: the products built are h, of degree below n p, and,
+    # for the quasi-exact kind once max(m) < p, E; the exact kind never
+    # builds E, which here would be (y - 1)^99999, or (y - 1)^(3.3 10^22)
+    F3 = field(3, 1)
+    start = time.monotonic()
+    for big in (300000, 10**23 - 1):
+        pattern = ZeroPolePattern(3, (big, 4 - big))
+        assert [c.points for c in locus_search(pattern, EXACT, F3)] == [(pt(F3, 0), pt(F3, 1))]
+        assert locus_search(pattern, QUASI_EXACT, F3) == []
+        tangent = ZeroPolePattern(3, (big, 1, 3 - big))
+        config = MarkingConfig(F3, (pt(F3, 0), pt(F3, 1), INFINITY))
+        assert tangent_report(config, tangent, EXACT)["dimension"] == 0
+        assert not locus_membership(config, tangent, QUASI_EXACT)
+    config = MarkingConfig(F9, (pt(F9, 2), pt(F9, 0), pt(F9, 1), INFINITY))
+    report = tangent_report(config, ZeroPolePattern(3, (30001, 1, 1, -29999)), EXACT)
+    assert (report["rank"], report["dimension"]) == (1, 0)
+    assert time.monotonic() - start < 2.0
+
+
 def test_search_deterministic():
     pat = ZeroPolePattern(2, (1, 1, 1, 1, -2))
     a = [c.points for c in locus_search(pat, QUASI_EXACT, F16)]
@@ -369,7 +389,7 @@ def _reference_membership(config, pattern, kind):
         if not q.is_infinity:
             (num_roots if mi > 0 else den_roots).extend([q.value] * abs(mi))
     N, D = Polynomial.from_roots(spec, num_roots), Polynomial.from_roots(spec, den_roots)
-    T = _tc_kernel(N, D)[0]
+    T = _tc_kernel(N * D ** (spec.p - 1))[0]
     if kind == EXACT:
         return T.is_zero()
     if T.is_zero() or T.degree != D.degree:
@@ -450,6 +470,15 @@ def test_search_matches_permutation_reference(spec, pins):
 # -- tangent_report against the implementation it replaced --------------------
 
 
+def _form_parts(spec, roots, m):
+    """(N, D): the monic products of (y - r)^{|m_i|} over the finite zeros and poles at element indices `roots`."""
+    num, den = [], []
+    for r, mi in zip(roots, m):
+        if r is not None:
+            (num if mi > 0 else den).extend([r] * abs(mi))
+    return Polynomial._from_root_indices(spec, num), Polynomial._from_root_indices(spec, den)
+
+
 def _reference_tangent_report(config, pattern, kind):
     """tangent_report as it was: the membership guard, then N and D again and one tc kernel per response.
 
@@ -469,12 +498,12 @@ def _reference_tangent_report(config, pattern, kind):
         raise ValueError("the marking at infinity must be among the three pinned ones")
     p = pattern.p
     roots = _root_indices(spec, config.points)
-    N, D = _form_parts(spec, roots, pattern.m, 0)
+    N, D = _form_parts(spec, roots, pattern.m)
     responses = []
     for r, mi in zip(roots[:free], pattern.m):
         if mi % p:
             den = D * Polynomial._from_root_indices(spec, [r])
-            responses.append((_tc_kernel(N, den)[0], den))
+            responses.append((_tc_kernel(N * den ** (p - 1))[0], den))
     ker_alpha = free - len(responses)
     clear_roots = []
     m_inf = 0
