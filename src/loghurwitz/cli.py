@@ -451,13 +451,6 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, expr=True):
-        p.add_argument("--field", help="field designator p^k (default from $" + FIELD_ENV + ")")
-        p.add_argument("--format", choices=["json", "text", "dot"], default="json")
-        if expr:
-            p.add_argument("--expr", required=True, help="rational expression in y")
-            p.add_argument("--bind", action="append", help="name=value element binding", default=[])
-
     for name, payload in [
         ("cartier", _cartier_payload),
         ("tc", _tc_payload),
@@ -466,7 +459,10 @@ def build_parser():
         ("ascover", _ascover_payload),
     ]:
         p = sub.add_parser(name)
-        add_common(p)
+        p.add_argument("--field", help="field designator p^k (default from $" + FIELD_ENV + ")")
+        p.add_argument("--format", choices=["json", "text", "dot"], default="json")
+        p.add_argument("--expr", required=True, help="rational expression in y")
+        p.add_argument("--bind", action="append", help="name=value element binding", default=[])
         p.set_defaults(func=cmd_expr, payload=payload)
 
     p = sub.add_parser("strata")

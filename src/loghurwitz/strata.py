@@ -742,11 +742,8 @@ def _encode_frame(F: _Frame, sigma):
 
 def _encode_markings(G: LevelGraph, sigma):
     """The markings, and their positions grouped by image."""
-    mgroups = {}
-    for i, m in enumerate(G.markings):
-        mgroups.setdefault(m.image, []).append(i)
     marks = tuple((sigma[vertex], lam, xi) for vertex, lam, xi, _ in G.markings)
-    return (marks, tuple(sorted(tuple(g) for g in mgroups.values())))
+    return (marks, tuple(sorted(tuple(g) for g in G.marking_groups().values())))
 
 
 # ---------------------------------------------------------------------------

@@ -254,17 +254,6 @@ def test_log_horner_matches_schoolbook(p, k):
     assert Polynomial.from_indices(F, [3 % F.q, 0, 1])(0).idx == 3 % F.q
 
 
-def test_shift():
-    rng = random.Random(13)
-    for spec in (F16, F9):
-        for _ in range(30):
-            p = rand_poly(spec, rng, 5)
-            b = spec.element(rng.randrange(spec.q))
-            q = reference_shift(p, b)
-            for t in [spec.element(rng.randrange(spec.q)) for _ in range(5)]:
-                assert q(t) == p(b + t)
-
-
 def test_derivative_leibniz():
     rng = random.Random(14)
     for spec in (F16, F9, F5):
@@ -398,44 +387,7 @@ def test_partial_fractions_round_trip():
             done += 1
 
 
-# -- partial fractions against the re-centring reference and sympy --------------
-
-
-def reference_shift(poly, b):
-    """The polynomial q with q(t) = poly(b + t), by Horner in (b + t)."""
-    acc = Polynomial.from_indices(poly.spec, [])
-    bt = Polynomial(poly.spec, [b, 1])
-    for c in reversed(poly.coeffs):
-        acc = acc * bt + Polynomial.from_indices(poly.spec, [c])
-    return acc
-
-
-def reference_series_inverse(a, prec):
-    """Power series inverse of a unit a (a(0) != 0) to the given precision."""
-    inv0 = a.coefficient(0).inverse()
-    out = [inv0]
-    for n in range(1, prec):
-        acc = sum((a.coefficient(i) * out[n - i] for i in range(1, n + 1)), a.spec.zero)
-        out.append(-acc * inv0)
-    return Polynomial(a.spec, out)
-
-
-def reference_partial_fractions(f):
-    """(poly part, sorted terms) of f: at each pole b of order e, the first e
-    Taylor coefficients of rest/g at b, with y = b + t and g = den/(y-b)^e
-    inverted as a power series in t."""
-    spec = f.spec
-    poly_part, rest = f.num.divmod(f.den)
-    y = Polynomial.variable(spec)
-    terms = []
-    for b in spec.elements():
-        e, g = 0, f.den
-        while (g % (y - b)).is_zero():
-            e, g = e + 1, g // (y - b)
-        if e:
-            prod = reference_shift(rest, b) * reference_series_inverse(reference_shift(g, b), e)
-            terms += [(b, e - j, prod.coefficient(j)) for j in range(e) if prod.coefficient(j)]
-    return poly_part, sorted(terms, key=lambda t: (t[0].idx, t[1]))
+# -- partial fractions against their uniqueness and sympy ------------------------
 
 
 def rand_split_den(spec, rng, first_mult):
@@ -448,15 +400,29 @@ def rand_split_den(spec, rng, first_mult):
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
-def test_partial_fractions_match_reference(p, k):
+def test_partial_fractions_are_the_unique_decomposition(p, k):
+    """f = num // den + sum of a/(y-b)^j over sorted, distinct (b, j), a != 0, 1 <= j <= the multiplicity of b in den.
+
+    Over a split denominator the 1/(y-b)^j with j up to b's multiplicity are a basis of the proper fractions with
+    that denominator, so this sum is unique.
+    """
     F = field(p, k)
     rng = random.Random(41 * p + k)
+    y = Polynomial.variable(F)
     for i in range(48):
         f = RationalFunction(rand_poly(F, rng, 12), rand_split_den(F, rng, 1 + i % 6))
         pf = partial_fractions(f)
-        poly, terms = reference_partial_fractions(f)
-        assert [(b.idx, j, a.idx) for b, j, a in pf.terms] == [(b.idx, j, a.idx) for b, j, a in terms]
-        assert pf.poly == poly
+        assert pf.poly == f.num // f.den
+        keys = [(b.idx, j) for b, j, _ in pf.terms]
+        assert keys == sorted(set(keys))
+        total = RationalFunction(pf.poly)
+        for b, j, a in pf.terms:
+            multiplicity, g = 0, f.den
+            while (g % (y - b)).is_zero():
+                multiplicity, g = multiplicity + 1, g // (y - b)
+            assert a and 1 <= j <= multiplicity
+            total = total + RationalFunction(Polynomial.constant(F, a), (y - b) ** j)
+        assert total == f
         assert pf.recombine() == f
 
 

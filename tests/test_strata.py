@@ -1,8 +1,10 @@
+import ast
 import gc
 import itertools
 import json
-import math
+import pathlib
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -425,8 +427,8 @@ def reference_candidates(A, max_vertices):
                             yield t, genera, n, tree, slope, assignment
 
 
-# The per-class builder that enumerate_components used before classes shared
-# their shape's frame, kept unchanged as the oracle of the references below.
+# One two-level candidate as its own graph, from public constructors alone: the
+# keyed reference below builds every raw candidate with it.
 def _build_two_level(A, t, genera, n, tree, slope, assignment):
     vname = [f"v{v}" for v in range(n)]
     dname = [f"d{v}" for v in range(n)]
@@ -449,23 +451,6 @@ def _build_two_level(A, t, genera, n, tree, slope, assignment):
         for mi in idxs:
             marks[mi] = Marking(vname[t + wi], 2, 0, f"q{mi}")
     return LevelGraph(A.p, A.regime, svs, ses, tvs, tes, marks)
-
-
-def reference_enumerate(A, max_vertices):
-    """Build every candidate and keep the first of each canonical_form class."""
-    seen = {}
-    for cand in reference_candidates(A, max_vertices):
-        G = _build_two_level(A, *cand)
-        seen.setdefault(canonical_form(G), G)
-    return [seen[k] for k in sorted(seen)]
-
-
-@pytest.mark.parametrize("b", [4, 6])
-@pytest.mark.parametrize("max_vertices", [4, 5, 6])
-def test_enumerate_matches_reference(b, max_vertices):
-    A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
-    got = [G.to_json() for G in enumerate_components(A, max_vertices)]
-    assert got == [G.to_json() for G in reference_enumerate(A, max_vertices)]
 
 
 def test_enumeration_bound_counts_every_raw_candidate(monkeypatch):
@@ -617,7 +602,8 @@ def invariant_classes(G):
             else:
                 down, up = G.edge_down_up(e)
                 slopes.append((1 if up.id == v.id else -1, e.slope))
-        invariants[v.id] = (-v.level, v.genus, v.cover_type, tuple(sorted(slopes)), tuple(G._marks_at[v.id]))
+        marks = tuple(i for i, m in enumerate(G.markings) if m.vertex == v.id)
+        invariants[v.id] = (-v.level, v.genus, v.cover_type, tuple(sorted(slopes)), marks)
     classes = {}
     for v in G.source_vertices:
         classes.setdefault(invariants[v.id], []).append(v.id)
@@ -655,14 +641,28 @@ def relabel(G, rng):
     )
 
 
+def base_order(G):
+    return tuple(itertools.chain.from_iterable(invariant_classes(G)))
+
+
 @pytest.mark.parametrize("b", [4, 6, 8])
 def test_canonical_form_equals_brute_force(b):
+    """Every class at 6 vertices, with its frame's shared encodings, and relabelled copies that build their own.
+
+    The enumeration is sorted by the brute-force key, and a relabelled copy's frame holds one encoding, of its base
+    order: the orderings loop stores none.
+    """
     A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
     rng = random.Random(b)
-    graphs = list(example_graphs()) + list(enumerate_components(A, 6))
-    for G in graphs:
-        for H in [G] + [relabel(G, rng) for _ in range(3)]:
+    comps = enumerate_components(A, 6)
+    brute = {}
+    for G in list(example_graphs()) + comps:
+        brute[G] = brute_force_canonical_form(G)
+        assert canonical_form(G) == brute[G]
+        for H in (relabel(G, rng) for _ in range(3)):
             assert canonical_form(H) == brute_force_canonical_form(H)
+            assert list(H._frame.encodings) == [base_order(H)]
+    assert comps == sorted(comps, key=brute.get)
 
 
 def random_graph(rng):
@@ -724,43 +724,41 @@ def test_canonical_form_ordering_bound(monkeypatch):
 #
 # validate and stratum_dimension take the marking-free part of their work from
 # facts their frame computes once per datum.  The per-class code they replaced
-# is kept below unchanged as their oracle, with LevelGraph._betti's former
-# union-find, whose closure the inline loop replaced.
+# is kept below as their oracle, the only definition of the error messages and
+# their order; it reads only public LevelGraph attributes, so a change to the
+# frame's layout leaves it as it is.
 
 
-def reference_components(vertices, edges):
-    parent = {v.id: v.id for v in vertices}
+def reference_marks_at(G: LevelGraph, vid):
+    """The positions of the markings on vertex vid, in markings order."""
+    return [i for i, m in enumerate(G.markings) if m.vertex == vid]
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for e in edges:
-        a, b = find(e.v1), find(e.v2)
-        if a != b:
-            parent[a] = b
-    return len({find(v.id) for v in vertices})
+def reference_out_inc(G: LevelGraph, vid):
+    """The level-crossing edges whose upper, and whose lower, endpoint is vid, each in source_edges order."""
+    crossing = [(e, G.edge_down_up(e)) for e in G.edges_at(vid) if not G.is_horizontal(e)]
+    return [e for e, (_, up) in crossing if up.id == vid], [e for e, (down, _) in crossing if down.id == vid]
 
 
 def reference_ramified_points(G: LevelGraph, vid):
     """(kind, slope-or-xi) for the ramified points of an AS vertex."""
-    pts = [("edge", e.id, e.slope) for e in G._frame.out[vid]]
-    return pts + [("marking", str(i), G.markings[i].xi) for i in G._marks_at[vid] if G.markings[i].lam == G.p]
+    pts = [("edge", e.id, e.slope) for e in reference_out_inc(G, vid)[0]]
+    return pts + [("marking", str(i), G.markings[i].xi) for i in reference_marks_at(G, vid) if G.markings[i].lam == G.p]
 
 
 def reference_frobenius_orders(G: LevelGraph, vid):
     """Plain orders of the component form at the special points of a Frobenius vertex."""
     p = G.p
-    orders = [e.slope + (p - 1) for e in G._frame.out[vid]]
-    orders += [(p - 1) - e.slope for e in G._frame.inc[vid]]
-    return orders + [G.markings[i].xi + (p - 1) for i in G._marks_at[vid]]
+    out, inc = reference_out_inc(G, vid)
+    orders = [e.slope + (p - 1) for e in out]
+    orders += [(p - 1) - e.slope for e in inc]
+    return orders + [G.markings[i].xi + (p - 1) for i in reference_marks_at(G, vid)]
 
 
 def reference_validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
     report = ValidationReport()
     p = A.p
+    sv, tv, te = ({x.id: x for x in xs} for xs in (G.source_vertices, G.target_vertices, G.target_edges))
     if G.p != A.p:
         report.add("datum", f"graph p={G.p} differs from datum p={A.p}")
     if G.regime != A.regime:
@@ -776,7 +774,7 @@ def reference_validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
     if tlevels != levels:
         report.add("levels", f"target levels {tlevels} differ from source levels {levels}")
     for v in G.source_vertices:
-        if G._frame.tv[v.image].level != v.level:
+        if tv[v.image].level != v.level:
             report.add("levels", f"vertex {v.id} and its image are on different levels")
 
     # cover types; loops that read three or more fields of a record unpack
@@ -817,16 +815,16 @@ def reference_validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
     for label, idxs in groups.items():
         if sum(G.markings[i].lam for i in idxs) != p:
             report.add("markings", f"target marking {label} has fiber multiplicities summing to != p")
-        if len({G._frame.sv[G.markings[i].vertex].image for i in idxs}) != 1:
+        if len({sv[G.markings[i].vertex].image for i in idxs}) != 1:
             report.add("markings", f"target marking {label} spread over several target vertices")
 
     # edges: slopes, images, horizontality
     for eid, v1, v2, slope, image in G.source_edges:
         if slope < 0:
             report.add("slope", f"edge {eid} has negative slope")
-        _, t1, t2 = G._frame.te[image]
-        _, _, level1, type1, image1 = G._frame.sv[v1]
-        _, _, level2, type2, image2 = G._frame.sv[v2]
+        _, t1, t2 = te[image]
+        _, _, level1, type1, image1 = sv[v1]
+        _, _, level2, type2, image2 = sv[v2]
         if {image1, image2} != {t1, t2}:
             report.add("edge-image", f"edge {eid} endpoints do not map onto its image edge")
         if level1 == level2:  # horizontal
@@ -894,9 +892,8 @@ def reference_validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
                     report.add("etale", f"etale sheet {v.id} has a level-crossing edge {e.id}")
 
     # stability of the source curve
-    edges_at, marks_at = G._frame.edges_at, G._marks_at
     for vid, genus, _, _, _ in G.source_vertices:
-        special = len(edges_at[vid]) + len(marks_at[vid])
+        special = len(G.edges_at(vid)) + len(reference_marks_at(G, vid))
         if special < 3 - 2 * genus:
             report.add("stability", f"vertex {vid} (genus {genus}) has only {special} special points")
 
@@ -914,12 +911,13 @@ def reference_stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
     # and, among them, its etale special points (ends of horizontal target
     # edges and unramified target markings); a loop counts twice
     half_edges, etale_points = Counter(), Counter()
+    sv = {v.id: v for v in G.source_vertices}
     for te in G.target_edges:
         for end in (te.v1, te.v2):
             half_edges[end] += 1
             etale_points[end] += te.id in hor
     for idxs in G.marking_groups().values():
-        end = G._frame.sv[G.markings[idxs[0]].vertex].image
+        end = sv[G.markings[idxs[0]].vertex].image
         half_edges[end] += 1
         etale_points[end] += all(G.markings[i].lam == 1 for i in idxs)
 
@@ -1043,6 +1041,7 @@ def test_changed_markings_on_a_shared_frame_equal_the_reference():
 
 def test_validate_and_ledger_equal_the_reference_on_random_graphs():
     hypothesis = pytest.importorskip("hypothesis")
+    nx = pytest.importorskip("networkx")
     st = hypothesis.strategies
     data = [A4, HurwitzData(3, 1, 0, 2, (3, 3)), HurwitzData(2, 1, 0, 1, (2,)),
             HurwitzData(2, 3, 0, 4, (2, 2, 2, 2), (1, 1, 1, 1), "equicharacteristic")]
@@ -1054,7 +1053,11 @@ def test_validate_and_ledger_equal_the_reference_on_random_graphs():
         for B in (A, A4, A):  # the graph's facts follow each datum
             _same_answers(G, B)
         for vertices, edges in ((G.source_vertices, G.source_edges), (G.target_vertices, G.target_edges)):
-            assert LevelGraph._betti(vertices, edges)[1] == reference_components(vertices, edges)
+            H = nx.MultiGraph()
+            H.add_nodes_from(v.id for v in vertices)
+            H.add_edges_from((e.v1, e.v2) for e in edges)
+            components = nx.number_connected_components(H)
+            assert LevelGraph._betti(vertices, edges) == (len(edges) - len(vertices) + components, components)
 
     check()
 
@@ -1164,101 +1167,9 @@ def test_with_markings_starts_unvalidated():
 # -- each frame's encoding shared by its classes ---------------------------------
 #
 # canonical_form builds the frame's part of the encoding of its base ordering
-# once per frame and base order.  The canonical_form and _encode it replaced
-# are kept below as its oracle, reading only public attributes: they compute
-# the vertex signatures and neighbours afresh, sharing no cache with the package.
-
-
-def reference_canonical_form(G: LevelGraph):
-    sigs, levels = {}, {v.id: v.level for v in G.source_vertices}  # the vertex signatures, from public attributes
-    for vid, genus, level, cover_type, _ in G.source_vertices:
-        slopes = []
-        for e in G.edges_at(vid):  # (0, 0) if horizontal, else (+1 at the upper end or -1 at the lower, slope)
-            other = levels[e.v2 if e.v1 == vid else e.v1]
-            slopes.append((0, 0) if other == level else (1 if level > other else -1, e.slope))
-        sigs[vid] = (-level, genus, cover_type, tuple(sorted(slopes)))
-    classes = {}
-    for vid, sig in sigs.items():  # in source_vertices order; the invariant is (sig, marking positions)
-        classes.setdefault((sig, tuple(i for i, m in enumerate(G.markings) if m.vertex == vid)), []).append(vid)
-    class_lists = [ids for _, ids in sorted(classes.items())]
-    sigma = {vid: i for i, vid in enumerate(itertools.chain.from_iterable(class_lists))}
-    base = reference_unsplit_encode(G, sigma)
-    per_class, orderings = [], 1  # (twin classes, splits of the class's positions among them)
-    for ids in class_lists:
-        if len(ids) == 1:
-            continue
-        twins = []
-        for vid in ids:
-            for tw in twins:
-                a = tw[0]
-                if reference_neighbours(G, a, {a: vid, vid: a}) == reference_neighbours(G, vid, {}) and (
-                    reference_unsplit_encode(G, {**sigma, a: sigma[vid], vid: sigma[a]}) == base
-                ):
-                    tw.append(vid)
-                    break
-            else:
-                twins.append([vid])
-        sizes = [len(tw) for tw in twins]
-        orderings *= math.factorial(len(ids)) // math.prod(map(math.factorial, sizes))
-        start = sigma[ids[0]]
-        per_class.append((twins, strata._partitions_into_sizes(range(start, start + len(ids)), sizes)))
-    if orderings > strata.MAX_CANON_ORDERINGS:
-        raise GraphError(
-            f"canonical_form would try more than MAX_CANON_ORDERINGS = {strata.MAX_CANON_ORDERINGS} orderings")
-    if orderings == 1:
-        return base
-    best = base
-    for combo in itertools.product(*(splits for _, splits in per_class)):
-        order = dict(sigma)
-        for (twins, _), split in zip(per_class, combo):
-            for tw, box in zip(twins, split):
-                order.update(zip(tw, box))
-        if order != sigma:  # the base ordering is encoded already
-            best = min(best, reference_unsplit_encode(G, order))
-    return best
-
-
-def reference_neighbours(G: LevelGraph, vid, swap):
-    return sorted((swap.get(w, w), e.slope) for e in G.edges_at(vid) for w in [e.v2 if e.v1 == vid else e.v1])
-
-
-def reference_unsplit_encode(G: LevelGraph, sigma):
-    verts = tuple(sorted((sigma[vid], -level, genus, ctype) for vid, genus, level, ctype, _ in G.source_vertices))
-    # target identifications: group source vertices / edges / markings by image
-    vgroups, egroups, mgroups = {}, {}, {}
-    edge_reps = []
-    for _, v1, v2, slope, image in G.source_edges:
-        a, b = sigma[v1], sigma[v2]
-        rep = (a, b, slope) if a < b else (b, a, slope)
-        edge_reps.append(rep)
-        egroups.setdefault(image, []).append(rep)
-    for vid, _, _, _, image in G.source_vertices:
-        vgroups.setdefault(image, []).append(sigma[vid])
-    for i, m in enumerate(G.markings):
-        mgroups.setdefault(m.image, []).append(i)
-    vgrouping, egrouping, mgrouping = (
-        tuple(sorted(tuple(sorted(g)) for g in groups.values())) for groups in (vgroups, egroups, mgroups)
-    )
-    marks = tuple((sigma[vertex], lam, xi) for vertex, lam, xi, _ in G.markings)
-    return (verts, tuple(sorted(edge_reps)), vgrouping, egrouping, marks, mgrouping)
-
-
-def base_order(G):
-    return tuple(itertools.chain.from_iterable(invariant_classes(G)))
-
-
-@pytest.mark.parametrize("b", [4, 6, 8])
-def test_canonical_form_equals_the_reference(b):
-    """Every class at 6 vertices, with its frame's shared encodings, and a relabelled copy with its own."""
-    A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
-    rng = random.Random(b)
-    comps = enumerate_components(A, 6)
-    assert comps == sorted(comps, key=reference_canonical_form)
-    for G in comps:
-        H = relabel(G, rng)
-        assert canonical_form(G) == reference_canonical_form(G)
-        assert canonical_form(H) == reference_canonical_form(H)
-        assert list(H._frame.encodings) == [base_order(H)]
+# once per frame and base order.  Its oracle is brute_force_canonical_form
+# above: test_canonical_form_equals_brute_force checks every enumerated class
+# on its shared frame and relabelled copies that build their own encodings.
 
 
 def test_classes_of_one_frame_share_its_encodings():
@@ -1272,7 +1183,7 @@ def test_classes_of_one_frame_share_its_encodings():
         for G, key in zip(classes, keys):
             order = base_order(G)
             frame = encodings[order]
-            if key == reference_unsplit_encode(G, {vid: i for i, vid in enumerate(order)}):  # the base is least
+            if key == reference_encode(G, {vid: i for i, vid in enumerate(order)}):  # the base is least
                 assert all(part is own for part, own in zip(key, frame))
                 shared += 1
     assert shared == 3090  # the other 420 classes have a least ordering other than their base one
@@ -1284,7 +1195,32 @@ def test_orderings_loop_adds_no_encoding():
     G = _build_two_level(A, 3, (1, 1, 1), 6, [(0, 3), (1, 4), (2, 5)], [3, 3, 3],
                          ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)))
     for H in (G, star(5)):
-        assert canonical_form(H) == reference_canonical_form(H) == brute_force_canonical_form(H)
+        assert canonical_form(H) == brute_force_canonical_form(H)
         assert list(H._frame.encodings) == [base_order(H)]
         canonical_form(H)
         assert len(H._frame.encodings) == 1
+
+
+# -- oracles read only the public API ---------------------------------------------
+
+ORACLE_NAME = re.compile(r"reference_|brute_force_|invariant_classes$|_iso_key$")
+PRIVATE_STATE = {"_frame", "_marks_at", "_valid_for"}
+
+
+def private_reads(source):
+    """(oracle, name) for each read of a graph's private state inside a function of source that ORACLE_NAME matches."""
+    return {
+        (node.name, sub.attr if isinstance(sub, ast.Attribute) else sub.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and ORACLE_NAME.match(node.name)
+        for sub in ast.walk(node)
+        if (isinstance(sub, ast.Attribute) and sub.attr in PRIVATE_STATE)
+        or (isinstance(sub, ast.Constant) and sub.value in PRIVATE_STATE)
+    }
+
+
+def test_oracles_read_only_public_attributes():
+    """An oracle that reads the frame checks the package against its own layout, and breaks when the layout changes."""
+    assert private_reads(pathlib.Path(__file__).read_text()) == set()
+    sample = 'def reference_validate(G, A):\n    return G._frame.tv, getattr(G, "_marks_at")\n\ndef other(G):\n    return G._frame\n'
+    assert private_reads(sample) == {("reference_validate", "_frame"), ("reference_validate", "_marks_at")}
