@@ -400,8 +400,10 @@ def rand_split_den(spec, rng, first_mult):
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
-def test_partial_fractions_are_the_unique_decomposition(p, k):
-    """f = num // den + sum of a/(y-b)^j over sorted, distinct (b, j), a != 0, 1 <= j <= the multiplicity of b in den.
+def test_partial_fractions_match_reference(p, k):
+    """The reference is the defining property of the decomposition:
+
+    f = num // den + sum of a/(y-b)^j over sorted, distinct (b, j), a != 0, 1 <= j <= the multiplicity of b in den.
 
     Over a split denominator the 1/(y-b)^j with j up to b's multiplicity are a basis of the proper fractions with
     that denominator, so this sum is unique.

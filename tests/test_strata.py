@@ -506,6 +506,23 @@ def test_enumerate_matches_keyed_reference(b, max_vertices):
     assert got == [G.to_json() for G in reference_keyed_enumerate(A, max_vertices)]
 
 
+@pytest.mark.parametrize("b", [4, 6])
+@pytest.mark.parametrize("max_vertices", [4, 5, 6])
+def test_enumerate_matches_reference(b, max_vertices):
+    """The first raw candidate of each brute_force_canonical_form class, sorted by that key.
+
+    This reference reads neither the package's canonical_form nor _iso_key, so
+    it checks the classes and their order independently of both.
+    """
+    A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
+    reps = {}
+    for cand in reference_candidates(A, max_vertices):
+        G = _build_two_level(A, *cand)
+        reps.setdefault(brute_force_canonical_form(G), G)
+    got = [G.to_json() for G in enumerate_components(A, max_vertices)]
+    assert got == [reps[key].to_json() for key in sorted(reps)]
+
+
 def test_shape_symmetry_and_orbit_least():
     # a genus-2 top joined to three bottoms by slope 1: every bottom permutation is an automorphism
     tree, slope = [(0, 1), (0, 2), (0, 3)], [1, 1, 1]
@@ -646,23 +663,34 @@ def base_order(G):
 
 
 @pytest.mark.parametrize("b", [4, 6, 8])
-def test_canonical_form_equals_brute_force(b):
-    """Every class at 6 vertices, with its frame's shared encodings, and relabelled copies that build their own.
+def test_canonical_form_equals_the_reference(b):
+    """Every class at 6 vertices, with its frame's shared encodings, against brute_force_canonical_form.
 
-    The enumeration is sorted by the brute-force key, and a relabelled copy's frame holds one encoding, of its base
-    order: the orderings loop stores none.
+    The enumeration is sorted by the brute-force key.
+    """
+    A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
+    comps = enumerate_components(A, 6)
+    brute = {G: brute_force_canonical_form(G) for G in comps}
+    for G in comps:
+        assert canonical_form(G) == brute[G]
+    assert comps == sorted(comps, key=brute.get)
+
+
+@pytest.mark.parametrize("b", [4, 6, 8])
+def test_canonical_form_equals_brute_force(b):
+    """The example graphs, and relabelled copies of them and of every class at 6 vertices, which build their own frames.
+
+    A relabelled copy's frame holds one encoding, of its base order: the orderings loop stores none.
     """
     A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
     rng = random.Random(b)
-    comps = enumerate_components(A, 6)
-    brute = {}
-    for G in list(example_graphs()) + comps:
-        brute[G] = brute_force_canonical_form(G)
-        assert canonical_form(G) == brute[G]
+    examples = list(example_graphs())
+    for G in examples:
+        assert canonical_form(G) == brute_force_canonical_form(G)
+    for G in examples + enumerate_components(A, 6):
         for H in (relabel(G, rng) for _ in range(3)):
             assert canonical_form(H) == brute_force_canonical_form(H)
             assert list(H._frame.encodings) == [base_order(H)]
-    assert comps == sorted(comps, key=brute.get)
 
 
 def random_graph(rng):
@@ -1168,8 +1196,9 @@ def test_with_markings_starts_unvalidated():
 #
 # canonical_form builds the frame's part of the encoding of its base ordering
 # once per frame and base order.  Its oracle is brute_force_canonical_form
-# above: test_canonical_form_equals_brute_force checks every enumerated class
-# on its shared frame and relabelled copies that build their own encodings.
+# above: test_canonical_form_equals_the_reference checks every enumerated class
+# on its shared frame, and test_canonical_form_equals_brute_force relabelled
+# copies that build their own encodings.
 
 
 def test_classes_of_one_frame_share_its_encodings():
