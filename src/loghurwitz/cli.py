@@ -30,6 +30,7 @@ EXIT_SCHEMA = 4
 EXIT_DOMAIN = 5
 
 FIELD_ENV = "LOGHURWITZ_FIELD"
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
 class CliError(Exception):
@@ -144,29 +145,24 @@ def emit(args, payload, dot=None):
         sys.stdout.write(dot())
         return
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(_dumps(payload) + "\n")
         return
     for key in sorted(payload):
         sys.stdout.write(f"{key}: {_text_value(payload[key])}\n")
 
 
-def _write_components(fmt, comps):
-    """emit's bytes for {"count": N, "components": [G.to_json_obj(), ...]}, written one graph at a time.
-
-    emit sorts keys, so "components" comes first.  No list of payloads and no string of the whole output is held.
-    """
-    write = sys.stdout.write
-    if fmt == "dot":
-        for G in comps:
-            write(G.to_dot())
-        return
-    as_json = fmt == "json"
-    write('{"components":[' if as_json else "components: [")
-    for i, G in enumerate(comps):
-        if i:
-            write("," if as_json else ", ")
-        write(G.to_json() if as_json else _text_value(G.to_json_obj()))
-    write(f'],"count":{len(comps)}}}\n' if as_json else f"]\ncount: {len(comps)}\n")
+def _write_list(args, key, items, as_json, as_value, **rest):
+    """emit's bytes for {key: [...], "count": N, **rest} (key sorts first), as_json or as_value of one item at a time."""
+    text = args.format == "text"
+    write, form, sep = sys.stdout.write, as_value if text else as_json, ", " if text else ","
+    write(f"{key}: [" if text else f'{{"{key}":[')
+    count = 0
+    for count, item in enumerate(items, 1):
+        write(form(item) if count == 1 else sep + form(item))
+    tail = dict(rest, count=count)
+    write("]\n" if text else "]," + _dumps(tail)[1:] + "\n")
+    if text:
+        emit(args, tail)
 
 
 def _text_value(v):
@@ -236,7 +232,11 @@ def cmd_strata(args):
     from . import strata
 
     if args.strata_cmd == "enumerate":
-        _write_components(args.format, strata.enumerate_components(_graph_datum(args), args.max_vertices))
+        comps = strata.enumerate_components(_graph_datum(args), args.max_vertices)
+        if args.format == "dot":
+            sys.stdout.writelines(G.to_dot() for G in comps)
+        else:
+            _write_list(args, "components", comps, strata.LevelGraph.to_json, lambda G: _text_value(G.to_json_obj()))
         return EXIT_OK
 
     G = _read_graph(args)
@@ -268,8 +268,8 @@ def cmd_loci(args):
         return EXIT_OK
     if args.loci_cmd == "search":
         pinned = _parse_places(args.pin, spec) if args.pin else None
-        configs = [[str(q) for q in c.points] for c in loci.locus_search(pattern, kind, spec, pinned)]
-        emit(args, dict(base, count=len(configs), configs=configs))
+        configs = ([str(q) for q in points] for points in loci._search(pattern, kind, spec, pinned))
+        _write_list(args, "configs", configs, _dumps, _text_value, **base)
         return EXIT_OK
     if not args.config:
         raise CliError(EXIT_PARSE, "parse", "tangent requires --config")
@@ -518,7 +518,7 @@ def _run(argv):
         payload, code = {"error": "parse", "message": str(exc)}, EXIT_PARSE
     except ValueError as exc:  # GraphError, CoverError and the other rejections of input
         payload, code = {"error": "domain", "message": str(exc)}, EXIT_DOMAIN
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
     return code
 
 

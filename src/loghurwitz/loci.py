@@ -177,12 +177,8 @@ def dimension_formula(pattern: ZeroPolePattern, kind: str) -> int:
     9,484 of the 9,658 loci that locus_search finds empty from the pattern
     alone, with p <= 5, n = 3..6 and entries in [-2p, 2p] taken as multisets.
     """
-    base = sum(v // pattern.p for v in pattern.m)
-    if kind == EXACT:
-        return pattern.n - 4 + base
-    if kind == QUASI_EXACT:
-        return pattern.n - 3 + base
-    raise ValueError(f"unknown kind {kind!r}")
+    _check_kind(kind)
+    return pattern.n - 4 + (kind == QUASI_EXACT) + sum(v // pattern.p for v in pattern.m)
 
 
 def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -> dict:
@@ -243,7 +239,12 @@ def tangent_dimension(config: MarkingConfig, pattern: ZeroPolePattern, kind: str
 
 
 def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=None):
-    """All locus configurations over GF(p^k), the last markings pinned.
+    """All locus configurations over GF(p^k), the last markings pinned: _search's hits as MarkingConfigs."""
+    return [MarkingConfig(spec, points) for points in _search(pattern, kind, spec, pinned)]
+
+
+def _search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=None):
+    """An iterator of the place tuples of all locus configurations over GF(p^k), the last markings pinned.
 
     The pinned places (default 0, 1, infinity; at most three, truncated
     for very short patterns) occupy the final slots, killing the Moebius
@@ -270,7 +271,8 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
       -1 mod p too).  So tc(f) is not zero, and a constant only if
       m_i = p - 1.
     A search of more than MAX_SEARCH_CONFIGS free-slot permutations raises
-    ValueError before either decision, and before visiting any.
+    ValueError before either decision, and before visiting any: all of
+    these run when _search is called, and the hits are found as drawn.
     """
     if spec.p != pattern.p:
         raise ValueError("field characteristic and pattern characteristic differ")
@@ -295,7 +297,7 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
         )
     quasi = kind == QUASI_EXACT
     if quasi and max(m) >= p or any(mi % p == p - 1 and not (quasi and mi == p - 1) for mi in m):
-        return []
+        return iter(())
 
     def parts(roots, ms):
         """Log lists of h and, for the quasi-exact kind, E over the places of index `roots`."""
@@ -304,9 +306,10 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
 
     h, E = parts(pinned_roots, m[free:])
     if free == 0:
-        return [MarkingConfig(spec, pinned)] if _in_locus(spec, kind, h, _ONE, E, _ONE) else []
+        return iter([pinned] if _in_locus(spec, kind, h, _ONE, E, _ONE) else [])
     if not visits:
-        return []
+        return iter(())
+    places = {r: INFINITY if r is None else Place.finite(spec.element(r)) for r in candidates}
     factors = {(r, mi): parts([r], [mi]) for mi in set(m[:free]) for r in candidates}  # for the call
     zech, q1 = spec._zech, spec.q - 1
 
@@ -324,7 +327,4 @@ def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=No
                 E_r = _log_mul(E, el, zech, q1) if quasi and mi < 0 else E  # only quasi-exact reads E
                 yield from hits(chosen + (r,), _log_mul(h, hl, zech, q1), E_r)
 
-    return [
-        MarkingConfig(spec, tuple(INFINITY if a is None else Place.finite(spec.element(a)) for a in chosen) + pinned)
-        for chosen in hits((), h, E)
-    ]
+    return (tuple(places[r] for r in chosen) + pinned for chosen in hits((), h, E))

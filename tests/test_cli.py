@@ -1,6 +1,9 @@
+import contextlib
 import io
 import json
+import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -16,6 +19,9 @@ from loghurwitz.cli import (
     run_example6,
 )
 from loghurwitz.expr import MAX_POWER_DEGREE
+from loghurwitz.ffield import parse_field
+from loghurwitz.loci import ZeroPolePattern, _search, locus_search
+from loghurwitz.ratfunc import INFINITY, Place
 from loghurwitz.strata import MAX_ENUM_CANDIDATES, HurwitzData, LevelGraph, enumerate_components
 
 
@@ -28,6 +34,13 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def emitted(payload, fmt):
+    """The bytes emit writes for payload in --format json or text."""
+    if fmt == "json":
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return "".join(f"{key}: {_text_value(payload[key])}\n" for key in sorted(payload))
 
 
 # -- expression subcommands ---------------------------------------------------
@@ -230,11 +243,7 @@ def test_enumerate_streams_the_bytes_emit_wrote(capsys, b, fmt):
     """strata enumerate writes one class at a time the bytes emit wrote for the whole payload."""
     comps = enumerate_components(HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b), 6)
     payload = {"count": len(comps), "components": [G.to_json_obj() for G in comps]}
-    want = {
-        "json": lambda: json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        "text": lambda: "".join(f"{key}: {_text_value(payload[key])}\n" for key in sorted(payload)),
-        "dot": lambda: "".join(G.to_dot() for G in comps),
-    }[fmt]()
+    want = "".join(G.to_dot() for G in comps) if fmt == "dot" else emitted(payload, fmt)
     argv = ("--datum", f"2,{(b - 2) // 2},0,{b}", "--lambda", ",".join(["2"] * b), "--max-vertices", "6")
     assert run(capsys, "strata", "enumerate", *argv, "--format", fmt) == (EXIT_OK, want)
 
@@ -382,6 +391,70 @@ def test_loci_search_counts(capsys):
         "--kind", "quasi-exact",
     )
     assert code == EXIT_OK and obj["count"] == 14
+
+
+SEARCHES = [(fld, pat, kind, pins) for fld, pats in (("2^2", ("2,2,2,-4", "1,1,1,1,-2")),
+                                                     ("3^2", ("3,3,3,-2,-3", "1,1,1,1")),
+                                                     ("5", ("5,5,1,1,-4", "2,2,2,1,1")))
+            for pat in pats for kind in ("exact", "quasi-exact") for pins in (None, "0,inf,1")] + [
+    ("3", "2,2", "exact", None),  # decided by the pattern: 2 = -1 mod 3
+    ("3^2", "3,3,-2", "exact", None),  # no free slot, one hit
+    ("3", "1,1,2", "quasi-exact", "0,inf,1"),  # no free slot, one hit
+    ("3^3", "3,3,3,3,3,-11", "exact", None),  # 13,800 hits
+]
+
+
+@pytest.mark.parametrize("fld, pat, kind, pins", SEARCHES)
+def test_loci_search_streams_the_bytes_emit_wrote(capsys, fld, pat, kind, pins):
+    """loci search writes one configuration at a time the bytes emit wrote for the whole payload."""
+    spec, m = parse_field(fld), [int(v) for v in pat.split(",")]
+    pinned = pins and [Place.finite(spec.from_int(0)), INFINITY, Place.finite(spec.from_int(1))]
+    found = locus_search(ZeroPolePattern(spec.p, m), kind.replace("-", "_"), spec, pinned)
+    configs = [[str(q) for q in c.points] for c in found]
+    payload = {"field": f"{spec.p}^{spec.k}", "pattern": m, "kind": kind, "count": len(configs), "configs": configs}
+    argv = ("loci", "search", "--field", fld, "--pattern", pat, "--kind", kind, *(("--pin", pins) if pins else ()))
+    for fmt in ("json", "text"):
+        assert run(capsys, *argv, "--format", fmt) == (EXIT_OK, emitted(payload, fmt))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_loci_search_holds_no_list_of_hits(fmt):
+    """The GF(27) search writes 0.6 MB: holding its hits took about 10 MB, streaming them about 1 MB (tracemalloc)."""
+    parse_field("3^3")
+    argv = ["loci", "search", "--field", "3^3", "--pattern", "3,3,3,3,3,-11", "--kind", "exact", "--format", fmt]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == EXIT_OK and peak < 3 * 2**20, peak
+
+
+F9 = parse_field("3^2")
+PAT9 = ZeroPolePattern(3, (1, 1, 1, 1))
+F9_PINS = [Place.finite(F9.from_int(i)) for i in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("call, argv, code, message", [
+    ((PAT9, "exact", F9, [*F9_PINS, INFINITY]), ("3^2", "1,1,1,1", "exact", "--pin", "0,1,2,inf"), EXIT_DOMAIN,
+     "at most three places"),
+    ((PAT9, "exact", F9, F9_PINS[:1] * 2), ("3^2", "1,1,1,1", "exact", "--pin", "0,0"), EXIT_DOMAIN, "distinct"),
+    # the CLI builds the pattern over the field's characteristic, so only the library call can differ
+    ((ZeroPolePattern(2, (1, 1, 1, 1, -2)), "exact", F9), None, None, "characteristic differ"),
+    ((PAT9, "bogus", F9), ("3^2", "1,1,1,1", "bogus"), EXIT_PARSE, "unknown kind"),
+    ((ZeroPolePattern(2, (1,) * 6 + (-4,)), "exact", parse_field("2^8")), ("2^8", "1,1,1,1,1,1,-4", "exact"),
+     EXIT_DOMAIN, "MAX_SEARCH_CONFIGS"),
+])
+def test_search_checks_run_before_the_first_hit(capsys, call, argv, code, message):
+    """Every check raises in the call to _search, so the CLI writes one JSON line and no list framing."""
+    with pytest.raises(ValueError, match=message):
+        _search(*call)
+    if argv:
+        fld, pat, kind, *rest = argv
+        got, out = run(capsys, "loci", "search", "--field", fld, "--pattern", pat, "--kind", kind, *rest)
+        assert got == code and out.count("\n") == 1 and message in json.loads(out)["message"], out
 
 
 def test_loci_tangent(capsys):

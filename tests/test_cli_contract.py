@@ -138,14 +138,18 @@ def _cli(argv, **kwargs):
 
 
 def test_reader_closing_a_large_output_early_gets_no_traceback():
-    """`strata enumerate ... | head -c 100`: about 5 MB, so the writer is still writing when the pipe closes."""
-    proc = _cli(["strata", "enumerate", "--datum", "2,3,0,8", "--lambda", ",".join(["2"] * 8),
-                 "--max-vertices", "6"], stdout=subprocess.PIPE)
-    head = proc.stdout.read(100)
-    assert len(head) == 100 and head.startswith(b'{"components":[{"markings":['), head
-    proc.stdout.close()
-    _, stderr = proc.communicate(timeout=120)
-    assert proc.returncode == EXIT_PIPE and stderr == b"", stderr.decode()[-2000:]
+    """`... | head -c 100` on about 5 MB and 0.6 MB, so the writer is still writing when the pipe closes."""
+    for argv, start in [
+        (["strata", "enumerate", "--datum", "2,3,0,8", "--lambda", ",".join(["2"] * 8), "--max-vertices", "6"],
+         b'{"components":[{"markings":['),
+        (["loci", "search", "--field", "3^3", "--pattern", "3,3,3,3,3,-11", "--kind", "exact"], b'{"configs":[["'),
+    ]:
+        proc = _cli(argv, stdout=subprocess.PIPE)
+        head = proc.stdout.read(100)
+        assert len(head) == 100 and head.startswith(start), head
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_PIPE and stderr == b"", (argv, proc.returncode, stderr.decode()[-2000:])
 
 
 @pytest.mark.parametrize("argv", [["tc", "--field", "2^2", "--expr", "y"], ["strata", "monoid", "--file", "GOOD"],

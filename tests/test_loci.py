@@ -191,6 +191,10 @@ def test_dimension_formula():
     assert dimension_formula(ZeroPolePattern(2, (2, 2, -2)), EXACT) == 0
     assert dimension_formula(ZeroPolePattern(2, (1, 1, 1, 1, -2)), QUASI_EXACT) == 1
     assert dimension_formula(ZeroPolePattern(2, (1, 1)), EXACT) == -2
+    with pytest.raises(ValueError, match=r"^unknown kind 'bogus'$"):
+        dimension_formula(ZeroPolePattern(2, (2, 2, -2)), "bogus")
+    for kind in (EXACT, QUASI_EXACT):
+        assert type(dimension_formula(ZeroPolePattern(2, (2, 2, -2)), kind)) is int
 
 
 # -- tangent spaces -----------------------------------------------------------
