@@ -8,15 +8,15 @@ substitutions since their coefficients are p-th powers), and no additive
 constant.  The conductor at b_i is e_i = (pole order of g at b_i) + 1,
 never congruent to 1 mod p; the genus comes from sum e_i = 2h/(p-1) + 2.
 
-The trace form is tau = -1/g'(x) in the (dx)^v (x) dy frame.  Its order
-at a ramified point is computed by exact valuation bookkeeping upstairs
-derived from the cover equation: the downstairs uniformizer has value p,
-y has value = ord_b(g) (balancing y^p against g on the Newton polygon,
-valid since ord_b(g) is prime to p in normal form), and d y drops the
-value by one.  Orders are reported against logarithmic frames downstairs
-and upstairs ("plain"), and with the marked-point correction of one
-added ("log"); the two bookkeeping conventions for these orders differ
-by p - 1 and both are exposed rather than reconciled.
+The trace form is tau = -1/g'(x) in the (dx)^v (x) dy frame; its orders
+are read off the normal form.  At a branch point b of conductor e, h_b
+has degree e - 1, prime to p, so ord_b g = -(e - 1), and ord_b g' = -e
+at a finite b, -(e - 2) at infinity.  Upstairs the downstairs uniformizer
+has value p, y has value ord_b(g) (Newton polygon) and d y drops it by
+one, so tau has value -p ord_b(g') + ord_b(g) - p - v(dx/dz) = (e-1)(p-1),
+with v(dx/dz) = 0 at a finite b and -2p at infinity (z = 1/x): the
+"plain" order against logarithmic frames, the different exponent e(p - 1)
+(Stichtenoth, Prop. 3.7.8) less p - 1.  "log" adds the marked point's one.
 """
 
 from __future__ import annotations
@@ -164,20 +164,18 @@ class ArtinSchreierCover:
         return Divisor({b: e * (p - 1) for b, e in zip(self.branch_points, self.conductors)})
 
     def trace_form(self) -> TraceForm:
-        g = self.normal_form()
-        gp = g.derivative()
-        coeff = RationalFunction.constant(self.spec, -1) / gp
-        p = self.spec.p
-        orders = {}
-        for b in self.branch_points:
-            ord_g = g.order_at(b)
-            ord_gp = gp.order_at(b)
-            # value of dx/dz upstairs: 0 at a finite point (z = x - b),
-            # -2p at infinity (z = 1/x, dx/dz = -1/z^2).
-            v_dxdz = -2 * p if b.is_infinity else 0
-            plain = -p * ord_gp - v_dxdz - p + ord_g
-            orders[b] = {"plain": plain, "log": plain + 1}
-        return TraceForm(coeff, orders)
+        spec, p = self.spec, self.spec.p
+        poly, terms = Polynomial.from_indices(spec, []), []
+        for b, h in zip(self.branch_points, self.parts):
+            if b.is_infinity:
+                poly = h.derivative()
+            else:  # d/dx a (x - b)^(-j) = -j a (x - b)^(-j-1)
+                terms += [(b.value, j + 1, -j * h.coefficient(j)) for j in range(1, len(h.logs))]
+        tau = PartialFractions(poly, terms).recombine()  # g', reduced; -1/g' is -den/num made monic
+        lead = tau.num.logs[-1]
+        tau.num, tau.den = tau.den._times(spec._log_neg_one - lead), tau.num._times(-lead)
+        orders = {b: (e - 1) * (p - 1) for b, e in zip(self.branch_points, self.conductors)}
+        return TraceForm(tau, {b: {"plain": n, "log": n + 1} for b, n in orders.items()})
 
     def moduli_dimension(self) -> int:
         return moduli_dimension(

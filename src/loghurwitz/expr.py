@@ -17,7 +17,7 @@ from .ratfunc import RationalFunction
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
-MAX_POWER_DEGREE = 4096  # a dense power of this degree over GF(7) takes about 2 s
+MAX_POWER_DEGREE = 4096  # `tc` on a dense power of this degree over GF(7): 0.39 s, on a fraction 14.7 s (README)
 
 
 class ExprError(ValueError):

@@ -13,6 +13,8 @@ exact and fast at the supported field sizes (order <= 2^16).
 
 from __future__ import annotations
 
+import itertools
+
 from .ffield import FieldElement, FieldSpec, _operand, _operator
 
 
@@ -668,23 +670,22 @@ class PartialFractions:
 
     def __init__(self, poly: Polynomial, terms):
         self.poly = poly
-        # terms: list of (b: FieldElement, j: int, a: FieldElement), a != 0
-        self.terms = sorted(terms, key=lambda t: (t[0].idx, t[1]))
+        # terms: list of (b: FieldElement, j: int, a: FieldElement); terms with a = 0 are dropped
+        self.terms = sorted((t for t in terms if t[2]), key=lambda t: (t[0].idx, t[1]))
 
     def recombine(self) -> RationalFunction:
-        """poly plus, per pole b of order e, (sum_j a_j (y-b)^(e-j)) / (y-b)^e."""
+        """poly + sum of a/(y-b)^j as num/den, den = prod (y-b)^(e_b), e_b the top j at b: no gcd is needed.
+
+        Modulo y - b every summand of num but a_(e_b) den/(y-b)^(e_b) vanishes, leaving a_(e_b) prod_(c != b)
+        (b-c)^(e_c), nonzero as the poles are distinct and a_(e_b) != 0.  So num is prime to den, which is monic.
+        """
         spec = self.poly.spec
-        poles = {}
-        for b, j, a in self.terms:
-            poles.setdefault(b.idx, {})[j] = a
         out = RationalFunction(self.poly)
-        for b, parts in poles.items():
-            lin = Polynomial._from_root_indices(spec, [b])
-            e = max(parts)
-            num = Polynomial.from_indices(spec, [])
-            for j in range(1, e + 1):  # Horner in (y - b)
-                num = num * lin + parts.get(j, spec.zero)
-            out = out + RationalFunction(num, lin**e)
+        for b, terms in itertools.groupby(self.terms, lambda t: t[0].idx):
+            lin, e = Polynomial._from_root_indices(spec, [b]), 0
+            for _, j, a in terms:  # Horner in (y - b): num (y-b)^e + sum_j a_j (y-b)^(e-j) den
+                out.num, e = out.num * lin ** (j - e) + out.den * a, j
+            out.den = out.den * lin**e
         return out
 
 

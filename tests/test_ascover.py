@@ -171,6 +171,76 @@ def test_trace_form_orders(spec):
         done += 1
 
 
+def _reference_trace_form(c):
+    """(g, -1/g', orders) as computed before the orders were read off the normal form.
+
+    g is summed from the stored parts by RationalFunction arithmetic, -1/g' is a RationalFunction division, and
+    each order is valuation bookkeeping on order_at of g and g' (see the ascover module docstring).
+    """
+    spec, p, x = c.spec, c.spec.p, x_of(c.spec)
+    g = RationalFunction.constant(spec, 0)
+    for b, h in zip(c.branch_points, c.parts):
+        g = g + RationalFunction(h).compose(x if b.is_infinity else 1 / (x - b.value))
+    gp = g.derivative()
+    orders = {}
+    for b in c.branch_points:
+        v_dxdz = -2 * p if b.is_infinity else 0  # value of dx/dz upstairs: z = x - b, or z = 1/x at infinity
+        plain = -p * gp.order_at(b) - v_dxdz - p + g.order_at(b)
+        orders[b] = {"plain": plain, "log": plain + 1}
+    return g, RationalFunction.constant(spec, -1) / gp, orders
+
+
+def _normal_form_covers(spec, rng, count):
+    """Covers built from parts in normal form: pole orders prime to p up to 3p, zero or nonzero lower terms.
+
+    Cover i leaves infinity unramified (i % 3 == 0), branches there with e = 2 (1) or with a random order (2),
+    and has up to three finite branch points and up to two marked points.
+    """
+    p = spec.p
+    orders = [m for m in range(1, 3 * p + 1) if m % p]
+    line = [INFINITY, *(Place.finite(spec.element(i)) for i in range(spec.q))]
+    for i in range(count):
+        places = rng.sample(line[1:], rng.randint(0 if i % 3 else 1, min(3, spec.q)))
+        places += [INFINITY] if i % 3 else []
+        parts = {}
+        for b in places:
+            m = 1 if b.is_infinity and i % 3 == 1 else rng.choice(orders)
+            low = [rng.randrange(spec.q) if j % p else 0 for j in range(1, m)]
+            parts[b] = Polynomial.from_indices(spec, [0, *low, rng.randrange(1, spec.q)])
+        rest = [q for q in line if q not in parts]
+        yield ArtinSchreierCover(spec, parts, rng.sample(rest, min(len(rest), rng.randint(0, 2))))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)])
+def test_trace_form_equals_the_reference(p, k):
+    spec = field(p, k)
+    rng = random.Random(71 * p + k)
+    seen = set()
+    for c in _normal_form_covers(spec, rng, 36):
+        g, coefficient, orders = _reference_trace_form(c)
+        tau = c.trace_form()
+        assert c.normal_form() == g
+        assert tau.coefficient == coefficient
+        assert tau.orders == orders
+        seen.add(dict(zip(c.branch_points, c.conductors)).get(INFINITY))
+        seen.add(bool(c.marked_unramified))
+    assert {None, 2, True, False} <= seen
+
+
+def test_trace_form_and_recombine_make_no_gcd(monkeypatch):
+    calls = []
+    gcd = Polynomial.gcd
+    monkeypatch.setattr(Polynomial, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    rng = random.Random(73)
+    for spec in (field(2, 3), F9, field(7, 1)):
+        for c in _normal_form_covers(spec, rng, 12):
+            c.trace_form()
+            c.normal_form()
+    assert not calls
+    x = x_of(F9)
+    assert x / (x + 1) and calls  # the patched gcd counts
+
+
 def test_trace_log_order_cubic():
     x = x_of(F16)
     c = ArtinSchreierCover.from_equation(F16, x**3)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from loghurwitz.cartier import integrate
 from loghurwitz.expr import ExprError, ExprLimitError, parse_element, parse_expression
 from loghurwitz.ffield import field
 from loghurwitz.mobius import Mobius
@@ -10,6 +11,7 @@ from loghurwitz.ratfunc import (
     INFINITY,
     NEG_INF,
     Divisor,
+    PartialFractions,
     Place,
     Polynomial,
     RationalFunction,
@@ -465,6 +467,70 @@ def test_partial_fractions_terms_sorted():
     pf = partial_fractions(f)
     keys = [(q.idx, j) for q, j, _ in pf.terms]
     assert keys == sorted(keys)
+
+
+# -- recombine against the gcd-reducing one ------------------------------------
+
+
+def _reference_recombine(pf):
+    """poly plus, per pole b of order e, (sum_j a_j (y-b)^(e-j)) / (y-b)^e, each sum reduced by RationalFunction."""
+    spec = pf.poly.spec
+    poles = {}
+    for b, j, a in pf.terms:
+        poles.setdefault(b.idx, {})[j] = a
+    out = RationalFunction(pf.poly)
+    for b, parts in poles.items():
+        lin = Polynomial._from_root_indices(spec, [b])
+        e = max(parts)
+        num = Polynomial.from_indices(spec, [])
+        for j in range(1, e + 1):  # Horner in (y - b)
+            num = num * lin + parts.get(j, spec.zero)
+        out = out + RationalFunction(num, lin**e)
+    return out
+
+
+RECOMBINE_FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+
+
+@pytest.mark.parametrize("p,k", RECOMBINE_FIELDS)
+def test_recombine_equals_the_reference(p, k):
+    """Random terms at up to four poles, orders up to 3p, some coefficients zero (dropped), top ones included."""
+    F = field(p, k)
+    rng = random.Random(61 * p + k)
+    for _ in range(40):
+        terms = []
+        for b in rng.sample(range(F.q), rng.randint(0, min(4, F.q))):
+            e = rng.randint(1, 3 * p)
+            terms += [(F.element(b), j, F.element(rng.randrange(F.q))) for j in range(1, e)]
+            terms.append((F.element(b), e, F.element(rng.randrange(1, F.q))))
+        pf = PartialFractions(rand_poly(F, rng, 5), rng.sample(terms, len(terms)))
+        assert all(a for _, _, a in pf.terms)
+        assert pf.recombine() == _reference_recombine(pf)
+
+
+@pytest.mark.parametrize("p,k", RECOMBINE_FIELDS)
+def test_integrate_equals_the_reference_recombine(p, k, monkeypatch):
+    """cartier.integrate on derivatives of random fractions with split denominators, with either recombine."""
+    F = field(p, k)
+    rng = random.Random(67 * p + k)
+    for i in range(24):
+        h = RationalFunction(rand_poly(F, rng, 8), rand_split_den(F, rng, 1 + i % (2 * p)))
+        f = h.derivative()
+        got = integrate(f)
+        with monkeypatch.context() as m:
+            m.setattr(PartialFractions, "recombine", _reference_recombine)
+            assert integrate(f) == got
+        assert got.derivative() == f
+
+
+def test_zero_terms_are_dropped():
+    """(b, 2, 0) next to (b, 1, a) recombines to a/(y-b), not to the unreduced a(y-b)/(y-b)^2."""
+    y = RationalFunction.variable(F9)
+    b, a = F9.element(3), F9.element(5)
+    pf = PartialFractions(Polynomial.from_indices(F9, []), [(b, 2, F9.zero), (b, 1, a)])
+    assert pf.terms == [(b, 1, a)]
+    assert pf.recombine() == RationalFunction.constant(F9, a) / (y - b)
+    assert pf.recombine().den == Polynomial.from_roots(F9, [b])
 
 
 def test_divisor_add():
