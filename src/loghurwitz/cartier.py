@@ -19,7 +19,7 @@ is p^{-1}-semilinear: global_tc_matrix and loci run the tc kernel on h alone.
 
 from __future__ import annotations
 
-from .ffield import FieldSpec
+from .ffield import FieldElement, FieldSpec
 from .ratfunc import (
     INFINITY,
     Divisor,
@@ -92,8 +92,9 @@ class PPowerDecomposition:
 
 
 def _root_indices(spec: FieldSpec, places):
-    """Element index of each place, None at infinity."""
-    return [None if q.is_infinity else _coefficient_index(spec, q.value) for q in places]
+    """Element index of each place, None at infinity; an element of spec itself is read directly."""
+    return [None if v is None else v.idx if isinstance(v, FieldElement) and v.spec is spec
+            else _coefficient_index(spec, v) for v in (q.value for q in places)]
 
 
 def _reduced_roots(roots, m, p):

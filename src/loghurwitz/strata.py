@@ -105,10 +105,10 @@ class LevelGraph:
     """Enhanced level graph of a degree-p cover: a _Frame and its markings.
 
     Instances are read-only: enumerated classes share their shape's frame (see _frame_facts).
-    Only _valid_for changes: validate records there the datum a class last passed with.
+    Only _valid_for and _key change: validate and canonical_form record there a passed datum and the key.
     """
 
-    __slots__ = ("_frame", "markings", "_marks_at", "_valid_for")
+    __slots__ = ("_frame", "markings", "_marks_at", "_valid_for", "_key")
     p, regime, source_vertices, source_edges, target_vertices, target_edges = (
         property(attrgetter("_frame." + name), doc=f"The frame's {name}, read-only.")
         for name in ("p", "regime", "source_vertices", "source_edges", "target_vertices", "target_edges"))
@@ -116,7 +116,7 @@ class LevelGraph:
     def __init__(self, p, regime, source_vertices, source_edges, target_vertices, target_edges, markings):
         if p < 2:  # as in HurwitzData
             raise GraphError(f"p = {p} must be at least 2")
-        F = self._frame = _Frame(p=p, regime=regime, datum=None, ledger=None, signatures=None, encodings={})
+        F = self._frame = _Frame(p=p, regime=regime, datum=None, ledger=None, signatures=None, encodings={}, parts={})
         F.source_vertices, F.source_edges, F.target_vertices, F.target_edges = map(
             tuple, (source_vertices, source_edges, target_vertices, target_edges))
         F.sv, F.tv, F.te = ({x.id: x for x in xs} for xs in (F.source_vertices, F.target_vertices, F.target_edges))
@@ -158,7 +158,7 @@ class LevelGraph:
                 raise GraphError(f"marking on unknown vertex {m.vertex}")
             marks_at[m.vertex].append(i)
         self._marks_at = {vid: tuple(xs) for vid, xs in marks_at.items()}
-        self._valid_for = None
+        self._valid_for = self._key = None
 
     def _with_markings(self, markings):
         """This graph with other markings, sharing its frame."""
@@ -656,8 +656,10 @@ def canonical_form(G: LevelGraph):
     sits where stay distinct.  Twins, vertices whose swap leaves the
     encoding unchanged under every relabeling, keep one order among
     themselves, which leaves the minimum as it is.  Trying more than
-    MAX_CANON_ORDERINGS orderings raises GraphError.
+    MAX_CANON_ORDERINGS orderings raises GraphError.  The key is computed once per graph and kept.
     """
+    if G._key is not None:
+        return G._key
     F = G._frame
     sigs = F.signatures
     if sigs is None:  # the frame's part of each vertex invariant
@@ -677,7 +679,9 @@ def canonical_form(G: LevelGraph):
     frame = F.encodings.get(order)  # the frame's classes share one per base order, and so do their keys
     if frame is None:
         frame = F.encodings[order] = _encode_frame(F, sigma)
-    base = frame + _encode_markings(G, sigma)
+    groups = tuple(sorted(tuple(g) for g in G.marking_groups().values()))
+    groups = F.parts.setdefault(groups, groups)  # taken once a call, and shared by the frame's classes' keys
+    base = frame + _encode_markings(G, sigma, groups)
     per_class, orderings = [], 1  # (twin classes, splits of the class's positions among them)
     for ids in class_lists:
         if len(ids) == 1:
@@ -687,7 +691,7 @@ def canonical_form(G: LevelGraph):
             for tw in twins:
                 a = tw[0]
                 if _neighbours(F, a, {a: vid, vid: a}) == _neighbours(F, vid, {}) and (
-                    _encode(G, {**sigma, a: sigma[vid], vid: sigma[a]}) == base
+                    _encode(G, {**sigma, a: sigma[vid], vid: sigma[a]}, groups) == base
                 ):
                     tw.append(vid)
                     break
@@ -699,8 +703,6 @@ def canonical_form(G: LevelGraph):
         per_class.append((twins, _partitions_into_sizes(range(start, start + len(ids)), sizes)))
     if orderings > MAX_CANON_ORDERINGS:
         raise GraphError(f"canonical_form would try more than MAX_CANON_ORDERINGS = {MAX_CANON_ORDERINGS} orderings")
-    if orderings == 1:
-        return base
     best = base
     for combo in itertools.product(*(splits for _, splits in per_class)):
         order = dict(sigma)
@@ -708,7 +710,8 @@ def canonical_form(G: LevelGraph):
             for tw, box in zip(twins, split):
                 order.update(zip(tw, box))
         if order != sigma:  # the base ordering is encoded already
-            best = min(best, _encode(G, order))
+            best = min(best, _encode(G, order, groups))
+    G._key = best
     return best
 
 
@@ -720,8 +723,8 @@ def _neighbours(F: _Frame, vid, swap):
     return sorted((swap.get(w, w), e.slope) for e in F.edges_at[vid] for w in [e.v2 if e.v1 == vid else e.v1])
 
 
-def _encode(G: LevelGraph, sigma):
-    return _encode_frame(G._frame, sigma) + _encode_markings(G, sigma)
+def _encode(G: LevelGraph, sigma, groups):
+    return _encode_frame(G._frame, sigma) + _encode_markings(G, sigma, groups)
 
 
 def _encode_frame(F: _Frame, sigma):
@@ -740,10 +743,10 @@ def _encode_frame(F: _Frame, sigma):
     return (verts, tuple(sorted(edge_reps)), vgrouping, egrouping)
 
 
-def _encode_markings(G: LevelGraph, sigma):
-    """The markings, and their positions grouped by image."""
-    marks = tuple((sigma[vertex], lam, xi) for vertex, lam, xi, _ in G.markings)
-    return (marks, tuple(sorted(tuple(g) for g in G.marking_groups().values())))
+def _encode_markings(G: LevelGraph, sigma, groups):
+    """The markings, each (position, lam, xi) taken by value from the frame's parts, and their grouping by image."""
+    parts = G._frame.parts  # the frame's classes' keys share one triple per value
+    return tuple(parts.setdefault(m, m) for m in ((sigma[v], lam, xi) for v, lam, xi, _ in G.markings)), groups
 
 
 # ---------------------------------------------------------------------------

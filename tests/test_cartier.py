@@ -3,6 +3,7 @@ import random
 import pytest
 
 from loghurwitz.cartier import (
+    _root_indices,
     BivariantForm,
     Differential,
     TcMatrix,
@@ -16,7 +17,7 @@ from loghurwitz.cartier import (
     ppower_decompose,
     twisted_cartier,
 )
-from loghurwitz.ffield import field
+from loghurwitz.ffield import FieldSpec, field
 from loghurwitz.mobius import Mobius
 from loghurwitz.ratfunc import INFINITY, Divisor, Place, Polynomial, RationalFunction
 
@@ -283,6 +284,17 @@ def test_global_tc_matrix_rejects_repeats():
     q = Place.finite(F16.from_int(0))
     with pytest.raises(ValueError):
         global_tc_matrix(F16, [(q, 1), (q, 1)])
+
+
+def test_root_indices_keep_the_operand_rule():
+    """An element of spec itself is read directly; an int, an equal spec's element and anything else take the rule."""
+    w = F9.element(5)
+    places = [Place.finite(w), INFINITY, Place(7), Place.finite(FieldSpec(3, 2).element(5))]
+    assert _root_indices(F9, places) == [5, None, F9.from_int(1).idx, 5]
+    with pytest.raises(ValueError, match="^mismatched FieldSpec$"):
+        _root_indices(F9, [Place.finite(F5.element(1))])
+    with pytest.raises(TypeError):
+        _root_indices(F9, [Place("1")])
 
 
 def _reference_tc_matrix(spec, marked):

@@ -671,7 +671,8 @@ def test_canonical_form_equals_the_reference(b):
     A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
     comps = enumerate_components(A, 6)
     brute = {G: brute_force_canonical_form(G) for G in comps}
-    for G in comps:
+    for G in comps:  # the sort keyed every class, and each keeps its own key
+        assert G._key is not None and canonical_form(G) is G._key
         assert canonical_form(G) == brute[G]
     assert comps == sorted(comps, key=brute.get)
 
@@ -742,10 +743,38 @@ def test_canonical_form_ordering_bound(monkeypatch):
     G = _build_two_level(A, 3, (1, 1, 1), 6, [(0, 3), (1, 4), (2, 5)], [3, 3, 3],
                                 ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)))
     monkeypatch.setattr(strata, "MAX_CANON_ORDERINGS", 5)
-    with pytest.raises(GraphError, match="MAX_CANON_ORDERINGS = 5"):
-        canonical_form(G)
+    for _ in range(2):  # a refusal keeps nothing, so a repeat call is refused again
+        with pytest.raises(GraphError, match="MAX_CANON_ORDERINGS = 5"):
+            canonical_form(G)
+        assert G._key is None
     monkeypatch.setattr(strata, "MAX_CANON_ORDERINGS", 6)
     assert canonical_form(G) == brute_force_canonical_form(G)
+
+
+def test_canonical_form_keeps_its_key_on_the_graph(monkeypatch):
+    """A repeat call encodes nothing, and a graph built or re-marked from a keyed one starts without a key."""
+    G = example_graphs()[0]
+    assert G._key is None
+    calls = Counter()
+
+    def counted(name):
+        def call(*args):
+            calls[name] += 1
+            return encoders[name](*args)
+        return call
+
+    encoders = {name: getattr(strata, name) for name in ("_encode_frame", "_encode_markings")}
+    for name in encoders:
+        monkeypatch.setattr(strata, name, counted(name))
+    key = canonical_form(G)
+    assert G._key is key and calls["_encode_frame"] == calls["_encode_markings"] == 1
+    assert canonical_form(G) is key and sum(calls.values()) == 2
+    moved = [G.markings[0]._replace(vertex="v0"), *G.markings[1:]]
+    fresh = LevelGraph(G.p, G.regime, G.source_vertices, G.source_edges, G.target_vertices, G.target_edges, moved)
+    same, H = G._with_markings(G.markings), G._with_markings(moved)
+    assert same._key is H._key is fresh._key is None
+    assert canonical_form(H) == brute_force_canonical_form(H) != key
+    assert calls["_encode_markings"] == 2 and G._key is key
 
 
 # -- validate and stratum_dimension against the per-class code they replaced ----
@@ -1209,6 +1238,9 @@ def test_classes_of_one_frame_share_its_encodings():
         encodings = classes[0]._frame.encodings
         assert set(encodings) == {base_order(G) for G in classes}
         keys = [canonical_form(G) for G in classes]  # all taken before any is compared
+        assert len({id(key[5]) for key in keys}) == 1  # one grouping of the markings, and one object per triple
+        triples = {}
+        assert all(triples.setdefault(m, m) is m for key in keys for m in key[4])
         for G, key in zip(classes, keys):
             order = base_order(G)
             frame = encodings[order]
@@ -1233,7 +1265,7 @@ def test_orderings_loop_adds_no_encoding():
 # -- oracles read only the public API ---------------------------------------------
 
 ORACLE_NAME = re.compile(r"reference_|brute_force_|invariant_classes$|_iso_key$")
-PRIVATE_STATE = {"_frame", "_marks_at", "_valid_for"}
+PRIVATE_STATE = {"_frame", "_marks_at", "_valid_for", "_key"}
 
 
 def private_reads(source):
