@@ -349,21 +349,11 @@ class ValidationReport:
         self.errors.append({"rule": rule, "detail": detail})
 
 
-def _ramified_markings(G: LevelGraph, vid):
-    """(kind, ident, xi) for the markings of index p at an AS vertex; _frame_facts lists its edges."""
-    return [("marking", str(i), G.markings[i].xi) for i in G._marks_at[vid] if G.markings[i].lam == G.p]
-
-
-def _marking_orders(G: LevelGraph, vid):
-    """Plain orders of the component form at a Frobenius vertex's markings; _frame_facts lists its edges' orders."""
-    return [G.markings[i].xi + (G.p - 1) for i in G._marks_at[vid]]
-
-
 def _frame_facts(F: _Frame, A: HurwitzData):
     """What validate and stratum_dimension read off the frame F before the markings, under the datum A.
 
     The facts, on F and so shared by its classes, are filled on the first call with A and refilled for another
-    datum; the ledger's target counts and canonical_form's vertex signatures need no datum and stay.
+    datum; the ledger's target counts and vertex terms and canonical_form's vertex signatures need no datum and stay.
     """
     if F.datum is A:
         return F
@@ -467,20 +457,28 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
     for err in F.head_errors:
         report.add(**err)
 
-    # markings against the datum
+    # one pass over the markings: each against the datum (if the counts agree), the target markings as [lambda
+    # sum, first target vertex, spread], and per vertex its markings' plain orders and, at AS, its ramified ones
     if len(G.markings) != A.b:
         report.add("markings", f"{len(G.markings)} markings, datum has b={A.b}")
-    else:
-        for i, m in enumerate(G.markings):
-            if m.lam != A.Lam[i] or m.xi != A.Xi[i]:
-                report.add("markings", f"marking {i} carries ({m.lam},{m.xi}), datum says ({A.Lam[i]},{A.Xi[i]})")
-    groups = G.marking_groups()
+    datum = zip(A.Lam, A.Xi) if len(G.markings) == A.b else map(attrgetter("lam", "xi"), G.markings)
+    q, sv, groups, orders, ramified = F.p, F.sv, {}, {}, {}
+    for i, ((vid, lam, xi, label), (lam_a, xi_a)) in enumerate(zip(G.markings, datum)):
+        if lam != lam_a or xi != xi_a:
+            report.add("markings", f"marking {i} carries ({lam},{xi}), datum says ({lam_a},{xi_a})")
+        _, _, _, cover_type, end = sv[vid]
+        group = groups.setdefault(label, [0, end, False])
+        group[0] += lam
+        group[2] |= end != group[1]
+        orders[vid] = orders.get(vid, 0) + xi + (q - 1)
+        if lam == q and cover_type == AS:
+            ramified.setdefault(vid, []).append(("marking", str(i), xi))
     if len(groups) != A.N:
         report.add("markings", f"{len(groups)} target markings, datum has N={A.N}")
-    for label, idxs in groups.items():
-        if sum(G.markings[i].lam for i in idxs) != p:
+    for label, (total, _, spread) in groups.items():
+        if total != p:
             report.add("markings", f"target marking {label} has fiber multiplicities summing to != p")
-        if len({F.sv[G.markings[i].vertex].image for i in idxs}) != 1:
+        if spread:
             report.add("markings", f"target marking {label} spread over several target vertices")
 
     for err in F.edge_errors:
@@ -493,7 +491,7 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
             continue
         conductors = []
         bad = False
-        for kind, ident, val in edge_points + _ramified_markings(G, v.id):
+        for kind, ident, val in edge_points + ramified.get(v.id, []):
             if val % (p - 1) != 0:
                 report.add("as-balance", f"ramified {kind} {ident} at {v.id}: value {val} not divisible by p-1")
                 bad = True
@@ -512,7 +510,7 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
 
     # per-Frobenius-vertex degree balance of the component form
     for v, edge_orders in F.orders:
-        total = sum(edge_orders) + sum(_marking_orders(G, v.id))
+        total = sum(edge_orders) + orders.get(v.id, 0)
         expected = (2 * v.genus - 2) * (1 - p)
         if total != expected:
             report.add(
@@ -571,7 +569,7 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
         raise GraphError(f"invalid level graph: {report.errors}")
     p = A.p
     F = _frame_facts(G._frame, A)
-    if F.ledger is None:  # the frame's target counts, taken once it has passed validation
+    if F.ledger is None:  # the frame's target counts and vertex terms, taken once it has passed (so p is F.p)
         hor = G.horizontal_target_edges()
         # per target vertex: its half-edges (target edge ends and target markings)
         # and, among them, its etale special points (ends of horizontal target
@@ -581,38 +579,46 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
             for end in (te.v1, te.v2):
                 half_edges[end] += 1
                 etale_points[end] += te.id in hor
-        F.ledger = hor, half_edges, etale_points, sorted(G.etale_target_vertices()), G.min_level
-    hor, half_edges, etale_points, etale_targets, lmin = F.ledger
+        # per AS vertex (id, label, image, term but the markings'), per Frobenius vertex (id, label, edges' term
+        # less 4 or 3, exact): quasi-exact on the bottom level in the mixed regime, else exact (see exact_vertices)
+        as_terms = [(v.id, f"AS:{v.id}", v.image, 2 * v.genus // (p - 1) - 1 - sum(s // (p * (p - 1)) for *_, s in ram))
+                    for v, ram in F.ramified]
+        lmin = G.min_level
+        frob_terms = [(v.id, f"{'exact' if ex else 'quasi-exact'}:{v.id}", len(o) + sum(x // p for x in o) - 3 - ex, ex)
+                      for v, o in F.orders for ex in [F.regime != "mixed" or v.level != lmin]]
+        F.ledger = hor, half_edges, etale_points, sorted(G.etale_target_vertices()), as_terms, frob_terms
+    hor, half_edges, etale_points, etale_targets, as_terms, frob_terms = F.ledger
     half_edges, etale_points = half_edges.copy(), etale_points.copy()
-    for idxs in G.marking_groups().values():
-        end = F.sv[G.markings[idxs[0]].vertex].image
+    # one pass over the markings: each target marking's [end, all lambda = 1], and per vertex
+    # [sum xi // (p(p-1)) over lambda = p, count + sum (xi + p - 1) // p]
+    sv, groups, at = F.sv, {}, {}
+    for vid, lam, xi, label in G.markings:
+        groups.setdefault(label, [sv[vid].image, True])[1] &= lam == 1
+        terms = at.setdefault(vid, [0, 0])
+        terms[0] += xi // (p * (p - 1)) if lam == p else 0
+        terms[1] += 1 + (xi + p - 1) // p
+    for end, unramified in groups.values():
         half_edges[end] += 1
-        etale_points[end] += all(G.markings[i].lam == 1 for i in idxs)
+        etale_points[end] += unramified
 
     contributions = []
     mod_as = mod_ex = mod_quex = v_c_ex = 0
-    for v, edge_points in F.ramified:
-        ram = sum(s // (p * (p - 1)) for _, _, s in edge_points + _ramified_markings(G, v.id))
-        val = 2 * v.genus // (p - 1) + etale_points[v.image] - 1 - ram
+    for vid, label, image, term in as_terms:
+        val = term + etale_points[image] - at.get(vid, (0, 0))[0]
         mod_as += val
-        contributions.append((f"AS:{v.id}", val))
+        contributions.append((label, val))
     for tv_id in etale_targets:
         val = half_edges[tv_id] - 3
         mod_as += val
         contributions.append((f"etale-target:{tv_id}", val))
-
-    # below the top level (Frobenius vertices, once validated): quasi-exact on the bottom
-    # level in the mixed regime, exact everywhere else (see LevelGraph.exact_vertices)
-    for v, edge_orders in F.orders:
-        orders = edge_orders + _marking_orders(G, v.id)
-        val = len(orders) + sum(o // p for o in orders)
-        if F.regime == "mixed" and v.level == lmin:
-            mod_quex += val - 3
-            contributions.append((f"quasi-exact:{v.id}", val - 3))
-        else:
-            mod_ex += val - 4
+    for vid, label, term, exact in frob_terms:
+        val = term + at.get(vid, (0, 0))[1]
+        contributions.append((label, val))
+        if exact:
+            mod_ex += val
             v_c_ex += 1
-            contributions.append((f"exact:{v.id}", val - 4))
+        else:
+            mod_quex += val
 
     total = mod_as + mod_ex + mod_quex
     e_d_hor = len(hor)
@@ -690,11 +696,11 @@ def canonical_form(G: LevelGraph):
         for vid in ids:
             for tw in twins:
                 a = tw[0]
-                if _neighbours(F, a, {a: vid, vid: a}) == _neighbours(F, vid, {}) and (
-                    _encode(G, {**sigma, a: sigma[vid], vid: sigma[a]}, groups) == base
-                ):
-                    tw.append(vid)
-                    break
+                if _neighbours(F, a, {a: vid, vid: a}) == _neighbours(F, vid, {}):
+                    swap = {**sigma, a: sigma[vid], vid: sigma[a]}
+                    if _encode_frame(F, swap) + _encode_markings(G, swap, groups) == base:
+                        tw.append(vid)
+                        break
             else:
                 twins.append([vid])
         sizes = [len(tw) for tw in twins]
@@ -710,7 +716,9 @@ def canonical_form(G: LevelGraph):
             for tw, box in zip(twins, split):
                 order.update(zip(tw, box))
         if order != sigma:  # the base ordering is encoded already
-            best = min(best, _encode(G, order, groups))
+            own = _encode_frame(F, order)
+            if own <= best[:4]:  # else the frame part alone makes the encoding larger than best
+                best = min(best, own + _encode_markings(G, order, groups))
     G._key = best
     return best
 
@@ -721,10 +729,6 @@ def _neighbours(F: _Frame, vid, swap):
     Twins agree once swapped: a first test, it rejects 710 of 741 pairs at b = 4-8 (canonical_form 8-12 % faster).
     """
     return sorted((swap.get(w, w), e.slope) for e in F.edges_at[vid] for w in [e.v2 if e.v1 == vid else e.v1])
-
-
-def _encode(G: LevelGraph, sigma, groups):
-    return _encode_frame(G._frame, sigma) + _encode_markings(G, sigma, groups)
 
 
 def _encode_frame(F: _Frame, sigma):
@@ -822,15 +826,16 @@ def _shape_symmetry(t, n, genera, tree, slope):
 
 def _orbit_least(b, mark_counts, perms):
     """The marking assignments, in _partitions_into_sizes order, least among their images under perms."""
-    for assignment in _partitions_into_sizes(range(b), mark_counts):
-        if all(assignment <= tuple(assignment[w] for w in perm) for perm in perms):
-            yield assignment
+    listing = _partitions_into_sizes(range(b), mark_counts)
+    if not perms:  # every assignment is least
+        return listing
+    return (a for a in listing if all(a <= tuple(a[w] for w in perm) for perm in perms))
 
 
 def _partitions_into_sizes(items, sizes):
-    """All ways to split `items` (ordered) into ordered boxes of given sizes."""
-    if not sizes:
-        yield ()
+    """All ways to split `items` (ordered) into ordered boxes of the given sizes, which sum to len(items)."""
+    if len(sizes) < 2:  # the last box takes what is left; a set test for `remaining` cost 14 % more than the tuple's
+        yield (tuple(items),) if sizes else ()
         return
     k = sizes[0]
     for chosen in itertools.combinations(items, k):

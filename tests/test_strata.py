@@ -1096,6 +1096,52 @@ def test_changed_markings_on_a_shared_frame_equal_the_reference():
     assert moved > 0
 
 
+def hand_built_graphs():
+    """(graph, datum, whether valid): target markings spread over two target vertices, and ledger terms no class has.
+
+    Every enumerated class has one marking per target marking, lambda = p and xi = 0, so none spreads a target
+    marking, mixes lambda within one or reads a marking's xi // p.  The last graph's datum has a twist -1, which the
+    validator admits though no cover has one: lambda 1 and 2 over one target marking need a twist sum of -1 there.
+    """
+    T = two_level()  # an AS top of genus 1 over a Frobenius bottom by one slope-3 edge
+    frame = (T.source_vertices, T.source_edges, T.target_vertices, T.target_edges)
+    odd_xi = LevelGraph(2, "equicharacteristic", *frame, [Marking("v1", 2, 1, "q0"), Marking("v1", 2, 1, "q1")])
+    marks = [Marking("v0", 1, -1, "q0"), Marking("v0", 2, 0, "q0"), *(Marking("v0", 3, 2, f"q{i}") for i in (1, 2))]
+    mixed_lambda = LevelGraph(3, "equicharacteristic", [SourceVertex("v0", 2, 0, AS, "d0")], [],
+                              [TargetVertex("d0", 0)], [], marks)
+    return [
+        # q0 on the top and the bottom with lambda sum 4 != p, its top marking ramified at the AS vertex
+        (T._with_markings([Marking("v0", 2, 0, "q0"), *(Marking("v1", 2, 0, f"q{i}") for i in (0, 2, 3))]), A4, False),
+        # q0 on the top and the bottom with lambda sum 1 + 1 = p
+        (T._with_markings([Marking("v0", 1, 0, "q0"), Marking("v1", 1, 0, "q0"), Marking("v1", 2, 0, "q2"),
+                           Marking("v1", 2, 0, "q3")]), A4, False),
+        # each bottom marking's plain order xi + p - 1 = 2 adds 2 // p = 1 to the bottom's exact term
+        (odd_xi, HurwitzData(2, 1, 0, 2, (2, 2), (1, 1), "equicharacteristic"), True),
+        # q0 has lambda 1 and 2, so it is no etale point of the AS vertex
+        (mixed_lambda, HurwitzData(3, 2, 0, 3, (1, 2, 3, 3), (-1, 0, 2, 2), "equicharacteristic"), True),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_validate_and_ledger_equal_the_reference_on_hand_built_graphs(case):
+    G, A, valid = hand_built_graphs()[case]
+    assert bool(_same_answers(G, A)) != valid
+
+
+def test_validate_and_ledger_never_group_the_markings_again(monkeypatch):
+    """validate and stratum_dimension group each class's markings in their own pass, never through marking_groups."""
+    A = HurwitzData(2, 3, 0, 8, (2,) * 8)
+    comps = enumerate_components(A, 6)
+    calls = []
+    groups = LevelGraph.marking_groups
+    monkeypatch.setattr(LevelGraph, "marking_groups", lambda G: calls.append(G) or groups(G))
+    fresh = HurwitzData(*A)  # an equal datum object, so every class is validated again
+    assert all(validate(G, fresh).ok for G in comps)
+    assert all(L.total == L.closed_form for L in (stratum_dimension(G, fresh) for G in comps))
+    assert len(comps) == 3510 and calls == []
+    assert canonical_form(comps[0]._with_markings(comps[0].markings)) and len(calls) == 1  # the patch counts
+
+
 def test_validate_and_ledger_equal_the_reference_on_random_graphs():
     hypothesis = pytest.importorskip("hypothesis")
     nx = pytest.importorskip("networkx")
