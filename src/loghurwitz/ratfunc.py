@@ -7,8 +7,9 @@ and den monic.  Places on the projective line are either finite field
 elements or the distinguished point at infinity, with the convention
 (y - infinity) = y^(-1); order_at(infinity) is deg(den) - deg(num).
 
-Roots are located by exhaustive evaluation over the field, which is
-exact and fast at the supported field sizes (order <= 2^16).
+Roots are located by evaluation over the field, exact and fast at the
+supported field sizes (order <= 2^16); the scan stops once what is left
+is c (y - r)^d with p not dividing d (see Polynomial.roots).
 """
 
 from __future__ import annotations
@@ -374,23 +375,28 @@ class Polynomial:
             m, poly = m + 1, quo
 
     def roots(self):
-        """All roots in the field with multiplicities, by exhaustive scan.
+        """All roots in the field with multiplicities, sorted by index.
 
         Returns (list of (root, multiplicity), cofactor) where cofactor is
-        the part of the polynomial without roots in the field.
+        the part of the polynomial without roots in the field.  The scan stops
+        once a constant is left; at the start and after each root it first tries
+        r = -a_(d-1)/(d a_d), the root of c (y - r)^d if p does not divide d.
         """
         spec = self.spec
         if self.is_zero():
             raise ValueError("roots of the zero polynomial")
-        rem = self
-        found = []
-        for i in range(spec.q):
-            if rem.degree == 0:
-                break
-            if not rem._value_idx(i):
-                m, rem = rem._divide_out(i)
-                found.append((spec.element(i), m))
-        return found, rem
+        rem, found, i = self, [], 0
+        while len(rem.logs) > 1:
+            d, (s, t) = len(rem.logs) - 1, rem.logs[-2:]
+            x = spec._exp[(s + spec._log_neg_one - spec._log[d % spec.p] - t) % (spec.q - 1)] if s >= 0 else 0
+            if not d % spec.p or rem._value_idx(x):  # no candidate, or not a root: scan on from i
+                x = next((x for x in range(i, spec.q) if not rem._value_idx(x)), None)
+                if x is None:
+                    break
+                i = x + 1
+            m, rem = rem._divide_out(x)
+            found.append((x, m))
+        return [(spec.element(x), m) for x, m in sorted(found)], rem
 
     def __str__(self):
         if self.is_zero():
@@ -679,13 +685,16 @@ class PartialFractions:
         Modulo y - b every summand of num but a_(e_b) den/(y-b)^(e_b) vanishes, leaving a_(e_b) prod_(c != b)
         (b-c)^(e_c), nonzero as the poles are distinct and a_(e_b) != 0.  So num is prime to den, which is monic.
         """
-        spec = self.poly.spec
-        out = RationalFunction(self.poly)
+        spec, num, den = self.poly.spec, list(self.poly.logs), [0]  # untrimmed log lists; log 1 = 0
+        zech, q1, out = spec._zech, spec.q - 1, RationalFunction(self.poly)
         for b, terms in itertools.groupby(self.terms, lambda t: t[0].idx):
-            lin, e = Polynomial._from_root_indices(spec, [b]), 0
+            e, row = 0, [(i, s) for i, s in enumerate(den) if s >= 0]
             for _, j, a in terms:  # Horner in (y - b): num (y-b)^e + sum_j a_j (y-b)^(e-j) den
-                out.num, e = out.num * lin ** (j - e) + out.den * a, j
-            out.den = out.den * lin**e
+                # len(num) >= len(den) - 1 before the product, which adds j - e >= 1, so den's row fits
+                num, e = _log_mul(num, Polynomial._from_root_indices(spec, [b] * (j - e)).logs, zech, q1), j
+                _addmul(num, 0, spec._log[a.idx], row, zech, q1)
+            den = _log_mul(den, Polynomial._from_root_indices(spec, [b] * e).logs, zech, q1)
+        out.num, out.den = _from_logs(spec, num), _from_logs(spec, den)
         return out
 
 
@@ -704,16 +713,17 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     found, cofactor = f.den.roots()
     if cofactor.degree > 0:
         raise ValueError(f"denominator factor does not split over {spec!r}: {cofactor}")
-    terms = []
+    zech, q1, terms = spec._zech, spec.q - 1, []
     for b, e in found:
         lin = Polynomial._from_root_indices(spec, [b.idx])
-        g_q, g_b = f.den._divide_out(b.idx)[1].divmod(lin)
-        inv = g_b.leading().inverse()
-        r = rest
+        g_q, g_b = f.den.divmod(Polynomial._from_root_indices(spec, [b.idx] * e))[0].divmod(lin)  # g = den/(y-b)^e
+        row, r = [(i, s) for i, s in enumerate(g_q.logs) if s >= 0], rest
         for j in range(e, 0, -1):
             r, r_b = r.divmod(lin)
             if r_b:
-                a = r_b.leading() * inv
-                terms.append((b, j, a))
-                r = r - g_q * a
+                x = (r_b.logs[0] - g_b.logs[0]) % q1  # log a
+                terms.append((b, j, spec.element(spec._exp[x])))
+                out = r.logs + [-1] * (len(g_q.logs) - len(r.logs))
+                _addmul(out, 0, (x + spec._log_neg_one) % q1, row, zech, q1)  # r - a g_q
+                r = _from_logs(spec, out)
     return PartialFractions(poly_part, terms)

@@ -70,6 +70,7 @@ class HurwitzData(namedtuple("HurwitzData", "p h g N Lam Xi regime")):
 
     def errors(self):
         out = [f"{name} = {value} must be at least 0" for name, value in zip("hgN", self[1:4]) if value < 0]
+        out += [f"lambda_{i} = {lam} must be at least 1" for i, lam in enumerate(self.Lam) if lam < 1]
         if not self.rh_holds():
             out.append("Riemann-Hurwitz count fails for the discrete datum")
         if self.regime == "mixed" and any(self.Xi):

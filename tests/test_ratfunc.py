@@ -128,6 +128,78 @@ def test_from_roots_and_roots():
     assert cofactor.degree == 0
 
 
+# -- roots against a brute-force oracle -------------------------------------------
+
+ROOT_FIELDS = [(2, 1), (2, 3), (3, 2), (5, 1), (7, 1), (3, 6)]
+
+
+def _brute_force_roots(P):
+    """Every element where __call__ gives 0, its multiplicity by repeated divmod, and the cofactor, checked."""
+    F = P.spec
+    found, cofactor = [], P
+    for x in F.elements():
+        if P(x).idx:
+            continue
+        lin, m = Polynomial.from_roots(F, [x]), 0
+        while not (cofactor % lin):
+            m, cofactor = m + 1, cofactor // lin
+        found.append((x, m))
+    assert cofactor * Polynomial.from_roots(F, [x for x, m in found for _ in range(m)]) == P
+    assert all(cofactor(x).idx for x in F.elements())  # no root left in the field
+    return found, cofactor
+
+
+def _root_cases(F, rng):
+    """c prod (y - r)^m Q: roots at indices 0 and q - 1 among random ones, multiplicities that are multiples of p
+    (no closed-form candidate) among others, an irreducible quadratic Q or none, c other than 1 in most."""
+    p, q = F.p, F.q
+
+    def quadratic():  # y^2 + s y + t without a root in the field, by trial: about half of them are
+        while True:
+            Q = Polynomial.from_indices(F, [rng.randrange(1, q), rng.randrange(q), 1])
+            if all(Q(x).idx for x in F.elements()):
+                return Q
+
+    yield Polynomial.from_indices(F, [rng.randrange(1, q)])  # a constant: no root, and itself as cofactor
+    for i in range(30):
+        roots = rng.sample(range(q), rng.randint(0, min(3, q)))
+        roots += [r for r in ((0, q - 1) if i % 3 == 0 else ()) if r not in roots]
+        mults = [p * rng.randint(1, 2) if (i + n) % 2 else rng.randint(1, 2 * p + 1) for n in range(len(roots))]
+        c = Polynomial.from_indices(F, [rng.randrange(2, q) if i % 5 and q > 2 else 1])
+        P = c * Polynomial._from_root_indices(F, [r for r, m in zip(roots, mults) for _ in range(m)])
+        yield P * quadratic() if i % 2 else P
+    if q >= 5:  # the candidate (1 + 2 + 3)/3 = 2 is a root, and two are left
+        yield Polynomial._from_root_indices(F, [1, 2, 3])
+
+
+@pytest.mark.parametrize("p,k", ROOT_FIELDS)
+def test_roots_match_brute_force(p, k):
+    F = field(p, k)
+    rng = random.Random(53 * p + k)
+    for P in _root_cases(F, rng):
+        assert P.roots() == _brute_force_roots(P), P
+
+
+@pytest.mark.parametrize("p,k", ROOT_FIELDS)
+def test_roots_scan_stops_at_the_last_root(p, k, monkeypatch):
+    """On c (y-a)^e (y-b)^f with a < b and p not dividing f, the value is taken at most a + 3 times: the candidate,
+    the scan up to a, then the candidate b.  On c (y-a)^(p n) no candidate is tried: the scan takes a + 1."""
+    F = field(p, k)
+    rng = random.Random(59 * p + k)
+    value_idx, calls = Polynomial._value_idx, []
+    monkeypatch.setattr(Polynomial, "_value_idx", lambda P, x: calls.append(x) or value_idx(P, x))
+    for _ in range(40):
+        a, b = sorted(rng.sample(range(F.q), 2))
+        e, f, n = rng.randint(1, 2 * p + 1), rng.choice([j for j in range(1, 2 * p + 2) if j % p]), rng.randint(1, 2)
+        c = Polynomial.from_indices(F, [rng.randrange(1, F.q)])
+        calls.clear()
+        got = (c * Polynomial._from_root_indices(F, [a] * e + [b] * f)).roots()
+        assert got == ([(F.element(a), e), (F.element(b), f)], c) and len(calls) <= a + 3, (a, e, b, f)
+        calls.clear()
+        assert (c * Polynomial._from_root_indices(F, [a] * (p * n))).roots() == ([(F.element(a), p * n)], c)
+        assert len(calls) == a + 1, (a, n)
+
+
 # -- log-domain kernels against schoolbook loops on add_idx / mul_idx ----------
 
 
@@ -401,6 +473,31 @@ def rand_split_den(spec, rng, first_mult):
     return den
 
 
+def _reference_partial_fractions(f):
+    """partial_fractions as it was before it worked from the root list: each pole's cofactor by _divide_out,
+    and each peel step by operator arithmetic."""
+    spec = f.spec
+    poly_part, rest = f.num.divmod(f.den)
+    if rest.is_zero():
+        return PartialFractions(poly_part, [])
+    found, cofactor = f.den.roots()
+    if cofactor.degree > 0:
+        raise ValueError(f"denominator factor does not split over {spec!r}: {cofactor}")
+    terms = []
+    for b, e in found:
+        lin = Polynomial._from_root_indices(spec, [b.idx])
+        g_q, g_b = f.den._divide_out(b.idx)[1].divmod(lin)
+        inv = g_b.leading().inverse()
+        r = rest
+        for j in range(e, 0, -1):
+            r, r_b = r.divmod(lin)
+            if r_b:
+                a = r_b.leading() * inv
+                terms.append((b, j, a))
+                r = r - g_q * a
+    return PartialFractions(poly_part, terms)
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
 def test_partial_fractions_match_reference(p, k):
     """The reference is the defining property of the decomposition:
@@ -415,7 +512,8 @@ def test_partial_fractions_match_reference(p, k):
     y = Polynomial.variable(F)
     for i in range(48):
         f = RationalFunction(rand_poly(F, rng, 12), rand_split_den(F, rng, 1 + i % 6))
-        pf = partial_fractions(f)
+        pf, ref = partial_fractions(f), _reference_partial_fractions(f)
+        assert pf.poly == ref.poly and pf.terms == ref.terms
         assert pf.poly == f.num // f.den
         keys = [(b.idx, j) for b, j, _ in pf.terms]
         assert keys == sorted(set(keys))
@@ -458,6 +556,52 @@ def test_partial_fractions_and_orders_match_sympy(p):
                 want = [multiplicity(sp(h.num), b) - multiplicity(sp(h.den), b) for b in range(p)]
                 want.append(h.den.degree - h.num.degree)
                 assert [h.order_at(q) for q in places] == want
+
+
+def _cover_rhs(F, rng, shape):
+    """A constant plus, at two poles, sum_(i <= j) a_i/(y-b)^i with j prime to p and a_i != 0, and for an even
+    shape a polynomial part of degree prime to p: the right-hand sides of Artin-Schreier covers."""
+    y, p = RationalFunction.variable(F), F.p
+    orders = [j for j in range(1, 5) if j % p]
+    rhs = RationalFunction.constant(F, F.element(rng.randrange(F.q)))
+    for n, b in enumerate(rng.sample(range(F.q), 2)):
+        for i in range(1, orders[(shape + n) % len(orders)] + 1):
+            rhs = rhs + RationalFunction.constant(F, F.element(rng.randrange(1, F.q))) / (y - F.element(b)) ** i
+    if shape % 2 == 0:
+        for i in range(1, orders[shape % len(orders)] + 1):
+            rhs = rhs + RationalFunction.constant(F, F.element(rng.randrange(1, F.q))) * y**i
+    return rhs
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 2), (5, 1), (3, 6)])
+def test_partial_fractions_equal_the_reference_on_cover_equations(p, k):
+    F = field(p, k)
+    rng = random.Random(47 * p + k)
+    for shape in range(24):
+        f = _cover_rhs(F, rng, shape)
+        pf, ref = partial_fractions(f), _reference_partial_fractions(f)
+        assert pf.poly == ref.poly and pf.terms == ref.terms
+        assert len({b.idx for b, _, _ in pf.terms}) == 2 and (pf.poly.degree > 0) == (shape % 2 == 0)
+
+
+def test_partial_fractions_build_no_cofactor_from_the_other_roots(monkeypatch):
+    """Over GF(2^8), 1/(y^255 - 1) has 255 simple poles.  Each pole's cofactor is den/(y-b)^e, so the root lists
+    given to _from_root_indices hold 3 roots a pole (y - b twice, and once in roots); a cofactor built from
+    the other roots would make them hold 255 a pole."""
+    F = field(2, 8)
+    f = 1 / (RationalFunction.variable(F) ** 255 - 1)
+    build, sizes = Polynomial._from_root_indices.__func__, []
+
+    def counted(cls, spec, roots):
+        sizes.append(len(roots))
+        return build(cls, spec, roots)
+
+    with monkeypatch.context() as m:
+        m.setattr(Polynomial, "_from_root_indices", classmethod(counted))
+        pf = partial_fractions(f)
+    assert sum(sizes) == 3 * 255
+    ref = _reference_partial_fractions(f)
+    assert pf.poly == ref.poly and pf.terms == ref.terms
 
 
 def test_partial_fractions_terms_sorted():

@@ -1194,6 +1194,22 @@ def test_negative_datum_fields_are_errors(field, args):
     assert {"rule": "riemann-hurwitz", "detail": message} in validate(example_graphs()[0], A).errors
 
 
+@pytest.mark.parametrize("args, messages", [
+    ((2, 0, 0, 2, (0, 2, 2, 2)), ["lambda_0 = 0 must be at least 1"]),
+    ((2, 0, 0, 3, (-1, 2, 2, 2, 2)), ["lambda_0 = -1 must be at least 1"]),
+    ((3, 0, 0, 3, (3, 0, 3, -2, 3)), ["lambda_1 = 0 must be at least 1", "lambda_3 = -2 must be at least 1"]),
+])
+def test_fiber_multiplicities_below_one_are_errors(args, messages):
+    """Each lambda_i < 1 is listed, in order; the first two data pass the Riemann-Hurwitz count."""
+    A = HurwitzData(*args)
+    assert [e for e in A.errors() if e.startswith("lambda_")] == messages
+    with pytest.raises(GraphError, match=messages[0]):
+        generic_dimension(A)
+    assert {"rule": "riemann-hurwitz", "detail": messages[0]} in validate(example_graphs()[0], A).errors
+    assert HurwitzData(2, 0, 0, 2, (0, 2, 2, 2)).rh_holds() and HurwitzData(2, 0, 0, 3, (-1, 2, 2, 2, 2)).rh_holds()
+    assert HurwitzData(2, 1, 0, 4, (1, 1, 3, 3)).errors() == []  # lambda_i = 1 is allowed
+
+
 # -- a class validated once per datum -------------------------------------------
 #
 # validate remembers, on the class, the datum object it last passed, and
