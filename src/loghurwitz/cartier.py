@@ -179,25 +179,35 @@ def integrate(f: RationalFunction) -> RationalFunction:
 def matrix_rank(spec: FieldSpec, rows) -> int:
     """Rank of a matrix given as a list of rows of element indices.
 
-    Elimination on log lists: each nonzero row in turn is a pivot, and
-    one _addmul per later row clears the pivot's leading column there.
+    The checks (entries in range(q), rows of one length) raise ValueError;
+    then _prefix_ranks eliminates the rows as log lists.
     """
-    zech, q1, log = spec._zech, spec.q - 1, spec._log
+    q1, log = spec.q - 1, spec._log
     # spec.element raises the ValueError for an entry outside range(q), where log[c] would wrap or fail
     rows = [[log[c] if 0 <= c <= q1 else spec.element(c) for c in r] for r in rows]
     if len({len(r) for r in rows}) > 1:
         raise ValueError("matrix rows differ in length")
-    rank = 0
+    return _prefix_ranks(spec, rows)[-1]
+
+
+def _prefix_ranks(spec: FieldSpec, rows):
+    """[rank of rows[:i] for i in 0..len(rows)], by one elimination in place on log lists of one length.
+
+    Each nonzero row in turn is a pivot, and one _addmul per later row clears
+    its leading column there: a row is a pivot just when those above do not span it.
+    """
+    zech, q1 = spec._zech, spec.q - 1
+    ranks = [0]
     for i, row in enumerate(rows):
         pivot = [(j, y) for j, y in enumerate(row) if y >= 0]
         if pivot:
-            rank += 1
             col, lead = pivot[0]
             shift = spec._log_neg_one - lead  # r -= (r[col] / lead) row
             for r in rows[i + 1 :]:
                 if r[col] >= 0:
                     _addmul(r, 0, (r[col] + shift) % q1, pivot, zech, q1)
-    return rank
+        ranks.append(ranks[-1] + bool(pivot))
+    return ranks
 
 
 class TcMatrix:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .cartier import _reduced_roots, _root_indices, _tc_kernel, matrix_rank
+from .cartier import _prefix_ranks, _reduced_roots, _root_indices, _tc_kernel
 from .ffield import FieldSpec
 from .ratfunc import INFINITY, Place, Polynomial, _coeff_log, _log_mul
 
@@ -65,10 +65,8 @@ class MarkingConfig:
 
     def __init__(self, spec: FieldSpec, points):
         points = tuple(points)
-        if len(set(points)) != len(points):
+        if len(set(points)) != len(points):  # two infinities are equal places, so repeated too
             raise ValueError("repeated markings")
-        if sum(1 for q in points if q.is_infinity) > 1:
-            raise ValueError("at most one marking at infinity")
         self.spec = spec
         self.points = points
 
@@ -91,7 +89,7 @@ class MarkingConfig:
 
 
 def _check_compatible(config: MarkingConfig, pattern: ZeroPolePattern):
-    if len(config.points) != pattern.n:
+    if len(config.points) != len(pattern.m):
         raise ValueError("configuration and pattern lengths differ")
     if config.spec.p != pattern.p:
         raise ValueError("configuration field and pattern characteristic differ")
@@ -192,24 +190,25 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     r_i = -m_i g tc(h / (y - p_i)).  Dividing by that nonzero scalar and
     by g, an injective linear map, leaves the ranks below alone: row i
     holds the coefficients of tc(h / (y - p_i)), and in the quasi-exact
-    kind, where g = 1 / E, a constant c has those of c E.
+    kind, where g = 1 / E, a constant c has those of c E.  One elimination
+    of the log rows, E last, gives the rank without E and the rank with it.
     """
     _check_compatible(config, pattern)
-    if pattern.n < 3:
+    if len(pattern.m) < 3:
         raise ValueError("need at least three markings to rigidify the line")
     _check_kind(kind)
-    spec, p = config.spec, pattern.p
+    spec, p, m = config.spec, pattern.p, pattern.m
     roots = _root_indices(spec, config.points)
     found = _member(spec, kind, pattern, roots)
     if found is None:
         raise ValueError("configuration is not in the locus")
-    free = pattern.n - 3
-    if any(q.is_infinity for q in config.points[:free]):
+    free = len(m) - 3
+    if None in roots[:free]:
         raise ValueError("the marking at infinity must be among the three pinned ones")
 
     h_roots, E = found
     rows = []
-    for r, mi in zip(roots[:free], pattern.m):
+    for r, mi in zip(roots[:free], m):
         if mi % p:
             rest = list(h_roots)
             rest.remove(r)
@@ -217,16 +216,13 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     responses = len(rows)
     if kind == QUASI_EXACT:
         rows.append(E)
-    # coefficient rows padded to the longest, as zero columns change no rank
-    width, exp = max(map(len, rows), default=0), spec._exp
-    rows = [[exp[s] if s >= 0 else 0 for s in R] + [0] * (width - len(R)) for R in rows]
+    # log rows padded to the longest, as zero columns change no rank;
     # absorb the p^{-1}-semilinearity: substituting a_i -> a_i^p makes the
     # map linear without changing the kernel dimension over a finite field
-    rank = matrix_rank(spec, rows[:responses]) if responses else 0
-    if kind == EXACT:
-        dim = free - rank
-    else:
-        dim = free - (matrix_rank(spec, rows) - 1)
+    width = max(map(len, rows), default=0)
+    ranks = _prefix_ranks(spec, [R + [-1] * (width - len(R)) for R in rows])
+    rank = ranks[responses]
+    dim = free - (rank if kind == EXACT else ranks[-1] - 1)
     return {"kind": kind, "free": free, "ker_alpha": free - responses, "rank": rank, "dimension": dim}
 
 
@@ -240,16 +236,22 @@ def tangent_dimension(config: MarkingConfig, pattern: ZeroPolePattern, kind: str
 
 def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=None):
     """All locus configurations over GF(p^k), the last markings pinned: _search's hits as MarkingConfigs."""
-    return [MarkingConfig(spec, points) for points in _search(pattern, kind, spec, pinned)]
+    configs = []
+    for points in _search(pattern, kind, spec, pinned):
+        config = object.__new__(MarkingConfig)  # past its check, which _search's hits meet (see there)
+        config.spec, config.points = spec, points
+        configs.append(config)
+    return configs
 
 
 def _search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=None):
     """An iterator of the place tuples of all locus configurations over GF(p^k), the last markings pinned.
 
     The pinned places (default 0, 1, infinity; at most three, truncated
-    for very short patterns) occupy the final slots, killing the Moebius
-    symmetry; the free slots range over the remaining places in the order
-    of itertools.permutations, as a depth-first search that fills the free
+    for very short patterns, checked distinct) occupy the final slots,
+    killing the Moebius symmetry; the free slots take distinct places of
+    the rest, so a hit's places are distinct, in the order of
+    itertools.permutations, as a depth-first search that fills the free
     slots one at a time, each in candidate order.  Along a branch the
     search carries the log lists (Polynomial.logs) of the prefix products
     of h and, for the quasi-exact kind, of E, starting from the pinned

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from loghurwitz.cartier import (
+    _prefix_ranks,
     _root_indices,
     BivariantForm,
     Differential,
@@ -434,6 +435,30 @@ def test_matrix_rank_matches_reference_and_brute_force(p, k):
         assert got == _reference_matrix_rank(spec, m), m
         if len(m) <= 4 and spec.q <= 9:
             assert got == _brute_force_rank(spec, m), m
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 1), (3, 4)])
+def test_prefix_ranks_match_reference_on_every_leading_block(p, k):
+    # ragged rows padded with zeros, as tangent_report pads its log rows, with
+    # zero rows and repeated rows: ranks[i] is the rank of the first i rows
+    spec = field(p, k)
+    rng = random.Random(71 * p + k)
+    samples, dropped = [[], [[]] * 3], 0
+    for _ in range(150):
+        m = _random_low_rank(spec, rng, rng.randrange(0, 7), rng.randrange(1, 7), rng.randrange(0, 5))
+        m = [r[: rng.randrange(len(r) + 1)] if rng.random() < 0.3 else r for r in m]  # ragged
+        for _ in range(rng.randrange(3)):
+            extra = list(rng.choice(m)) if m and rng.random() < 0.5 else [0] * rng.randrange(4)
+            m.insert(rng.randrange(len(m) + 1), extra)
+        samples.append(m)
+    for m in samples:
+        width = max(map(len, m), default=0)
+        ranks = _prefix_ranks(spec, [[spec._log[c] for c in r] + [-1] * (width - len(r)) for r in m])
+        padded = [r + [0] * (width - len(r)) for r in m]
+        assert ranks == [_reference_matrix_rank(spec, padded[:i]) for i in range(len(m) + 1)], m
+        assert ranks[-1] == matrix_rank(spec, padded)
+        dropped += any(a == b for a, b in zip(ranks[1:], ranks[2:]))
+    assert dropped > 50  # a later row in the span of those above it
 
 
 def _reference_linearised_rank(spec, entries):

@@ -4,6 +4,7 @@ import json
 import os
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -481,6 +482,24 @@ def test_loci_bad_pattern(capsys):
         capsys, "loci", "formula", "--field", "2^1", "--pattern", "1,1,1", "--kind", "exact"
     )
     assert code == EXIT_DOMAIN
+
+
+# `loci` CLI bytes and exit codes, recorded while locus_search still passed
+# each hit through MarkingConfig's check and tangent_report ranked its rows
+# as element indices, twice for the quasi-exact kind: search with 1, 2 and 3
+# pins (the CLI has no way to pin none), tangent with and without response
+# rows, formula, both kinds, json and text, and one refused call per message
+LOCI_GOLDEN = json.loads((Path(__file__).parent / "data" / "loci_golden.json").read_text())
+
+
+def test_loci_bytes_match_golden(capsys):
+    mismatched = []
+    for case in LOCI_GOLDEN:
+        code = main(case["argv"])
+        if [code, capsys.readouterr().out] != [case["code"], case["out"]]:
+            mismatched.append(case["argv"])
+    assert not mismatched
+    assert {case["code"] for case in LOCI_GOLDEN} == {EXIT_OK, EXIT_PARSE, EXIT_FIELD, EXIT_DOMAIN}
 
 
 # -- the worked example -------------------------------------------------------

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from loghurwitz.cartier import _root_indices, _tc_kernel, matrix_rank
+from loghurwitz import loci
+from loghurwitz.cartier import _prefix_ranks, _root_indices, _tc_kernel, matrix_rank
 from loghurwitz.ffield import FieldSpec, field
 from loghurwitz.loci import (
     EXACT,
@@ -110,8 +111,10 @@ def test_pattern_invariants():
 def test_config_invariants():
     with pytest.raises(ValueError):
         MarkingConfig(F16, [pt(F16, 0), pt(F16, 0)])
-    with pytest.raises(ValueError):
-        MarkingConfig(F16, [INFINITY, INFINITY])
+    # two infinities are equal places, so the distinctness check catches them
+    for points in ([INFINITY, INFINITY], [INFINITY, Place.infinity(), pt(F16, 1)]):
+        with pytest.raises(ValueError, match="^repeated markings$"):
+            MarkingConfig(F16, points)
 
 
 def test_config_hash_follows_equality():
@@ -559,6 +562,39 @@ def _grid_cells():
                         yield spec, ZeroPolePattern(p, m), kind
 
 
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2)], ids=["2^3", "3^2"])
+def test_search_hits_are_the_configs_the_public_constructor_builds(p, k):
+    # locus_search builds its hits without MarkingConfig's distinctness check:
+    # each must equal, and hash as, the checked config of its places, and no
+    # two hits may be equal, over the grid's patterns with the default pins,
+    # grid-style pins (two random finite places and infinity), two pins and
+    # none, where infinity lands in a free slot
+    spec = field(p, k)
+    rng = random.Random(31 * p + k)
+    grid_pins = (*(Place.finite(spec.element(r)) for r in rng.sample(range(spec.q), 2)), INFINITY)
+    two_pins, hits, free_infinity = (pt(spec, 0), pt(spec, 1)), 0, 0
+    for cell_spec, pattern, kind in _grid_cells():
+        if cell_spec is not spec:
+            continue
+        for pins in (None, grid_pins, two_pins, ()):
+            free = max(pattern.n - (3 if pins is None else len(pins)), 0)
+            if free > 3:
+                continue
+            found = locus_search(pattern, kind, spec, pins)
+            for hit in found:
+                checked = MarkingConfig(spec, hit.points)
+                assert type(hit) is MarkingConfig and hit == checked and hash(hit) == hash(checked), hit
+                assert sum(q.is_infinity for q in hit.points) <= 1, hit
+                free_infinity += any(q.is_infinity for q in hit.points[:free])
+            assert len(set(found)) == len(found), (pattern, kind, pins)
+            hits += len(found)
+    assert hits > 3000 and free_infinity > 500
+    # the CLI's `loci search --field 3^2 --pattern 2,2,-2,2 --kind quasi-exact --pin 0,1`
+    if spec is F9:
+        found = locus_search(ZeroPolePattern(3, (2, 2, -2, 2)), QUASI_EXACT, spec, two_pins)
+        assert found[0] == MarkingConfig(spec, [pt(spec, 2), INFINITY, *two_pins])
+
+
 def test_recorded_grid_counts_are_zero_where_the_pattern_decides():
     # perfbench/loci_counts.json holds the counts of full searches: a cell with
     # some m_i = -1 mod p (quasi-exact: m_i != p - 1) must have count 0, and
@@ -607,6 +643,40 @@ def test_tangent_report_matches_reference_on_grid(pins):
             assert _outcome(tangent_report, config, pattern, kind) == want, (config, pattern, kind)
             reports += isinstance(want, dict)
     assert reports > 100
+
+
+def test_tangent_report_matches_reference_with_the_poles_pinned():
+    # the grid lists each pattern in ascending order, poles first, so its
+    # free markings are the poles; reversed, the zeros are free, and the
+    # response rows and the E row differ in length before padding
+    reports = 0
+    for spec, pattern, kind in _grid_cells():
+        pattern = ZeroPolePattern(spec.p, pattern.m[::-1])
+        for config in locus_search(pattern, kind, spec):
+            want = _outcome(_reference_tangent_report, config, pattern, kind)
+            assert _outcome(tangent_report, config, pattern, kind) == want, (config, pattern, kind)
+            reports += isinstance(want, dict)
+    assert reports > 100
+
+
+def test_tangent_report_eliminates_its_rows_once(monkeypatch):
+    # both ranks come from one pass; a second elimination of the response
+    # rows gives the same reports, so only the call count tells them apart
+    calls = []
+
+    def counted(spec, rows):
+        calls.append(len(rows))
+        return _prefix_ranks(spec, rows)
+
+    monkeypatch.setattr(loci, "_prefix_ranks", counted)
+    with_both = 0
+    for spec, pattern, kind in _grid_cells():
+        for config in locus_search(pattern, kind, spec):
+            del calls[:]
+            tangent_report(config, pattern, kind)
+            assert len(calls) == 1, (config, pattern, kind)
+            with_both += kind == QUASI_EXACT and calls[0] > 1  # response rows and the E row
+    assert with_both > 100
 
 
 def test_tangent_report_rejects_what_the_reference_rejects():
