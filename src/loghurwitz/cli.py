@@ -267,7 +267,7 @@ def cmd_loci(args):
         emit(args, dict(base, dimension=loci.dimension_formula(pattern, kind)))
         return EXIT_OK
     if args.loci_cmd == "search":
-        pinned = _parse_places(args.pin, spec) if args.pin else None
+        pinned = _parse_places(args.pin, spec) if args.pin is not None else None
         hits, names = loci._search(pattern, kind, spec, pinned), {}  # names: at most q + 1 place strings
         configs = ([names.get(q) or names.setdefault(q, str(q)) for q in points] for points in hits)
         _write_list(args, "configs", configs, _dumps, _text_value, **base)

@@ -19,37 +19,13 @@ import itertools
 from .ffield import FieldElement, FieldSpec, _operand, _operator
 
 
-class NegInf:
-    """Degree of the zero polynomial: a sentinel below every integer."""
+class NegInf(float):
+    """Degree of the zero polynomial: float -inf, below every integer, that keeps itself under +."""
 
-    def __lt__(self, other):
-        return not isinstance(other, NegInf)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, NegInf)
-
-    def __eq__(self, other):
-        return isinstance(other, NegInf)
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __hash__(self):
-        return hash("NegInf")
-
-    def __repr__(self):
-        return "-inf"
+    __add__ = __radd__ = lambda self, other: self
 
 
-NEG_INF = NegInf()
+NEG_INF = NegInf("-inf")
 
 
 def _coefficient_index(spec: FieldSpec, c) -> int:
@@ -243,24 +219,16 @@ class Polynomial:
             return Polynomial.constant(self.spec, other)
         return None
 
-    def _add(self, other):
+    def _add(self, other, sign=0):
+        """self + g^sign other: other's nonzero terms multiply-added into a padded copy of self."""
         spec = self.spec
-        zech, q1 = spec._zech, spec.q - 1
-        a, b = self.logs, other.logs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, t in enumerate(b):  # fused, not _addmul: a filtered row list made 8,000 sums 12-37 % slower
-            s = out[i]
-            if s < 0 or t < 0:
-                out[i] = max(s, t)  # the other term, -1 when both are zero
-            else:
-                z = zech[t - s]
-                out[i] = -1 if z < 0 else (s + z) % q1
+        out = self.logs + [-1] * (len(other.logs) - len(self.logs))
+        row = [(j, y) for j, y in enumerate(other.logs) if y >= 0]
+        _addmul(out, 0, sign, row, spec._zech, spec.q - 1)
         return _from_logs(spec, out)
 
     def _sub(self, other):
-        return self._add(-other)
+        return self._add(other, self.spec._log_neg_one)
 
     def _mul(self, other):
         a, b = (self, other) if len(self.logs) > 1 else (other, self)

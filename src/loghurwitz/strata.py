@@ -429,7 +429,7 @@ def _frame_facts(F: _Frame, A: HurwitzData):
                 edges.add("slope", f"edge {eid}: top-level outgoing slope {slope} not divisible by p-1")
 
     # etale sheets
-    for tv_id in {v.image for v in F.source_vertices if v.cover_type == ETALE}:
+    for tv_id in dict.fromkeys(v.image for v in F.source_vertices if v.cover_type == ETALE):
         sheets = [v for v in F.source_vertices if v.image == tv_id]
         if len(sheets) != p or any(v.cover_type != ETALE for v in sheets):
             etale.add("etale", f"target vertex {tv_id} is not covered by exactly p degree-1 sheets")

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -23,7 +25,19 @@ from loghurwitz.expr import MAX_POWER_DEGREE
 from loghurwitz.ffield import parse_field
 from loghurwitz.loci import ZeroPolePattern, _search, locus_search
 from loghurwitz.ratfunc import INFINITY, Place
-from loghurwitz.strata import MAX_ENUM_CANDIDATES, HurwitzData, LevelGraph, enumerate_components
+from loghurwitz.strata import (
+    AS,
+    ETALE,
+    MAX_ENUM_CANDIDATES,
+    HurwitzData,
+    LevelGraph,
+    Marking,
+    SourceEdge,
+    SourceVertex,
+    TargetEdge,
+    TargetVertex,
+    enumerate_components,
+)
 
 
 def run(capsys, *argv):
@@ -270,6 +284,7 @@ LOCI_2_4 = ("--field", "2^4", "--pattern", "1,1,1,1,-2")
      EXIT_DOMAIN, "domain"),
     (("loci", "search", "--field", "2", "--pattern", "1,1,1,1,-2", "--kind", "quasi-exact", "--pin", "0,1,inf,0"),
      EXIT_DOMAIN, "domain"),
+    (("loci", "search", *LOCI_2_4, "--kind", "exact", "--pin="), EXIT_PARSE, "parse"),  # empty, not the default
 ])
 def test_error_sites_exit_codes(capsys, tmp_path, argv, code, kind):
     obj = example_graphs()[0].to_json_obj()
@@ -278,6 +293,34 @@ def test_error_sites_exit_codes(capsys, tmp_path, argv, code, kind):
     path.write_text(json.dumps(obj))
     got, out = run(capsys, *(str(path) if a == "INVALID" else a for a in argv))
     assert (got, out.count("\n"), json.loads(out)["error"]) == (code, 1, kind)
+
+
+def test_validate_lists_etale_errors_in_source_vertex_order(tmp_path):
+    """Four badly covered etale targets: the same bytes under two hash seeds, the etale errors in sheet order."""
+    images = ["d3", "d1", "d4", "d2"]  # neither sorted nor reversed
+    G = LevelGraph(
+        2, "mixed",
+        [SourceVertex("v0", 1, 0, AS, "d0"), *(SourceVertex(f"s{i}", 0, 0, ETALE, d) for i, d in enumerate(images))],
+        [SourceEdge(f"e{i}", "v0", f"s{i}", 0, f"f{i}") for i in range(4)],
+        [TargetVertex("d0", 0), *(TargetVertex(d, 0) for d in images)],
+        [TargetEdge(f"f{i}", "d0", d) for i, d in enumerate(images)],
+        [Marking("v0", 2, 0, f"q{i}") for i in range(4)],
+    )
+    path = tmp_path / "etale.json"
+    path.write_text(G.to_json())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for seed in ("1", "3"):  # seeds 1 and 3 iterate a set of these four ids in different orders
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "loghurwitz.cli", "strata", "validate", "--file", str(path)],
+                              env=env, capture_output=True, timeout=60)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    details = [e["detail"] for e in json.loads(out)["errors"] if e["rule"] == "etale"]
+    assert code == EXIT_DOMAIN
+    assert details == [f"target vertex {d} is not covered by exactly p degree-1 sheets" for d in images]
 
 
 def test_enumerate_names_its_required_flags(capsys):

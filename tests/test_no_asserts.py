@@ -68,7 +68,7 @@ def test_only_the_operator_helper_returns_not_implemented():
 
 
 def test_zech_lookups_stay_in_the_multiply_add_and_the_fused_loops():
-    """A subscript of `zech` or `._zech` appears only in ratfunc._addmul, the four fused loops and add_idx.
+    """A subscript of `zech` or `._zech` appears only in ratfunc._addmul, the three fused loops and add_idx.
 
     ratfunc._addmul is the one multiply-add on log lists, so a Zech
     multiply-add loop copied into another function fails here.
@@ -76,7 +76,6 @@ def test_zech_lookups_stay_in_the_multiply_add_and_the_fused_loops():
     allowed_funcs = {
         ("ratfunc.py", "_addmul"),
         ("ratfunc.py", "_from_root_indices"),
-        ("ratfunc.py", "_add"),
         ("ratfunc.py", "_coeff_log"),
         ("ratfunc.py", "_value_idx"),
         ("ffield.py", "add_idx"),

@@ -46,6 +46,10 @@ def test_zero_polynomial_degree():
     assert Polynomial.constant(F16, 0).degree is NEG_INF
     assert NEG_INF < 0
     assert NEG_INF + 3 is NEG_INF
+    assert 3 + NEG_INF is NEG_INF and NEG_INF + NEG_INF is NEG_INF
+    assert NEG_INF < -(10**30)
+    assert str(NEG_INF) == repr(NEG_INF) == "-inf"
+    assert NEG_INF == float("-inf") and hash(NEG_INF) == hash(float("-inf"))
 
 
 def test_poly_arith_ring_axioms():
@@ -261,6 +265,13 @@ def test_log_kernels_match_schoolbook(p, k):
             want = _school_mul(F, want, [F.neg_idx(r), 1])
         R = Polynomial.from_roots(F, [F.element(r) for r in roots])
         assert R.coeffs == tuple(want) and _well_formed(R)
+        # sums and differences, each longer operand on either side; at p = 2, -1 = 1
+        for X, Y, x, y in ((A, B, a, b), (B, A, b, a)):
+            pad = max(len(x), len(y))
+            x0, y0 = x + [0] * (pad - len(x)), y + [0] * (pad - len(y))
+            assert (X + Y).coeffs == _trim(map(F.add_idx, x0, y0)) and _well_formed(X + Y)
+            assert (X - Y).coeffs == _trim(F.add_idx(u, F.neg_idx(v)) for u, v in zip(x0, y0))
+            assert _well_formed(X - Y) and not (X - X)
 
     # log lists, with entries near q - 1 so that unreduced sums would show
     q1, zech = F.q - 1, F._zech

@@ -938,8 +938,8 @@ def reference_validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
                 f"vertex {v.id}: plain orders sum to {total}, expected {expected}",
             )
 
-    # etale sheets
-    for tv_id in G.etale_target_vertices():
+    # etale sheets, each target where its first sheet is listed
+    for tv_id in dict.fromkeys(v.image for v in G.source_vertices if v.cover_type == ETALE):
         sheets = [v for v in G.source_vertices if v.image == tv_id]
         if len(sheets) != p or any(v.cover_type != ETALE for v in sheets):
             report.add("etale", f"target vertex {tv_id} is not covered by exactly p degree-1 sheets")
