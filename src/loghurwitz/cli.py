@@ -45,7 +45,7 @@ class CliError(Exception):
 
 
 def _get_field(args) -> FieldSpec:
-    designator = getattr(args, "field", None) or os.environ.get(FIELD_ENV)
+    designator = args.field or os.environ.get(FIELD_ENV)
     if not designator:
         raise CliError(EXIT_FIELD, "field", "no field given (use --field or " + FIELD_ENV + ")")
     try:
@@ -56,7 +56,7 @@ def _get_field(args) -> FieldSpec:
 
 def _get_bindings(args, spec):
     bindings = {}
-    for item in getattr(args, "bind", None) or []:
+    for item in args.bind:
         if "=" not in item:
             raise CliError(EXIT_PARSE, "parse", f"binding {item!r} is not name=value")
         name, _, value = item.partition("=")
@@ -138,13 +138,12 @@ def _parse_places(text, spec):
 
 def emit(args, payload, dot=None):
     """Write payload in the --format of args; dot is a zero-argument callable giving the DOT text."""
-    fmt = getattr(args, "format", "json") or "json"
-    if fmt == "dot":
+    if args.format == "dot":
         if dot is None:
             raise CliError(EXIT_PARSE, "parse", "dot output is only available for graphs")
         sys.stdout.write(dot())
         return
-    if fmt == "json":
+    if args.format == "json":
         sys.stdout.write(_dumps(payload) + "\n")
         return
     for key in sorted(payload):

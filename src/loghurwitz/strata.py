@@ -308,7 +308,7 @@ class LevelGraph:
     def from_json(cls, text: str):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, too long an integer, too deep a nesting
             raise GraphError(f"invalid JSON: {exc}") from exc
         return cls.from_json_obj(obj)
 
@@ -657,13 +657,13 @@ def generic_dimension(A: HurwitzData) -> int:
 def canonical_form(G: LevelGraph):
     """A canonical hashable encoding, minimal over invariant-preserving relabelings.
 
-    Vertices may only be permuted within classes sharing (level, genus,
-    cover_type, incident slope multiset, marking positions); markings are
-    never permuted, so graphs differing only in which labeled marking
-    sits where stay distinct.  Twins, vertices whose swap leaves the
-    encoding unchanged under every relabeling, keep one order among
-    themselves, which leaves the minimum as it is.  Trying more than
-    MAX_CANON_ORDERINGS orderings raises GraphError.  The key is computed once per graph and kept.
+    Vertices may only be permuted within classes sharing (level, genus, cover_type, incident slope multiset,
+    marking positions).  A marking sits on one vertex, so a marked vertex is a class of its own and only
+    unmarked vertices move: the key is the least frame part over the orderings, then the markings part, the
+    same under each.  Markings are never permuted, so graphs differing only in which labeled marking sits
+    where stay distinct.  Twins, vertices whose swap leaves the frame part unchanged under every relabeling,
+    keep one order among themselves, which leaves the minimum as it is.  Trying more than MAX_CANON_ORDERINGS
+    orderings raises GraphError.  The key is computed once per graph and kept.
     """
     if G._key is not None:
         return G._key
@@ -686,9 +686,6 @@ def canonical_form(G: LevelGraph):
     frame = F.encodings.get(order)  # the frame's classes share one per base order, and so do their keys
     if frame is None:
         frame = F.encodings[order] = _encode_frame(F, sigma)
-    groups = tuple(sorted(tuple(g) for g in G.marking_groups().values()))
-    groups = F.parts.setdefault(groups, groups)  # taken once a call, and shared by the frame's classes' keys
-    base = frame + _encode_markings(G, sigma, groups)
     per_class, orderings = [], 1  # (twin classes, splits of the class's positions among them)
     for ids in class_lists:
         if len(ids) == 1:
@@ -698,8 +695,7 @@ def canonical_form(G: LevelGraph):
             for tw in twins:
                 a = tw[0]
                 if _neighbours(F, a, {a: vid, vid: a}) == _neighbours(F, vid, {}):
-                    swap = {**sigma, a: sigma[vid], vid: sigma[a]}
-                    if _encode_frame(F, swap) + _encode_markings(G, swap, groups) == base:
+                    if _encode_frame(F, {**sigma, a: sigma[vid], vid: sigma[a]}) == frame:
                         tw.append(vid)
                         break
             else:
@@ -710,18 +706,18 @@ def canonical_form(G: LevelGraph):
         per_class.append((twins, _partitions_into_sizes(range(start, start + len(ids)), sizes)))
     if orderings > MAX_CANON_ORDERINGS:
         raise GraphError(f"canonical_form would try more than MAX_CANON_ORDERINGS = {MAX_CANON_ORDERINGS} orderings")
-    best = base
+    best = frame
     for combo in itertools.product(*(splits for _, splits in per_class)):
         order = dict(sigma)
         for (twins, _), split in zip(per_class, combo):
             for tw, box in zip(twins, split):
                 order.update(zip(tw, box))
         if order != sigma:  # the base ordering is encoded already
-            own = _encode_frame(F, order)
-            if own <= best[:4]:  # else the frame part alone makes the encoding larger than best
-                best = min(best, own + _encode_markings(G, order, groups))
-    G._key = best
-    return best
+            best = min(best, _encode_frame(F, order))
+    groups = tuple(sorted(tuple(g) for g in G.marking_groups().values()))
+    marks = tuple(F.parts.setdefault(m, m) for m in ((sigma[v], lam, xi) for v, lam, xi, _ in G.markings))
+    G._key = best + (marks, F.parts.setdefault(groups, groups))  # the frame's classes' keys share each part by value
+    return G._key
 
 
 def _neighbours(F: _Frame, vid, swap):
@@ -746,12 +742,6 @@ def _encode_frame(F: _Frame, sigma):
         vgroups.setdefault(image, []).append(sigma[vid])
     vgrouping, egrouping = (tuple(sorted(tuple(sorted(g)) for g in groups.values())) for groups in (vgroups, egroups))
     return (verts, tuple(sorted(edge_reps)), vgrouping, egrouping)
-
-
-def _encode_markings(G: LevelGraph, sigma, groups):
-    """The markings, each (position, lam, xi) taken by value from the frame's parts, and their grouping by image."""
-    parts = G._frame.parts  # the frame's classes' keys share one triple per value
-    return tuple(parts.setdefault(m, m) for m in ((sigma[v], lam, xi) for v, lam, xi, _ in G.markings)), groups
 
 
 # ---------------------------------------------------------------------------

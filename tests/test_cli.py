@@ -194,11 +194,17 @@ def test_env_var_field(capsys, monkeypatch):
     assert code == EXIT_OK and obj["result"] == "1"
 
 
-def test_schema_error_code(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[" * 100_000 + "]" * 100_000,  # json raises RecursionError
+    pytest.param('{"p": ' + "1" * 5000 + "}", marks=pytest.mark.skipif(  # json raises the int-digits ValueError
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000, reason="no int-digits limit below 5000")),
+], ids=["syntax", "deep", "long-int"])
+def test_schema_error_code(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, obj = run_json(capsys, "strata", "validate", "--file", str(path))
-    assert code == EXIT_SCHEMA and obj["error"] == "schema"
+    path.write_text(text)
+    code, out = run(capsys, "strata", "validate", "--file", str(path))
+    assert code == EXIT_SCHEMA and out.count("\n") == 1 and json.loads(out)["error"] == "schema"
 
 
 def test_undecodable_graph_file_is_schema_error(capsys, tmp_path):
