@@ -268,7 +268,7 @@ def cmd_loci(args):
     if args.loci_cmd == "search":
         pinned = _parse_places(args.pin, spec) if args.pin is not None else None
         hits, names = loci._search(pattern, kind, spec, pinned), {}  # names: at most q + 1 place strings
-        configs = ([names.get(q) or names.setdefault(q, str(q)) for q in points] for points in hits)
+        configs = ([names.get(q) or names.setdefault(q, str(q)) for q in points] for _, points in hits)
         _write_list(args, "configs", configs, _dumps, _text_value, **base)
         return EXIT_OK
     if not args.config:
@@ -331,6 +331,8 @@ def run_example6(spec: FieldSpec = None, perturb: bool = False):
         spec = make_field(2, 4)
     if spec.p != 2 or spec.k < 2:
         raise CliError(EXIT_DOMAIN, "domain", "the worked example needs a proper extension of GF(2)")
+    if spec.k > 8:  # checks (a) and (b) take q^2 tc calls: GF(2^8) runs for seconds, GF(2^9) past 10 s
+        raise CliError(EXIT_DOMAIN, "domain", "the worked example admits fields up to GF(2^8)")
     report = []
 
     def record(check, description, ok):

@@ -59,16 +59,15 @@ class ZeroPolePattern:
 
 
 class MarkingConfig:
-    """n pairwise distinct places on the line, at most one at infinity."""
+    """n pairwise distinct places on the line, at most one at infinity; == and hash skip a hit's witness."""
 
-    __slots__ = ("spec", "points")
+    __slots__ = ("spec", "points", "_witness")
 
     def __init__(self, spec: FieldSpec, points):
         points = tuple(points)
         if len(set(points)) != len(points):  # two infinities are equal places, so repeated too
             raise ValueError("repeated markings")
-        self.spec = spec
-        self.points = points
+        self.spec, self.points, self._witness = spec, points, None
 
     def __eq__(self, other):
         return (
@@ -192,14 +191,20 @@ def tangent_report(config: MarkingConfig, pattern: ZeroPolePattern, kind: str) -
     holds the coefficients of tc(h / (y - p_i)), and in the quasi-exact
     kind, where g = 1 / E, a constant c has those of c E.  One elimination
     of the log rows, E last, gives the rank without E and the rank with it.
+    A locus_search hit's witness stands in for the membership test when it
+    holds this very points tuple, this m and this kind; any other is tested.
     """
     _check_compatible(config, pattern)
     if len(pattern.m) < 3:
         raise ValueError("need at least three markings to rigidify the line")
     _check_kind(kind)
-    spec, p, m = config.spec, pattern.p, pattern.m
-    roots = _root_indices(spec, config.points)
-    found = _member(spec, kind, pattern, roots)
+    spec, p, m, w = config.spec, pattern.p, pattern.m, config._witness
+    if w is not None and w[0] is config.points and w[1] == (m, kind):
+        roots = w[2]
+        found = _reduced_roots(roots, m, p), _E(spec, roots, m, p) if kind == QUASI_EXACT else None
+    else:
+        roots = _root_indices(spec, config.points)
+        found = _member(spec, kind, pattern, roots)
     if found is None:
         raise ValueError("configuration is not in the locus")
     free = len(m) - 3
@@ -235,17 +240,17 @@ def tangent_dimension(config: MarkingConfig, pattern: ZeroPolePattern, kind: str
 
 
 def locus_search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=None):
-    """All locus configurations over GF(p^k), the last markings pinned: _search's hits as MarkingConfigs."""
-    configs = []
-    for points in _search(pattern, kind, spec, pinned):
+    """_search's hits as MarkingConfigs, each with the witness (points, (m, kind), root indices)."""
+    configs, key = [], (pattern.m, kind)  # one key object for all hits keeps each hit small
+    for roots, points in _search(pattern, kind, spec, pinned):
         config = object.__new__(MarkingConfig)  # past its check, which _search's hits meet (see there)
-        config.spec, config.points = spec, points
+        config.spec, config.points, config._witness = spec, points, (points, key, roots)
         configs.append(config)
     return configs
 
 
 def _search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=None):
-    """An iterator of the place tuples of all locus configurations over GF(p^k), the last markings pinned.
+    """An iterator of (root indices, places) of all locus configurations over GF(p^k), the last markings pinned.
 
     The pinned places (default 0, 1, infinity; at most three, truncated
     for very short patterns, checked distinct) occupy the final slots,
@@ -289,7 +294,7 @@ def _search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=None):
     if len(set(pinned)) != len(pinned):
         raise ValueError("pinned places must be distinct")
     free = n - len(pinned)
-    pinned_roots = _root_indices(spec, pinned)
+    pinned_roots = tuple(_root_indices(spec, pinned))
     # element indices in index order, then infinity (None), as Places sort
     candidates = [r for r in [*range(spec.q), None] if r not in pinned_roots]
     visits = math.perm(len(candidates), free)
@@ -308,7 +313,7 @@ def _search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=None):
 
     h, E = parts(pinned_roots, m[free:])
     if free == 0:
-        return iter([pinned] if _in_locus(spec, kind, h, _ONE, E, _ONE) else [])
+        return iter([(pinned_roots, pinned)] if _in_locus(spec, kind, h, _ONE, E, _ONE) else [])
     if not visits:
         return iter(())
     places = {r: INFINITY if r is None else Place.finite(spec.element(r)) for r in candidates}
@@ -329,4 +334,4 @@ def _search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=None):
                 E_r = _log_mul(E, el, zech, q1) if quasi and mi < 0 else E  # only quasi-exact reads E
                 yield from hits(chosen + (r,), _log_mul(h, hl, zech, q1), E_r)
 
-    return (tuple(places[r] for r in chosen) + pinned for chosen in hits((), h, E))
+    return ((chosen + pinned_roots, tuple(places[r] for r in chosen) + pinned) for chosen in hits((), h, E))

@@ -574,6 +574,21 @@ def test_example6_larger_field(capsys):
     assert code == EXIT_OK and obj["ok"] is True
 
 
+@pytest.mark.parametrize("fld", ["2^9", "2^16"])
+def test_example6_refuses_fields_above_gf_2_8(capsys, monkeypatch, fld):
+    # checks (a) and (b) run tc on all q^2 pairs (lambda, mu): GF(2^8) takes
+    # seconds, GF(2^9) would pass 10 s, so larger fields exit 5 before any tc;
+    # building GF(2^16)'s tables is most of the time left (about 0.3 s)
+    calls = []
+    monkeypatch.setattr("loghurwitz.cli.twisted_cartier", lambda *args: calls.append(args))
+    start = time.perf_counter()
+    code, out = run(capsys, "example6", "--field", fld)
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_DOMAIN and out.count("\n") == 1 and not calls
+    assert json.loads(out) == {"error": "domain", "message": "the worked example admits fields up to GF(2^8)"}
+    assert elapsed < 2.0, elapsed
+
+
 def test_run_example6_api():
     report = run_example6()
     assert len(report) == 7 and all(item["ok"] for item in report)

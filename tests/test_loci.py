@@ -700,6 +700,104 @@ def test_tangent_report_rejects_what_the_reference_rejects():
         assert _outcome(tangent_report, *args) == _outcome(_reference_tangent_report, *args)
 
 
+# -- the witness a search hit carries into tangent_report ----------------------
+
+
+def test_search_hits_report_as_the_configs_the_public_constructor_builds(monkeypatch):
+    # every grid cell, with the poles free (ascending order) and pinned
+    # (reversed), under the default pins and the middle ones, which put a
+    # pinned pole at a finite place: a hit's witness holds its points, m and
+    # kind, and its root indices; the hit equals, hashes as and reports as
+    # the config the public constructor builds from its places, which has
+    # no witness and takes the full membership test, and both eliminations
+    # see the same log rows, E's among them
+    rows = []
+
+    def recorded(spec, R):
+        rows.append(R)
+        return _prefix_ranks(spec, R)
+
+    monkeypatch.setattr(loci, "_prefix_ranks", recorded)
+    reports = 0
+    for spec, pattern, kind in _grid_cells():
+        for m, pins in itertools.product((pattern.m, pattern.m[::-1]), ("default", "middle")):
+            pat = ZeroPolePattern(spec.p, m)
+            for hit in locus_search(pat, kind, spec, _pins(spec, pins)):
+                copy = MarkingConfig(spec, hit.points)
+                witness = hit._witness
+                assert copy._witness is None and witness[0] is hit.points and witness[1] == (m, kind)
+                assert list(witness[2]) == _root_indices(spec, hit.points), hit
+                assert hit == copy and hash(hit) == hash(copy), hit
+                del rows[:]
+                want = _outcome(tangent_report, copy, pat, kind)
+                assert _outcome(tangent_report, hit, pat, kind) == want, (hit, pat, kind)
+                assert rows[:1] == rows[1:], (hit, pat, kind)
+                reports += isinstance(want, dict)
+    assert reports > 8000
+
+
+def test_a_hit_passed_with_another_pattern_or_kind_takes_the_full_test():
+    # the witness holds for the search's pattern and kind only: with the
+    # other kind, or another pattern of the same p and length, a hit gets
+    # the reference's outcome, a report or the same ValueError
+    rng = random.Random(36)
+    by_length = {}
+    for spec, pattern, kind in _grid_cells():
+        if kind == EXACT:  # each pattern once
+            by_length.setdefault((spec, pattern.n), []).append(pattern)
+    outcomes = {"report": 0, "off": 0}
+    for (spec, _), patterns in by_length.items():
+        for pattern in patterns:
+            for kind in (EXACT, QUASI_EXACT):
+                for hit in locus_search(pattern, kind, spec)[:3]:
+                    others = [(pattern, EXACT if kind == QUASI_EXACT else QUASI_EXACT)]
+                    others += [(other, kd) for other in rng.sample(patterns, 3) for kd in (EXACT, QUASI_EXACT)
+                               if (other.m, kd) != (pattern.m, kind)]
+                    for other, kd in others:
+                        want = _outcome(_reference_tangent_report, hit, other, kd)
+                        assert _outcome(tangent_report, hit, other, kd) == want, (hit, pattern, kind, other, kd)
+                        outcomes["report" if isinstance(want, dict) else "off"] += 1
+    assert outcomes["report"] > 50 and outcomes["off"] > 1000, outcomes
+
+
+def test_a_hit_with_reassigned_points_takes_the_full_test():
+    # the witness is trusted only for the points tuple it was made with: a
+    # hit whose points are reassigned, to an equal tuple or to one off the
+    # locus, gets the outcome of the public constructor's config
+    equal = off = 0
+    for spec, pattern, kind in _grid_cells():
+        places = [Place.finite(e) for e in spec.elements()] + [INFINITY]
+        for hit in locus_search(pattern, kind, spec)[:3]:
+            want = _outcome(tangent_report, MarkingConfig(spec, hit.points), pattern, kind)
+            hit.points = tuple(list(hit.points))
+            assert hit._witness[0] is not hit.points and _outcome(tangent_report, hit, pattern, kind) == want, hit
+            equal += 1
+            # one place moved so that the config leaves the locus
+            moves = ((*hit.points[:i], q, *hit.points[i + 1:]) for i in range(pattern.n) for q in places)
+            outside = next((points for points in moves if len(set(points)) == len(points)
+                            and not _reference_membership(MarkingConfig(spec, points), pattern, kind)), None)
+            if outside is not None:
+                hit.points = outside
+                with pytest.raises(ValueError, match="^configuration is not in the locus$"):
+                    tangent_report(hit, pattern, kind)
+                off += 1
+    assert equal > 200 and off > 50, (equal, off)
+
+
+def test_search_hits_with_infinity_in_a_free_slot_still_raise():
+    # pins that leave out infinity let a hit put it in a free slot; the
+    # witness makes the hit a locus point, but the tangent needs it pinned
+    raised = 0
+    for spec, pattern, kind in _grid_cells():
+        free = pattern.n - 3
+        for hit in locus_search(pattern, kind, spec, _pins(spec, "finite")):
+            if any(q.is_infinity for q in hit.points[:free]):
+                with pytest.raises(ValueError, match="^the marking at infinity must be among the three pinned ones$"):
+                    tangent_report(hit, pattern, kind)
+                raised += 1
+    assert raised > 100
+
+
 def test_formula_rank_agreement_p3():
     pat = ZeroPolePattern(3, (2, 1, 1))
     for kind in (EXACT, QUASI_EXACT):
