@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from loghurwitz import cli
+from loghurwitz.cartier import BivariantForm, twisted_cartier
 from loghurwitz.cli import (
     EXIT_DOMAIN,
     EXIT_FIELD,
@@ -24,7 +26,7 @@ from loghurwitz.cli import (
 from loghurwitz.expr import MAX_POWER_DEGREE
 from loghurwitz.ffield import parse_field
 from loghurwitz.loci import ZeroPolePattern, _search, locus_search
-from loghurwitz.ratfunc import INFINITY, Place
+from loghurwitz.ratfunc import INFINITY, Place, RationalFunction
 from loghurwitz.strata import (
     AS,
     ETALE,
@@ -574,19 +576,109 @@ def test_example6_larger_field(capsys):
     assert code == EXIT_OK and obj["ok"] is True
 
 
-@pytest.mark.parametrize("fld", ["2^9", "2^16"])
-def test_example6_refuses_fields_above_gf_2_8(capsys, monkeypatch, fld):
-    # checks (a) and (b) run tc on all q^2 pairs (lambda, mu): GF(2^8) takes
-    # seconds, GF(2^9) would pass 10 s, so larger fields exit 5 before any tc;
-    # building GF(2^16)'s tables is most of the time left (about 0.3 s)
+def test_example6_gf_2_10_all_green(capsys):
+    code, obj = run_json(capsys, "example6", "--field", "2^10")
+    assert code == EXIT_OK and obj["ok"] is True and all(c["ok"] for c in obj["checks"])
+
+
+@pytest.mark.parametrize("fld", ["2^13", "2^16"])
+def test_example6_refuses_fields_above_gf_2_12(capsys, monkeypatch, fld):
+    # checks (a) and (b) make 2q + 1 tc calls: GF(2^12) takes about 1.1 s, so
+    # larger fields exit 5 before any tc; building GF(2^16)'s tables is most
+    # of the time left (about 0.3 s)
     calls = []
     monkeypatch.setattr("loghurwitz.cli.twisted_cartier", lambda *args: calls.append(args))
     start = time.perf_counter()
     code, out = run(capsys, "example6", "--field", fld)
     elapsed = time.perf_counter() - start
     assert code == EXIT_DOMAIN and out.count("\n") == 1 and not calls
-    assert json.loads(out) == {"error": "domain", "message": "the worked example admits fields up to GF(2^8)"}
+    assert json.loads(out) == {"error": "domain", "message": "the worked example admits fields up to GF(2^12)"}
     assert elapsed < 2.0, elapsed
+
+
+def _reference_example6_ab(spec):
+    """Checks (a) and (b) as run_example6 made them before its O(q) rewrite: tc on every pair (lambda, mu)."""
+    y = RationalFunction.variable(spec)
+    ok_a = True
+    ok_b = True
+    quasi_seen = False
+    for lam in spec.elements():
+        for mu in spec.elements():
+            psi = BivariantForm(y * (y - 1) * (y - lam) / (y - mu) ** 2)
+            tc = cli.twisted_cartier(psi)
+            expected = (y - lam.pth_root()) / (y - mu)
+            if tc != expected:
+                ok_a = False
+            flag, _ = cli.is_quasi_exact(psi)
+            if flag != (mu == lam.pth_root() and not tc.is_zero() and tc.is_constant()):
+                ok_b = False
+            if flag:
+                quasi_seen = True
+    return ok_a, ok_b and quasi_seen
+
+
+def _example6_ab(spec):
+    report = run_example6(spec)
+    assert [item["check"] for item in report[:2]] == ["a", "b"]
+    return report[0]["ok"], report[1]["ok"]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_example6_ab_equals_the_reference(k):
+    spec = parse_field(f"2^{k}")
+    assert _example6_ab(spec) == _reference_example6_ab(spec) == (True, True)
+
+
+def _scaled_tc(fires):
+    """A tc that returns the generator times the true tc wherever fires(f) holds.
+
+    A nonzero constant stays a nonzero constant, so the reference's (b),
+    which reads this tc, sees no change; only (a) may fail.
+    """
+    def tc(psi):
+        out = twisted_cartier(psi)
+        if fires(psi.f):
+            out = out * RationalFunction.constant(out.spec, out.spec.element(out.spec.generator_index))
+        return out
+    return tc
+
+
+EXAMPLE6_FAULTS = {
+    # reduced denominator a power of y (y^0 included): every mu = 0 form, and
+    # lam = mu = 1, whose form reduces to y
+    "tc-mu-zero": ("twisted_cartier", _scaled_tc(lambda f: not any(f.den.coeffs[:-1])), (False, True)),
+    # numerator y(y-1)(y-lam) with lam != 0 and mu outside {0, 1, lam}: never
+    # A_mu or B_mu, so only the spot check through the full form sees it
+    "tc-cubic-family": ("twisted_cartier", _scaled_tc(lambda f: f.num.degree == 3 and f.num.coeffs[1]), (False, True)),
+    "never-quasi-exact": ("is_quasi_exact", lambda psi: (False, None), (True, False)),
+    "always-quasi-exact": ("is_quasi_exact", lambda psi: (True, psi.f.spec.one), (True, False)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(EXAMPLE6_FAULTS))
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_example6_ab_report_a_fault_as_the_reference_does(monkeypatch, fault, k):
+    name, patch, expected = EXAMPLE6_FAULTS[fault]
+    monkeypatch.setattr(cli, name, patch)
+    spec = parse_field(f"2^{k}")
+    assert _example6_ab(spec) == _reference_example6_ab(spec) == expected
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_example6_ab_make_o_q_tc_calls(monkeypatch, k):
+    counts = {"twisted_cartier": 0, "is_quasi_exact": 0}
+
+    def counted(name, fn):
+        def wrapper(psi):
+            counts[name] += 1
+            return fn(psi)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    spec = parse_field(f"2^{k}")
+    assert _example6_ab(spec) == (True, True)
+    assert counts == {"twisted_cartier": 2 * spec.q + 1, "is_quasi_exact": 2 * spec.q}
 
 
 def test_run_example6_api():
