@@ -117,7 +117,7 @@ class LevelGraph:
     def __init__(self, p, regime, source_vertices, source_edges, target_vertices, target_edges, markings):
         if p < 2:  # as in HurwitzData
             raise GraphError(f"p = {p} must be at least 2")
-        F = self._frame = _Frame(p=p, regime=regime, datum=None, ledger=None, signatures=None, encodings={}, parts={})
+        F = self._frame = _Frame(p=p, regime=regime, datum=None, ledger=None, signatures=None, least={}, parts={})
         F.source_vertices, F.source_edges, F.target_vertices, F.target_edges = map(
             tuple, (source_vertices, source_edges, target_vertices, target_edges))
         F.sv, F.tv, F.te = ({x.id: x for x in xs} for xs in (F.source_vertices, F.target_vertices, F.target_edges))
@@ -354,7 +354,7 @@ def _frame_facts(F: _Frame, A: HurwitzData):
     """What validate and stratum_dimension read off the frame F before the markings, under the datum A.
 
     The facts, on F and so shared by its classes, are filled on the first call with A and refilled for another
-    datum; the ledger's target counts and vertex terms and canonical_form's vertex signatures need no datum and stay.
+    datum; the ledger's target counts and vertex terms and canonical_form's signatures and least frame parts stay.
     """
     if F.datum is A:
         return F
@@ -539,19 +539,17 @@ def validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
 # dimension ledger and monoid rank
 
 
-# contributions lists (label, value) per component; closed_form is
-# N-3-#E_D^hor-#V_C^ex when g=0, else None
-_LedgerFields = namedtuple(
-    "StratumLedger",
-    "contributions mod_as mod_ex mod_quex total closed_form e_d_hor v_c_ex monoid_rank monoid_free",
-)
-
-
 class StratumLedger(SimpleNamespace):
-    """The fields of _LedgerFields, by position or keyword. A computed result, not a key: mutable, unhashable."""
+    """A stratum's dimension ledger, by position or keyword. A computed result, not a key: mutable, unhashable.
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(**_LedgerFields(*args, **kwargs)._asdict())
+    contributions lists (label, value) per component; closed_form is N-3-#E_D^hor-#V_C^ex when g=0, else None.
+    """
+
+    def __init__(self, contributions, mod_as, mod_ex, mod_quex, total, closed_form, e_d_hor, v_c_ex, monoid_rank,
+                 monoid_free):
+        super().__init__(contributions=contributions, mod_as=mod_as, mod_ex=mod_ex, mod_quex=mod_quex, total=total,
+                         closed_form=closed_form, e_d_hor=e_d_hor, v_c_ex=v_c_ex, monoid_rank=monoid_rank,
+                         monoid_free=monoid_free)
 
 
 def _monoid(A: HurwitzData, e_d_hor, v_c_ex):
@@ -590,22 +588,23 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
         F.ledger = hor, half_edges, etale_points, sorted(G.etale_target_vertices()), as_terms, frob_terms
     hor, half_edges, etale_points, etale_targets, as_terms, frob_terms = F.ledger
     half_edges, etale_points = half_edges.copy(), etale_points.copy()
-    # one pass over the markings: each target marking's [end, all lambda = 1], and per vertex
-    # [sum xi // (p(p-1)) over lambda = p, count + sum (xi + p - 1) // p]
-    sv, groups, at = F.sv, {}, {}
+    # one pass over the markings: each target marking's end (validate checked there is one) and whether all its
+    # lambda are 1, and per vertex sum xi // (p(p-1)) over lambda = p and the count plus sum (xi + p - 1) // p
+    sv, ends, unramified, ram, orders = F.sv, {}, {}, {}, {}
     for vid, lam, xi, label in G.markings:
-        groups.setdefault(label, [sv[vid].image, True])[1] &= lam == 1
-        terms = at.setdefault(vid, [0, 0])
-        terms[0] += xi // (p * (p - 1)) if lam == p else 0
-        terms[1] += 1 + (xi + p - 1) // p
-    for end, unramified in groups.values():
+        ends[label] = sv[vid][4]
+        unramified[label] = lam == 1 and unramified.get(label, True)
+        if xi and lam == p:  # a zero twist, as every marking has in the mixed regime, adds nothing
+            ram[vid] = ram.get(vid, 0) + xi // (p * (p - 1))
+        orders[vid] = orders.get(vid, 0) + 1 + (xi + p - 1) // p
+    for label, end in ends.items():
         half_edges[end] += 1
-        etale_points[end] += unramified
+        etale_points[end] += unramified[label]
 
     contributions = []
     mod_as = mod_ex = mod_quex = v_c_ex = 0
     for vid, label, image, term in as_terms:
-        val = term + etale_points[image] - at.get(vid, (0, 0))[0]
+        val = term + etale_points[image] - ram.get(vid, 0)
         mod_as += val
         contributions.append((label, val))
     for tv_id in etale_targets:
@@ -613,7 +612,7 @@ def stratum_dimension(G: LevelGraph, A: HurwitzData) -> StratumLedger:
         mod_as += val
         contributions.append((f"etale-target:{tv_id}", val))
     for vid, label, term, exact in frob_terms:
-        val = term + at.get(vid, (0, 0))[1]
+        val = term + orders.get(vid, 0)
         contributions.append((label, val))
         if exact:
             mod_ex += val
@@ -663,7 +662,8 @@ def canonical_form(G: LevelGraph):
     same under each.  Markings are never permuted, so graphs differing only in which labeled marking sits
     where stay distinct.  Twins, vertices whose swap leaves the frame part unchanged under every relabeling,
     keep one order among themselves, which leaves the minimum as it is.  Trying more than MAX_CANON_ORDERINGS
-    orderings raises GraphError.  The key is computed once per graph and kept.
+    orderings raises GraphError.  The least frame part is found once per frame and class layout, the key once per
+    graph and kept.
     """
     if G._key is not None:
         return G._key
@@ -680,14 +680,24 @@ def canonical_form(G: LevelGraph):
     classes = {}
     for vid, sig in sigs.items():  # in source_vertices order; the invariant is (sig, marking positions)
         classes.setdefault((sig, G._marks_at[vid]), []).append(vid)
-    class_lists = [ids for _, ids in sorted(classes.items())]
-    order = tuple(itertools.chain.from_iterable(class_lists))
-    sigma = {vid: i for i, vid in enumerate(order)}
-    frame = F.encodings.get(order)  # the frame's classes share one per base order, and so do their keys
-    if frame is None:
-        frame = F.encodings[order] = _encode_frame(F, sigma)
+    layout = tuple([tuple(ids) for _, ids in sorted(classes.items())])  # a list, not a generator: 0.7 us less a call
+    least, sigma = F.least.get(layout) or _least_frame_part(F, layout)
+    groups = tuple(sorted(tuple(g) for g in G.marking_groups().values()))
+    marks = tuple(F.parts.setdefault(m, m) for m in ((sigma[v], lam, xi) for v, lam, xi, _ in G.markings))
+    G._key = least + (marks, F.parts.setdefault(groups, groups))  # the frame's classes' keys share each part by value
+    return G._key
+
+
+def _least_frame_part(F: _Frame, layout):
+    """(least frame part, base positions) over the orderings of a class layout: its invariant classes, in order.
+
+    Neither reads a marking, so the frame's classes of one layout share them in F.least, keyed by the classes
+    (two layouts may list one base order).  A layout refused by MAX_CANON_ORDERINGS raises and stores nothing.
+    """
+    sigma = {vid: i for i, vid in enumerate(itertools.chain.from_iterable(layout))}
+    frame = _encode_frame(F, sigma)
     per_class, orderings = [], 1  # (twin classes, splits of the class's positions among them)
-    for ids in class_lists:
+    for ids in layout:
         if len(ids) == 1:
             continue
         twins = []
@@ -714,10 +724,8 @@ def canonical_form(G: LevelGraph):
                 order.update(zip(tw, box))
         if order != sigma:  # the base ordering is encoded already
             best = min(best, _encode_frame(F, order))
-    groups = tuple(sorted(tuple(g) for g in G.marking_groups().values()))
-    marks = tuple(F.parts.setdefault(m, m) for m in ((sigma[v], lam, xi) for v, lam, xi, _ in G.markings))
-    G._key = best + (marks, F.parts.setdefault(groups, groups))  # the frame's classes' keys share each part by value
-    return G._key
+    F.least[layout] = best, sigma
+    return best, sigma
 
 
 def _neighbours(F: _Frame, vid, swap):

@@ -662,6 +662,11 @@ def base_order(G):
     return tuple(itertools.chain.from_iterable(invariant_classes(G)))
 
 
+def class_layout(G):
+    """The invariant classes as a tuple of tuples, the key of a frame's least frame parts."""
+    return tuple(map(tuple, invariant_classes(G)))
+
+
 @pytest.mark.parametrize("b", [4, 6, 8])
 def test_canonical_form_equals_the_reference(b):
     """Every class at 6 vertices, with its frame's shared encodings, against brute_force_canonical_form.
@@ -681,7 +686,7 @@ def test_canonical_form_equals_the_reference(b):
 def test_canonical_form_equals_brute_force(b):
     """The example graphs, and relabelled copies of them and of every class at 6 vertices, which build their own frames.
 
-    A relabelled copy's frame holds one encoding, of its base order: the orderings loop stores none.
+    A relabelled copy's frame holds one least frame part, of its layout: the orderings loop stores nothing else.
     """
     A = HurwitzData(2, (b - 2) // 2, 0, b, (2,) * b)
     rng = random.Random(b)
@@ -691,7 +696,7 @@ def test_canonical_form_equals_brute_force(b):
     for G in examples + enumerate_components(A, 6):
         for H in (relabel(G, rng) for _ in range(3)):
             assert canonical_form(H) == brute_force_canonical_form(H)
-            assert list(H._frame.encodings) == [base_order(H)]
+            assert list(H._frame.least) == [class_layout(H)]
 
 
 def random_graph(rng):
@@ -707,10 +712,14 @@ def random_graph(rng):
 
 
 def test_canonical_form_equals_brute_force_on_random_graphs():
+    """Random graphs, each with two siblings on its frame whose markings moved, so that layouts are shared or not."""
     rng = random.Random(7)
     for _ in range(400):
         G = random_graph(rng)
-        assert canonical_form(G) == brute_force_canonical_form(G), G.to_json()
+        vids = [v.id for v in G.source_vertices]
+        siblings = [G._with_markings([m._replace(vertex=rng.choice(vids)) for m in G.markings]) for _ in range(2)]
+        for H in (G, *siblings):
+            assert canonical_form(H) == brute_force_canonical_form(H), H.to_json()
 
 
 def test_equal_neighbours_are_not_twins_across_images():
@@ -743,10 +752,10 @@ def test_canonical_form_ordering_bound(monkeypatch):
     G = _build_two_level(A, 3, (1, 1, 1), 6, [(0, 3), (1, 4), (2, 5)], [3, 3, 3],
                                 ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)))
     monkeypatch.setattr(strata, "MAX_CANON_ORDERINGS", 5)
-    for _ in range(2):  # a refusal keeps nothing, so a repeat call is refused again
+    for _ in range(2):  # a refusal keeps nothing, on the graph or its frame, so a repeat call is refused again
         with pytest.raises(GraphError, match="MAX_CANON_ORDERINGS = 5"):
             canonical_form(G)
-        assert G._key is None
+        assert G._key is None and G._frame.least == {}
     monkeypatch.setattr(strata, "MAX_CANON_ORDERINGS", 6)
     assert canonical_form(G) == brute_force_canonical_form(G)
 
@@ -1176,6 +1185,26 @@ def test_frame_facts_are_built_once_per_frame(monkeypatch):
     assert len(calls) == 3 * 3510 and len(fills) == 2 * 18
 
 
+def test_each_ledger_belongs_to_its_caller():
+    """A caller's changes to one ledger reach neither the next call on that class nor a sibling of its frame.
+
+    A sibling with two unramified markings on a top vertex, as in the changed-markings test above, adds to the
+    frame's etale-point counts in its own copy, so its second ledger equals its first.
+    """
+    A = HurwitzData(2, 3, 0, 8, (2,) * 8)
+    unramified = A._replace(N=9, Lam=A.Lam + (1, 1), Xi=A.Xi + (0, 0))
+    for classes in _frames(A):
+        G = classes[0]
+        top = G.source_vertices[0].id
+        U = G._with_markings([*G.markings, Marking(top, 1, 0, "q8"), Marking(top, 1, 0, "q8")])
+        for H, B in ((G, A), (classes[-1], A), (G, A), (U, unramified), (U, unramified), (G, A)):
+            L = stratum_dimension(G, A)
+            L.contributions.append(("changed", 1))
+            L.contributions[0] = ("changed", 2)
+            L.total += 1
+            assert vars(stratum_dimension(H, B)) == vars(reference_stratum_dimension(H, B))
+
+
 @pytest.mark.parametrize("field, args", [("h", (2, -1, 0, 0, ())), ("g", (2, 1, -1, 4, (2,) * 4)),
                                          ("N", (2, 1, 0, -2, (2,) * 4))])
 def test_negative_datum_fields_are_errors(field, args):
@@ -1276,45 +1305,82 @@ def test_with_markings_starts_unvalidated():
     assert validate(same, A).ok and same._valid_for is A
 
 
-# -- each frame's encoding shared by its classes ---------------------------------
+# -- each frame's least frame parts shared by its classes -----------------------
 #
-# canonical_form builds the frame's part of the encoding of its base ordering
-# once per frame and base order.  Its oracle is brute_force_canonical_form
-# above: test_canonical_form_equals_the_reference checks every enumerated class
-# on its shared frame, and test_canonical_form_equals_brute_force relabelled
-# copies that build their own encodings.
+# canonical_form finds the least frame part over the orderings once per frame
+# and class layout, the vertex ids grouped by invariant.  Its oracle is
+# brute_force_canonical_form above: test_canonical_form_equals_the_reference
+# checks every enumerated class on its shared frame, and
+# test_canonical_form_equals_brute_force relabelled copies that fill their own.
 
 
 def test_classes_of_one_frame_share_its_encodings():
-    """At b = 8 each frame holds one encoding per distinct base order of its classes, and their keys share it."""
+    """At b = 8 each frame holds one least frame part per layout of its classes, and their keys share it."""
     A = HurwitzData(2, 3, 0, 8, (2,) * 8)
-    shared = 0
+    shared = layouts = 0
     for classes in _frames(A):
-        encodings = classes[0]._frame.encodings
-        assert set(encodings) == {base_order(G) for G in classes}
+        least = classes[0]._frame.least
+        assert set(least) == {class_layout(G) for G in classes}
+        layouts += len(least)
         keys = [canonical_form(G) for G in classes]  # all taken before any is compared
         assert len({id(key[5]) for key in keys}) == 1  # one grouping of the markings, and one object per triple
         triples = {}
         assert all(triples.setdefault(m, m) is m for key in keys for m in key[4])
         for G, key in zip(classes, keys):
-            order = base_order(G)
-            frame = encodings[order]
-            if key == reference_encode(G, {vid: i for i, vid in enumerate(order)}):  # the base is least
-                assert all(part is own for part, own in zip(key, frame))
-                shared += 1
-    assert shared == 3090  # the other 420 classes have a least ordering other than their base one
+            part, _ = least[class_layout(G)]
+            assert all(own is mine for own, mine in zip(key[:4], part))
+            shared += key == reference_encode(G, {vid: i for i, vid in enumerate(base_order(G))})  # base is least
+    # 21 layouts on 18 frames; the other 420 classes take a least ordering other than their base one, and share it too
+    assert layouts == 21 and shared == 3090
+
+
+def test_each_layout_pays_for_its_least_frame_part_once(monkeypatch):
+    """At b = 8 the enumeration's sort fills 21 least frame parts, one per (frame, layout); keyed again, none is encoded."""
+    A = HurwitzData(2, 3, 0, 8, (2,) * 8)
+    fills, encodes = [], []
+    least_frame_part, encode = strata._least_frame_part, strata._encode_frame
+    monkeypatch.setattr(strata, "_least_frame_part", lambda F, L: fills.append((id(F), L)) or least_frame_part(F, L))
+    monkeypatch.setattr(strata, "_encode_frame", lambda *args: encodes.append(args) or encode(*args))
+    comps = enumerate_components(A, 6)
+    frames = {id(G._frame): G._frame for G in comps}
+    assert len(fills) == len(set(fills)) == sum(len(F.least) for F in frames.values()) == 21 and len(frames) == 18
+    keys = [G._key for G in comps]
+    fills.clear()
+    encodes.clear()
+    for G in comps:
+        G._key = None
+    assert [canonical_form(G) for G in comps] == keys and fills == encodes == []
+
+
+def test_layouts_with_one_base_order_keep_their_own_least_frame_parts():
+    """Tops a and b share an invariant but not an image, so they swap in one class and not in the other.
+
+    Bare, they are one class (a, b) and swapping them lowers the frame part; with b marked, they are (a,), (b,),
+    the same base order, and the base frame part is least.  The frame keys the two apart.
+    """
+    G = LevelGraph(2, "mixed", [SourceVertex("a", 0, 0, AS, "d0"), SourceVertex("b", 0, 0, AS, "d1"),
+                                SourceVertex("c", 1, 0, AS, "d0")], [],
+                   [TargetVertex("d0", 0), TargetVertex("d1", 0)], [], [Marking("c", 2, 0, "q0")])
+    H = G._with_markings([Marking("b", 2, 0, "q0")])
+    assert class_layout(G) == (("a", "b"), ("c",)) and class_layout(H) == (("a",), ("b",), ("c",))
+    for X in (G, H, G._with_markings(G.markings), H._with_markings(H.markings)):
+        assert canonical_form(X) == brute_force_canonical_form(X)
+    assert set(G._frame.least) == {class_layout(G), class_layout(H)}
+    assert canonical_form(G)[:4] != canonical_form(H)[:4] == reference_encode(H, {"a": 0, "b": 1, "c": 2})[:4]
 
 
 def test_orderings_loop_adds_no_encoding():
-    """Three equal tops with distinct markings below try 3! orderings and keep one encoding, of the base order."""
+    """Three equal tops with distinct markings below try 3! orderings and keep one least frame part, of the layout."""
     A = HurwitzData(2, 3, 0, 12, (2,) * 12)
     G = _build_two_level(A, 3, (1, 1, 1), 6, [(0, 3), (1, 4), (2, 5)], [3, 3, 3],
                          ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)))
     for H in (G, star(5)):
         assert canonical_form(H) == brute_force_canonical_form(H)
-        assert list(H._frame.encodings) == [base_order(H)]
+        assert list(H._frame.least) == [class_layout(H)]
+        assert H._frame.least[class_layout(H)][0] == canonical_form(H)[:4]
+        H._key = None
         canonical_form(H)
-        assert len(H._frame.encodings) == 1
+        assert len(H._frame.least) == 1
 
 
 # -- oracles read only the public API ---------------------------------------------
