@@ -68,7 +68,7 @@ class ArtinSchreierCover:
         conductors = []
         for b in places:
             h = branch_parts[b]
-            if h.is_zero() or h.degree < 1:
+            if h.degree < 1:
                 raise CoverError(f"empty principal part at {b}")
             if h.coefficient(0).idx != 0:
                 raise CoverError(f"principal part at {b} must vanish at 0")

@@ -57,10 +57,11 @@ def _get_field(args) -> FieldSpec:
 def _get_bindings(args, spec):
     bindings = {}
     for item in args.bind:
-        if "=" not in item:
-            raise CliError(EXIT_PARSE, "parse", f"binding {item!r} is not name=value")
-        name, _, value = item.partition("=")
-        bindings[name.strip()] = parse_element(value, spec)
+        name, eq, value = (part.strip() for part in item.partition("="))
+        if not (eq and name.isidentifier() and name.isascii()) or name in ("y", "w"):  # _Parser.atom reads y, w first
+            why = "names nothing an expression can read" if eq else "is not name=value"
+            raise CliError(EXIT_PARSE, "parse", f"binding {item!r} {why}")
+        bindings[name] = parse_element(value, spec)
     return bindings
 
 
@@ -139,8 +140,6 @@ def _parse_places(text, spec):
 def emit(args, payload, dot=None):
     """Write payload in the --format of args; dot is a zero-argument callable giving the DOT text."""
     if args.format == "dot":
-        if dot is None:
-            raise CliError(EXIT_PARSE, "parse", "dot output is only available for graphs")
         sys.stdout.write(dot())
         return
     if args.format == "json":
@@ -457,7 +456,7 @@ def build_parser():
     ]:
         p = sub.add_parser(name)
         p.add_argument("--field", help="field designator p^k (default from $" + FIELD_ENV + ")")
-        p.add_argument("--format", choices=["json", "text", "dot"], default="json")
+        p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--expr", required=True, help="rational expression in y")
         p.add_argument("--bind", action="append", help="name=value element binding", default=[])
         p.set_defaults(func=cmd_expr, payload=payload)

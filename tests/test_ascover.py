@@ -418,6 +418,9 @@ def test_invalid_branch_parts():
         ArtinSchreierCover(F16, {Place.finite(F16.from_int(0)): h_div})
     with pytest.raises(CoverError):
         ArtinSchreierCover(F16, {})
+    for h_empty in (Polynomial(F16, []), Polynomial(F16, [F16.one])):  # degree -inf, then 0
+        with pytest.raises(CoverError, match="^empty principal part at 0$"):
+            ArtinSchreierCover(F16, {Place.finite(F16.from_int(0)): h_empty})
 
 
 def test_marked_collision_rejected():

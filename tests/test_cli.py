@@ -91,6 +91,26 @@ def test_quasi_exact_with_bindings(capsys):
     assert obj["quasi_exact"] is True and obj["witness"] == "1"
 
 
+@pytest.mark.parametrize("binding", ["y=1", "w=1", "1=2", "=1", " =1", "l-1=2", "\u00e9=1", "l"])
+def test_bindings_no_expression_can_read_exit_parse(capsys, binding):
+    """The variable y and the generator w are read before any binding, and a name is [A-Za-z_][A-Za-z_0-9]*."""
+    code, out = run(capsys, "tc", "--field", "2^2", "--expr", "y", "--bind", binding)
+    assert (code, out.count("\n"), json.loads(out)["error"]) == (EXIT_PARSE, 1, "parse")
+    assert repr(binding) in json.loads(out)["message"]
+
+
+def test_bindings_keep_their_names_after_stripping(capsys):
+    code, out = run(capsys, "tc", "--field", "2^2", "--expr", "y*l", "--bind", " l = w ", "--bind", "_k1=1")
+    assert (code, out) == (EXIT_OK, '{"classification":"quasi-exact","result":"w+1"}\n')
+
+
+@pytest.mark.parametrize("command", ["cartier", "tc", "exact", "quasi-exact", "ascover"])
+def test_expression_subcommands_refuse_dot(capsys, command):
+    """Only strata draws DOT; argparse's wording of the refusal varies by Python version, so it is not pinned."""
+    code, out = run(capsys, command, "--field", "2^2", "--expr", "1/y", "--format", "dot")
+    assert (code, out.count("\n"), json.loads(out)["error"]) == (EXIT_PARSE, 1, "parse")
+
+
 def test_quasi_exact_over_largest_odd_field(capsys):
     # GF(3^10) is inside MAX_ORDER; tc(w^3 y^2) = w
     code, obj = run_json(capsys, "quasi-exact", "--field", "3^10", "--expr", "w^3*y^2")
@@ -301,6 +321,17 @@ def test_error_sites_exit_codes(capsys, tmp_path, argv, code, kind):
     path.write_text(json.dumps(obj))
     got, out = run(capsys, *(str(path) if a == "INVALID" else a for a in argv))
     assert (got, out.count("\n"), json.loads(out)["error"]) == (code, 1, kind)
+
+
+@pytest.mark.parametrize("datum", [
+    ("--datum", "2,2,0,4", "--lambda", "2,2,2,2"),  # fails Riemann-Hurwitz
+    ("--datum", "2,1,0,4", "--lambda", "2,2,2,2", "--xi", "1,1,1,1"),  # nonzero xi in the mixed regime
+])
+@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+def test_enumerate_refuses_an_invalid_datum(capsys, datum, fmt):
+    code, out = run(capsys, "strata", "enumerate", *datum, "--format", fmt)
+    assert (code, out.count("\n"), json.loads(out)["error"]) == (EXIT_DOMAIN, 1, "domain")
+    assert "Riemann-Hurwitz count fails for the discrete datum" in json.loads(out)["message"]
 
 
 def test_validate_lists_etale_errors_in_source_vertex_order(tmp_path):

@@ -293,8 +293,17 @@ def test_search_empty():
     pat = ZeroPolePattern(2, (1, 1))
     assert locus_search(pat, EXACT, F4) == []
     assert locus_search(pat, EXACT, F16) == []
-    # 15 free slots and 14 candidates: no configuration, and no partial one is explored
+    # 15 free slots and 14 candidates, but the pattern decides first (-7 is -1 mod 2): no partial one is explored
     assert locus_search(ZeroPolePattern(2, (1,) * 16 + (-7, -7)), QUASI_EXACT, F16) == []
+
+
+def test_search_with_more_free_slots_than_candidates_finds_nothing():
+    """Every m_i even, so the pattern decides nothing: the depth-first search runs out of candidates."""
+    # GF(2): three places, all pinned, for one free slot; GF(4): two candidates for three free slots
+    for spec, m in ((field(2, 1), (2, 2, 2, -4)), (F4, (2, 2, 2, 2, 2, -8))):
+        free = len(m) - 3
+        assert math.perm(spec.q - 2, free) == 0
+        assert list(loci._search(ZeroPolePattern(2, m), EXACT, spec)) == []
 
 
 def test_search_work_bound():

@@ -1,11 +1,13 @@
 """Static checks on the package source.
 
 Runtime checks raise, never `assert`, since `python -O` strips asserts; no
-module keeps an import it does not use; and the operand rule of the value
-types and the Zech multiply-add on log lists are each written once.
+module keeps an import it does not use or imports beyond the standard
+library; and the operand rule of the value types and the Zech multiply-add
+on log lists are each written once.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "loghurwitz"
@@ -39,6 +41,30 @@ def test_package_modules_use_every_name_they_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def _foreign_imports(text, filename="<source>"):
+    """(line, module) of each import in text that is neither relative nor of a standard-library module."""
+    found = []
+    for node in ast.walk(ast.parse(text, filename=filename)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.partition(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    """The runtime is standard-library only (`dependencies = []` in pyproject.toml): each import is relative or stdlib."""
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    found = [f"{path.name}:{line} {name}" for path in sources for line, name in _foreign_imports(path.read_text(), path)]
+    assert found == []
+    sample = "import json\nimport numpy\nfrom sympy.core import S\nfrom . import ffield\nimport os.path as osp\n"
+    assert _foreign_imports(sample) == [(2, "numpy"), (3, "sympy.core")]
 
 
 def test_only_the_operator_helper_returns_not_implemented():

@@ -314,6 +314,24 @@ def test_products_by_a_constant_match_schoolbook(p, k):
             assert (A * n).coeffs == (n * A).coeffs == _trim(_school_mul(F, a, [F.from_int(n).idx]))
 
 
+@pytest.mark.parametrize("spec", [F16, F9, F5])
+def test_degenerate_operands_take_the_general_path(spec):
+    """A zero or constant factor, a dividend below the divisor, gcd(0, 0) and a polynomial's partial fractions."""
+    y, zero = Polynomial.variable(spec), Polynomial.constant(spec, 0)
+    c = spec.element(spec.q - 1)
+    a = y**3 + c * y + 1
+    for got in (a * zero, zero * a, zero * zero, zero * c):
+        assert got == zero and _well_formed(got)
+    assert (a * Polynomial.constant(spec, c)).coeffs == tuple((c * x).idx for x in map(spec.element, a.coeffs))
+    for low in (zero, Polynomial.constant(spec, c), y + c, y * y):
+        quot, rem = low.divmod(a)
+        assert (quot, rem) == (zero, low) and _well_formed(rem)
+    assert zero.gcd(zero) == zero and zero.gcd(a * c) == a == (a * c).gcd(zero)
+    for f in (a, zero, Polynomial.constant(spec, c)):
+        pf = partial_fractions(RationalFunction(f))
+        assert (pf.poly, pf.terms) == (f, []) and pf.recombine() == RationalFunction(f)
+
+
 def _school_value(F, coeffs, x):
     acc = 0
     for c in reversed(coeffs):

@@ -216,6 +216,17 @@ def test_validate_rejects_even_slope():
     assert "as-balance" in rules or "slope" in rules
 
 
+def test_validate_names_each_frobenius_end_of_an_edge_once():
+    """e1 of the three-level graph joins two Frobenius vertices: slope 2 gives one error per end, lower end first."""
+    G = example_graphs()[1]
+    edges = [SourceEdge(e.id, e.v1, e.v2, 2, e.image) if e.id == "e1" else e for e in G.source_edges]
+    bad = LevelGraph(G.p, G.regime, G.source_vertices, edges, G.target_vertices, G.target_edges, G.markings)
+    rep = validate(bad, A4)
+    frob = [e["detail"] for e in rep.errors if "is 0 mod p" in e["detail"]]
+    assert frob == ["edge e1: slope 2 is 0 mod p at Frobenius vertex v2", "edge e1: slope 2 is 0 mod p at Frobenius vertex v1"]
+    assert rep.errors == reference_validate(bad, A4).errors
+
+
 def test_validate_rejects_wrong_genus():
     rep = validate(two_level(genus=2), A4)
     assert not rep.ok
@@ -278,6 +289,17 @@ def test_enumerate_four_components():
 def test_enumerate_empty_for_small_datum():
     A = HurwitzData(2, 0, 0, 2, (2, 2))
     assert enumerate_components(A, max_vertices=5) == []
+
+
+def test_enumerate_rejects_a_datum_that_fails_its_checks():
+    """Data that HurwitzData.errors() refuses raise with the joined errors, as generic_dimension does."""
+    for A in (HurwitzData(2, 2, 0, 4, (2, 2, 2, 2)), HurwitzData(2, 1, 0, 4, (2, 2, 2, 2), (1, 1, 1, 1))):
+        assert A.errors()
+        with pytest.raises(GraphError) as info:
+            enumerate_components(A, max_vertices=6)
+        assert str(info.value) == "; ".join(A.errors())
+        with pytest.raises(GraphError, match=re.escape(str(info.value))):
+            generic_dimension(A)
 
 
 def test_enumerate_rejects_unsupported():
@@ -894,11 +916,11 @@ def reference_validate(G: LevelGraph, A: HurwitzData) -> ValidationReport:
         else:
             if slope == 0:
                 report.add("slope", f"level-crossing edge {eid} has slope 0")
-            down_type, up_type = (type1, type2) if level1 < level2 else (type2, type1)
+            (down, down_type), (up, up_type) = ((v1, type1), (v2, type2)) if level1 < level2 else ((v2, type2), (v1, type1))
             if down_type == FROB and slope % p == 0:
-                report.add("slope", f"edge {eid}: slope {slope} is 0 mod p at a Frobenius vertex")
+                report.add("slope", f"edge {eid}: slope {slope} is 0 mod p at Frobenius vertex {down}")
             if up_type == FROB and slope % p == 0:
-                report.add("slope", f"edge {eid}: slope {slope} is 0 mod p at a Frobenius vertex")
+                report.add("slope", f"edge {eid}: slope {slope} is 0 mod p at Frobenius vertex {up}")
             if up_type == AS and slope % (p - 1) != 0:
                 report.add("slope", f"edge {eid}: top-level outgoing slope {slope} not divisible by p-1")
 
