@@ -57,11 +57,10 @@ def _get_field(args) -> FieldSpec:
 def _get_bindings(args, spec):
     bindings = {}
     for item in args.bind:
-        name, eq, value = (part.strip() for part in item.partition("="))
-        if not (eq and name.isidentifier() and name.isascii()) or name in ("y", "w"):  # _Parser.atom reads y, w first
-            why = "names nothing an expression can read" if eq else "is not name=value"
-            raise CliError(EXIT_PARSE, "parse", f"binding {item!r} {why}")
-        bindings[name] = parse_element(value, spec)
+        if "=" not in item:
+            raise CliError(EXIT_PARSE, "parse", f"binding {item!r} is not name=value")
+        name, _, value = item.partition("=")
+        bindings[name.strip()] = parse_element(value, spec)
     return bindings
 
 

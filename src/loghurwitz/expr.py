@@ -15,7 +15,8 @@ import re
 from .ffield import FieldSpec
 from .ratfunc import RationalFunction
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN = re.compile(rf"\s*(\d+|{_NAME}|\*\*|[-+*/^()])")
 
 MAX_POWER_DEGREE = 4096  # `tc` on a dense power of this degree over GF(7): 0.39 s, on a fraction 14.7 s (README)
 
@@ -51,6 +52,9 @@ class _Parser:
         self.spec = spec
         self.variable = variable
         self.bindings = bindings or {}
+        for name in self.bindings:  # atom reads the variable and w before any binding
+            if name in (variable, "w") or not re.fullmatch(_NAME, name):
+                raise ExprError(f"binding name {name!r} is not one an expression can read")
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None

@@ -314,6 +314,8 @@ def _search(pattern: ZeroPolePattern, kind: str, spec: FieldSpec, pinned=None):
     h, E = parts(pinned_roots, m[free:])
     if free == 0:
         return iter([(pinned_roots, pinned)] if _in_locus(spec, kind, h, _ONE, E, _ONE) else [])
+    if not visits:
+        return iter(())
     places = {r: INFINITY if r is None else Place.finite(spec.element(r)) for r in candidates}
     factors = {(r, mi): parts([r], [mi]) for mi in set(m[:free]) for r in candidates}  # for the call
     zech, q1 = spec._zech, spec.q - 1

@@ -289,21 +289,21 @@ def test_search_exact_point():
     assert found[0].points == (pt(F16, 0), pt(F16, 1), INFINITY)
 
 
-def test_search_empty():
+def test_search_empty(monkeypatch):
     pat = ZeroPolePattern(2, (1, 1))
     assert locus_search(pat, EXACT, F4) == []
     assert locus_search(pat, EXACT, F16) == []
     # 15 free slots and 14 candidates, but the pattern decides first (-7 is -1 mod 2): no partial one is explored
     assert locus_search(ZeroPolePattern(2, (1,) * 16 + (-7, -7)), QUASI_EXACT, F16) == []
 
+    def no_visit(*args):
+        raise AssertionError("a search with more free slots than candidates visited a prefix")
 
-def test_search_with_more_free_slots_than_candidates_finds_nothing():
-    """Every m_i even, so the pattern decides nothing: the depth-first search runs out of candidates."""
-    # GF(2): three places, all pinned, for one free slot; GF(4): two candidates for three free slots
-    for spec, m in ((field(2, 1), (2, 2, 2, -4)), (F4, (2, 2, 2, 2, 2, -8))):
-        free = len(m) - 3
-        assert math.perm(spec.q - 2, free) == 0
-        assert list(loci._search(ZeroPolePattern(2, m), EXACT, spec)) == []
+    # all m_i even, so the exact kind gets no pattern decision: the search returns before any visit
+    monkeypatch.setattr(loci, "_log_mul", no_visit)
+    for spec, m in ((field(2, 1), (2, 2, 2, -4)), (F4, (2,) * 5 + (-8,)), (F16, (2,) * 17 + (-32,))):
+        assert math.perm(spec.q - 2, len(m) - 3) == 0
+        assert locus_search(ZeroPolePattern(2, m), EXACT, spec) == []
 
 
 def test_search_work_bound():

@@ -738,6 +738,11 @@ def test_parse_generator_and_bindings():
         parse_expression("w", field(5, 1))  # no generator in a prime field
     with pytest.raises(ExprError):
         parse_expression("y + unknown", F16)
+    # atom reads the variable and w before any binding, and a name is one token [A-Za-z_][A-Za-z_0-9]*
+    for name in ["y", "w", "1", "", " a", "a ", "a-1", "\u00e9", "a\n"]:
+        with pytest.raises(ExprError, match="is not one an expression can read"):
+            parse_expression("y", F16, bindings={name: w})
+    assert parse_expression("x - y", F16, variable="x", bindings={"y": w}) == y - w
 
 
 def test_parse_element():
