@@ -115,8 +115,11 @@ def _graph_datum(args, G=None):
 
 
 def _int_list(text):
-    try:
-        return [int(v) for v in str(text).split(",") if v != ""]
+    values = [v.strip() for v in str(text).split(",") if v != ""]
+    try:  # ASCII decimal only: int() would also read "+", underscores and other scripts' digits
+        if not all(v.removeprefix("-").isascii() and v.removeprefix("-").isdigit() for v in values):
+            raise ValueError
+        return [int(v) for v in values]
     except ValueError as exc:
         raise CliError(EXIT_PARSE, "parse", f"expected comma-separated integers, got {text!r}") from exc
 

@@ -11,13 +11,13 @@ built for the smallest primitive element g: exp (n -> index of g^n),
 log, and the Zech logarithm Z[n] = log(1 + g^n), so that
 a + b = a (1 + b/a) is one lookup (Huber, IEEE Trans. IT 36, 1990).
 Fields of order up to 2^16 are supported, which is the intended desk
-scale; building one takes O(q k) time and O(q) memory.
+scale; building one takes O(q) table reads and O(q) memory, plus four
+chunk tables of 2^(b ceil(k/2)) < 4q entries at most, freed after it.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 
 MAX_ORDER = 1 << 16
 
@@ -140,31 +140,41 @@ class FieldSpec:
         else:
             raise RuntimeError(f"GF({p}^{k}) has no primitive element")
 
-        # exp[n] = index of gen^n, stepped on digit vectors: multiply by
-        # gen = sum g_j w^j as sum g_j (w^j cur), reducing w^k with the
-        # modulus.  exp is stored twice over so that a sum of two logs
-        # needs no reduction mod q - 1.
-        while g[-1] == 0:
-            g.pop()
-        red = [(-c) % p for c in mod[:k]]  # w^k = sum red_i w^i
-        weights = [p**i for i in range(k)]
+        # exp[n] = index of gen^n, walked on packed digit vectors: digit i sits
+        # in bits [b i, b i + b), room for a sum of two digits, so a digitwise
+        # sum mod p is one add and one subtract of p from the slots that reached
+        # p (Lamport, CACM 18, 1975).  Times gen and the index are linear: two
+        # reads of tables keyed by the packed low k // 2 digits and the rest.
+        # exp is stored twice over so that a sum of two logs needs no reduction mod q - 1.
+        b, lo = (p - 1).bit_length() + 1, k // 2
+        ones = ((1 << b * k) - 1) // ((1 << b) - 1)  # 1 in every slot
+        adj, high = ((1 << b - 1) - p) * ones, ones << b - 1  # a slot plus adj reaches its high bit iff >= p
+
+        def chunk(j0, m):
+            """gen * v and the index of v, for v on digits j0 .. j0+m-1, keyed by v's m digits packed."""
+            mul, idx, keys = [0] * (1 << b * m), [0] * (1 << b * m), [0]
+            for j in range(m):  # keys[i] is keys[i - w] with digit j one higher, w = p^j
+                img = sum(c << b * i for i, c in enumerate(_gfp_mul(g, [0] * (j0 + j) + [1], p, mod)))
+                w = len(keys)
+                for i in range(w, p * w):
+                    key, s = keys[i - w] + (1 << b * j), mul[keys[i - w]] + img
+                    mul[key], idx[key] = s - (((s + adj) & high) >> b - 1) * p, i * p**j0
+                    keys.append(key)
+            return mul, idx
+
+        (mul_lo, idx_lo), (mul_hi, idx_hi) = chunk(0, lo), chunk(lo, k - lo)
+        mask, shift = (1 << b * lo) - 1, b * lo
         q1 = q - 1
         exp = [0] * q1
         log = [-1] * q  # log[0] = -1 stands for the zero element
-        cur = [1] + [0] * (k - 1)
+        cur = 1
         for n in range(q1):
-            idx = sum(map(operator.mul, cur, weights))
-            exp[n] = idx
-            log[idx] = n
-            acc = [g[0] * c for c in cur]
-            for gj in g[1:]:  # digits grow a little here; reduced mod p below
-                top = cur[-1]
-                cur = [0] + cur[:-1]
-                if top:
-                    cur = [c + top * r for c, r in zip(cur, red)]
-                if gj:
-                    acc = [a + gj * c for a, c in zip(acc, cur)]
-            cur = [a % p for a in acc]
+            low, top = cur & mask, cur >> shift
+            exp[n] = e = idx_lo[low] + idx_hi[top]
+            log[e] = n
+            s = mul_lo[low] + mul_hi[top]
+            cur = s - (((s + adj) & high) >> b - 1) * p
+        del mul_lo, idx_lo, mul_hi, idx_hi  # before the Zech table and the doubled lists: the peak
         # Zech logarithms: zech[n] = log(1 + gen^n), or -1 where 1 + gen^n = 0.
         # Adding 1 raises digit 0 of the index by one, mod p.
         zech = [log[e + 1 if e % p != p - 1 else e + 1 - p] for e in exp]
@@ -255,13 +265,12 @@ def field(p: int, k: int = 1) -> FieldSpec:
 
 
 def parse_field(designator: str) -> FieldSpec:
-    """Parse a designator like "2^4" or "5" into a FieldSpec."""
-    text = designator.strip()
-    if "^" in text:
-        ps, ks = text.split("^", 1)
-    else:
-        ps, ks = text, "1"
+    """Parse a designator like "2^4" or "5", in ASCII decimal digits, into a FieldSpec."""
+    ps, _, ks = designator.partition("^") if "^" in designator else (designator, "", "1")
+    ps, ks = ps.strip(), ks.strip()
     try:
+        if not (ps.isascii() and ps.isdigit() and ks.isascii() and ks.isdigit()):
+            raise ValueError  # int() would also read signs, underscores and non-ASCII digits
         p, k = int(ps), int(ks)
     except ValueError as exc:
         raise ValueError(f"malformed field designator {designator!r}") from exc

@@ -204,6 +204,28 @@ def test_field_error_code(capsys):
     assert code == EXIT_FIELD and obj["error"] == "field"
 
 
+@pytest.mark.parametrize("argv,code,error", [
+    (("tc", "--field", "3^1_0", "--expr", "y"), EXIT_FIELD, "field"),
+    (("tc", "--field", "+3", "--expr", "y"), EXIT_FIELD, "field"),
+    (("tc", "--field", "\u0663", "--expr", "y"), EXIT_FIELD, "field"),
+    (("loci", "search", "--field", "3", "--pattern", "1_0,1,-7", "--kind", "exact"), EXIT_PARSE, "parse"),
+    (("loci", "formula", "--field", "2", "--pattern", "+1,1,1,1,-2", "--kind", "exact"), EXIT_PARSE, "parse"),
+    (("strata", "enumerate", "--datum", "2,1,0,\u0664", "--lambda", "2,2,2,2"), EXIT_PARSE, "parse"),
+    (("tc", "--field", "5", "--expr", "y^\u0663"), EXIT_PARSE, "parse"),
+    (("tc", "--field", "5", "--expr", "\uff12*y"), EXIT_PARSE, "parse"),
+])
+def test_numbers_are_ascii_decimal(capsys, argv, code, error):
+    # int() and the regex \d alone read a sign, underscores and digits of any script
+    got, out = run(capsys, *argv)
+    assert got == code and out.count("\n") == 1 and json.loads(out)["error"] == error
+
+
+def test_int_lists_keep_a_leading_minus_and_whitespace(capsys):
+    assert cli._int_list(" -3, 4 ,,0\t") == [-3, 4, 0]
+    argv = ("loci", "formula", "--field", "2", "--kind", "quasi-exact", "--pattern")
+    assert run(capsys, *argv, " 1, 1,1 ,1,-2,") == run(capsys, *argv, "1,1,1,1,-2")
+
+
 def test_missing_field_error(capsys, monkeypatch):
     monkeypatch.delenv("LOGHURWITZ_FIELD", raising=False)
     code, obj = run_json(capsys, "tc", "--expr", "y")

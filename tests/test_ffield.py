@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import random
 import subprocess
@@ -7,7 +8,17 @@ import time
 
 import pytest
 
-from loghurwitz.ffield import MAX_ORDER, FieldSpec, _smallest_modulus, field, is_prime, parse_field
+from loghurwitz.ffield import (
+    MAX_ORDER,
+    FieldSpec,
+    _digits,
+    _gfp_powmod,
+    _prime_factors,
+    _smallest_modulus,
+    field,
+    is_prime,
+    parse_field,
+)
 
 
 def test_prime_validation():
@@ -53,6 +64,14 @@ def test_parse_field():
         parse_field("6^2")
     with pytest.raises(ValueError):
         parse_field("not a field")
+    assert parse_field(" 3 ^ 2\n").q == 9
+
+
+@pytest.mark.parametrize("designator", ["3^1_0", "+3", "-3", "\u0663", "3^\u0661\u0660", "1_1", "3^+2", "\uff13", "3^"])
+def test_parse_field_reads_ascii_decimal_digits_only(designator):
+    # int() alone reads a sign, underscores and digits of any script
+    with pytest.raises(ValueError, match="malformed field designator"):
+        parse_field(designator)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 2), (5, 1), (7, 1), (3, 3)])
@@ -270,6 +289,60 @@ def test_field_layer_is_linear_in_q():
     F = field(3, 6)
     assert len(F._exp) == len(F._zech) == 2 * (F.q - 1) and len(F._log) == F.q
     assert not any(isinstance(v, list) and len(v) >= F.q**2 for v in vars(F).values())
+
+
+def _reference_tables(p, k, mod):
+    """generator_index, exp, log, zech and log(-1) by a walk on digit lists, one list op per digit of gen."""
+    mod = list(mod)
+    factors = _prime_factors(p**k - 1)
+    for gen in range(2 if p**k > 2 else 1, p**k):
+        g = _digits(gen, p, k)
+        if all(_gfp_powmod(g, (p**k - 1) // r, p, mod) != [1] for r in factors):
+            break
+    while g[-1] == 0:
+        g.pop()
+    red = [(-c) % p for c in mod[:k]]  # w^k = sum red_i w^i
+    weights = [p**i for i in range(k)]
+    exp, log = [0] * (p**k - 1), [-1] * p**k
+    cur = [1] + [0] * (k - 1)
+    for n in range(p**k - 1):
+        idx = sum(map(operator.mul, cur, weights))
+        exp[n], log[idx] = idx, n
+        acc = [g[0] * c for c in cur]
+        for gj in g[1:]:  # cur times w, then acc += gj * cur, reduced mod p once at the end
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [c + top * r for c, r in zip(cur, red)]
+            if gj:
+                acc = [a + gj * c for a, c in zip(acc, cur)]
+        cur = [a % p for a in acc]
+    zech = [log[e + 1 if e % p != p - 1 else e + 1 - p] for e in exp]
+    return gen, exp + exp, log, zech + zech, log[p - 1]
+
+
+def _tables(F):
+    return F.generator_index, F._exp, F._log, F._zech, F._log_neg_one
+
+
+def test_tables_match_the_digit_list_walk_up_to_order_4096():
+    fields = [(p, k) for p in range(2, 4097) if is_prime(p) for k in range(1, 13) if p**k <= 4096]
+    assert len(fields) == 604
+    for p, k in fields:
+        F = FieldSpec(p, k)
+        assert _tables(F) == _reference_tables(p, k, F.modulus), (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(2, 15), (2, 16), (3, 10), (251, 2), (65521, 1)])
+def test_tables_match_the_digit_list_walk_on_the_largest_fields(p, k):
+    F = field(p, k)
+    assert _tables(F) == _reference_tables(p, k, F.modulus)
+
+
+def test_field_keeps_no_build_table():
+    assert sorted(vars(FieldSpec(2, 16))) == [
+        "_exp", "_log", "_log_neg_one", "_zech", "generator_index", "k", "modulus", "one", "p", "q", "zero"
+    ]
 
 
 @pytest.mark.parametrize("p,k", [(3, 10), (2, 16), (251, 2), (65521, 1)])
