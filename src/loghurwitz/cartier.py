@@ -92,7 +92,7 @@ class PPowerDecomposition:
 
 
 def _root_indices(spec: FieldSpec, places):
-    """Element index of each place, None at infinity; an element of spec itself is read directly."""
+    """Element index of each place, None at infinity; a spec's own element is read directly (1,028 calls a loci-grid round)."""
     return [None if v is None else v.idx if isinstance(v, FieldElement) and v.spec is spec
             else _coefficient_index(spec, v) for v in (q.value for q in places)]
 

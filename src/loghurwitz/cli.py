@@ -114,14 +114,15 @@ def _graph_datum(args, G=None):
         raise CliError(EXIT_PARSE, "parse", str(exc)) from exc
 
 
-def _int_list(text):
+def _int_list(text, one=False):
     values = [v.strip() for v in str(text).split(",") if v != ""]
     try:  # ASCII decimal only: int() would also read "+", underscores and other scripts' digits
-        if not all(v.removeprefix("-").isascii() and v.removeprefix("-").isdigit() for v in values):
+        if one and len(values) != 1 or not all(v.removeprefix("-").isascii() and v.removeprefix("-").isdigit() for v in values):
             raise ValueError
         return [int(v) for v in values]
     except ValueError as exc:
-        raise CliError(EXIT_PARSE, "parse", f"expected comma-separated integers, got {text!r}") from exc
+        what = "one integer" if one else "comma-separated integers"
+        raise CliError(EXIT_PARSE, "parse", f"expected {what}, got {text!r}") from exc
 
 
 def _parse_places(text, spec):
@@ -470,7 +471,7 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", help="comma-separated lambda_i")
     p.add_argument("--xi", help="comma-separated xi_i")
     p.add_argument("--regime", choices=["mixed", "equicharacteristic"])
-    p.add_argument("--max-vertices", type=int, default=8)
+    p.add_argument("--max-vertices", type=lambda text: _int_list(text, one=True)[0], default=8)
     p.add_argument("--format", choices=["json", "text", "dot"], default="json")
     p.set_defaults(func=cmd_strata)
 

@@ -18,7 +18,7 @@ from .ratfunc import RationalFunction
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN = re.compile(rf"\s*([0-9]+|{_NAME}|\*\*|[-+*/^()])")  # ASCII digits: \d takes any script's
 
-MAX_POWER_DEGREE = 4096  # `tc` on a dense power of this degree over GF(7): 0.39 s, on a fraction 14.7 s (README)
+MAX_POWER_DEGREE = 4096  # tc's cost at this degree, on a power and on a fraction: README's "largest dense `^`" paragraph
 
 
 class ExprError(ValueError):

@@ -211,6 +211,10 @@ def test_field_error_code(capsys):
     (("loci", "search", "--field", "3", "--pattern", "1_0,1,-7", "--kind", "exact"), EXIT_PARSE, "parse"),
     (("loci", "formula", "--field", "2", "--pattern", "+1,1,1,1,-2", "--kind", "exact"), EXIT_PARSE, "parse"),
     (("strata", "enumerate", "--datum", "2,1,0,\u0664", "--lambda", "2,2,2,2"), EXIT_PARSE, "parse"),
+    (("strata", "enumerate", "--datum", "2,1,0,4", "--lambda", "2,2,2,2", "--max-vertices", "1_0"), EXIT_PARSE, "parse"),
+    (("strata", "enumerate", "--datum", "2,1,0,4", "--lambda", "2,2,2,2", "--max-vertices", "+6"), EXIT_PARSE, "parse"),
+    (("strata", "enumerate", "--datum", "2,1,0,4", "--lambda", "2,2,2,2", "--max-vertices", "\u0666"), EXIT_PARSE, "parse"),
+    (("strata", "enumerate", "--datum", "2,1,0,4", "--lambda", "2,2,2,2", "--max-vertices", "6,6"), EXIT_PARSE, "parse"),
     (("tc", "--field", "5", "--expr", "y^\u0663"), EXIT_PARSE, "parse"),
     (("tc", "--field", "5", "--expr", "\uff12*y"), EXIT_PARSE, "parse"),
 ])
@@ -222,6 +226,7 @@ def test_numbers_are_ascii_decimal(capsys, argv, code, error):
 
 def test_int_lists_keep_a_leading_minus_and_whitespace(capsys):
     assert cli._int_list(" -3, 4 ,,0\t") == [-3, 4, 0]
+    assert cli._int_list(" -1 ", one=True) == [-1]  # --max-vertices: one number, its sign kept
     argv = ("loci", "formula", "--field", "2", "--kind", "quasi-exact", "--pattern")
     assert run(capsys, *argv, " 1, 1,1 ,1,-2,") == run(capsys, *argv, "1,1,1,1,-2")
 

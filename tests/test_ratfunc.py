@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from loghurwitz.cartier import integrate
+from loghurwitz.cartier import Differential, integrate
 from loghurwitz.expr import ExprError, ExprLimitError, parse_element, parse_expression
 from loghurwitz.ffield import field
 from loghurwitz.mobius import Mobius
@@ -440,14 +440,25 @@ def test_order_at_and_divisor():
     assert d.order(INFINITY) == 1
 
 
+@pytest.mark.parametrize("spec", [F16, field(7, 1)])
+def test_divisor_with_a_constant_numerator_or_denominator(spec):
+    # roots() of a nonzero constant finds none, so a constant part adds nothing
+    a, b, c = spec.element(1), spec.element(3), spec.element(2)
+    P = Polynomial.from_roots(spec, [a, a, b]) * c
+    want = Divisor({Place.finite(a): 2, Place.finite(b): 1, INFINITY: -3})
+    for f, d in ((RationalFunction(P), want), (1 / RationalFunction(P), Divisor({pl: -n for pl, n in want.orders.items()})),
+                 (RationalFunction.constant(spec, c), Divisor())):
+        assert f.divisor() == d
+        assert Differential(f).divisor() == d + Divisor({INFINITY: -2})
+
+
 def test_divisor_nonsplit_raises():
-    # x^2 + x + 1 is irreducible over GF(2)
+    # x^2 + x + 1 is irreducible over GF(2), as the numerator or behind a constant numerator
     F2 = field(2, 1)
-    f = RationalFunction(
-        Polynomial(F2, [F2.one, F2.one, F2.one]), Polynomial.constant(F2, 1)
-    )
-    with pytest.raises(ValueError):
-        f.divisor()
+    P = Polynomial(F2, [F2.one, F2.one, F2.one])
+    for f in (RationalFunction(P, Polynomial.constant(F2, 1)), RationalFunction(Polynomial.constant(F2, 1), P)):
+        with pytest.raises(ValueError, match="does not split"):
+            f.divisor()
 
 
 def test_divisor_degree_zero_random():

@@ -415,6 +415,18 @@ def test_compositions_list_every_tuple_of_allowed_summands_in_order():
                 assert list(strata._compositions(total, parts, step)) == [c for c in tuples if sum(c) == total]
 
 
+def test_labeled_trees_follow_cayleys_formula():
+    """n^(n - 2) distinct trees on 0..n-1 for every n >= 2, the sizes the enumeration asks for."""
+    for n in range(2, 8):
+        trees = {frozenset(map(frozenset, edges)) for edges in strata._labeled_trees(n)}
+        assert len(trees) == n ** (n - 2)
+        for edges in trees:  # n - 1 edges that join every vertex to 0 make a tree
+            reached = {0}
+            for _ in range(n):
+                reached |= {v for e in edges if e & reached for v in e}
+            assert len(edges) == n - 1 and reached == set(range(n))
+
+
 def reference_candidates(A, max_vertices):
     """Every raw candidate (t, genera, n, tree, slope, assignment), in generation order."""
     for t in range(1, A.h + 1):
@@ -765,7 +777,11 @@ def test_canonical_form_fixes_twin_order():
     key = canonical_form(G)
     assert time.perf_counter() - start < 0.1  # 9! = 362,880 orderings without the twin rule
     assert key == canonical_form(relabel(G, random.Random(0)))
-    assert canonical_form(star(5)) == brute_force_canonical_form(star(5))
+    # one class of three equal tops: v0 and v1 share a bottom and are twins, v2 hangs from the other bottom
+    A = HurwitzData(2, 3, 0, 8, (2,) * 8)
+    mixed = _build_two_level(A, 3, (1, 1, 1), 5, [(0, 3), (1, 3), (2, 4)], [3, 3, 3], ((0, 1, 2, 3), (4, 5, 6, 7)))
+    for H in (star(5), mixed, relabel(mixed, random.Random(1))):
+        assert canonical_form(H) == brute_force_canonical_form(H)
 
 
 def test_canonical_form_ordering_bound(monkeypatch):
